@@ -432,6 +432,8 @@ def _cmd_conjecture(args) -> int:
         "numeric_defect": report.numeric_defect,
         "gap_ratio": report.gap_ratio,
         "verdict": report.verdict,
+        "exact_upper_bound": report.exact_upper_bound,
+        "certificate": {"method": report.method, "prime": report.prime},
     }
     _emit(payload)
     if args.report:

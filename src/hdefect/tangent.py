@@ -76,7 +76,10 @@ def numeric_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> RankRe
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return RankResult(0, math.inf, ())
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    return _rank_from_spectrum(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+
+
+def _rank_from_spectrum(sigma: np.ndarray, rel_tol: float) -> RankResult:
     top = sigma[0]
     rank = int(np.sum(sigma > rel_tol * top))
     if rank == len(sigma) or sigma[rank] == 0.0:
@@ -89,7 +92,10 @@ def numeric_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> RankRe
 
 
 def _certified_rank(matrix, rel_tol, gap_threshold, label) -> RankResult:
-    result = numeric_rank(matrix, rel_tol)
+    return _certify(numeric_rank(matrix, rel_tol), gap_threshold, label)
+
+
+def _certify(result: RankResult, gap_threshold, label) -> RankResult:
     if result.gap_ratio < gap_threshold:
         raise AmbiguousRankError(
             f"ambiguous rank for {label}: gap ratio {result.gap_ratio:.3e} "
@@ -194,10 +200,11 @@ def tangent_basis(
     if matrix.size == 0:
         return [np.ones((1, 1))] if h.n == 1 else []
     _, sigma, vh = np.linalg.svd(matrix)
-    result = _certified_rank(matrix, rel_tol, gap_threshold, f"tangent basis of {h.provenance or 'matrix'}")
+    result = _certify(
+        _rank_from_spectrum(sigma, rel_tol), gap_threshold, f"tangent basis of {h.provenance or 'matrix'}"
+    )
     basis = [vh[r].reshape(h.n, h.n) for r in range(result.rank, vh.shape[0])]
-    top = sigma[0] if len(sigma) else 1.0
-    bound = 10 * rel_tol * top
+    bound = 10 * rel_tol * sigma[0]
     for b in basis:
         residual = float(np.max(np.abs(matrix @ b.ravel())))
         if residual > bound:

@@ -208,6 +208,15 @@ def test_conjecture_command(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == payload
 
 
+def test_conjecture_reports_upper_bound_and_certificate(capsys):
+    assert run(["conjecture", "haagerup:1/8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["rational_nullity"], payload["numeric_defect"], payload["exact_upper_bound"]) == (12, 15, 15)
+    assert payload["verdict"] == "REFUTED-at-this-instance"
+    assert payload["certificate"] == {"method": "modular-lift", "prime": 2147483497}
+    assert (payload["certificate"]["prime"] - 1) % payload["q"] == 0
+
+
 def test_ds_command(capsys):
     group = make_group([2, 3, 4])
     assert run(["ds", "--group", "2x3x4"]) == 0

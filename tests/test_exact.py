@@ -1,24 +1,32 @@
-"""Exact rational system construction, integer rank, and the equality check."""
+"""Exact rational systems: construction, modular and integer rank, the proof sandwich and the equality check."""
 
 from fractions import Fraction
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hdefect import exact
+from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
 from hdefect.errors import CapExceededError, NonExactError
 from hdefect.exact import (
+    BAREISS,
+    MODULAR_LIFT,
     REFUTED_AT_INSTANCE,
     SUPPORTED,
     build_exact_system,
     conjecture_check,
+    exact_upper_bound,
     integer_matrix_rank,
+    modular_prime,
     rational_nullity,
 )
 from hdefect.groups import make_group
 from hdefect.matrices import (
     HadamardMatrix,
+    apply_equivalence,
     fourier_matrix,
     haagerup_matrix,
     tao_matrix,
@@ -178,3 +186,181 @@ def test_report_fields():
     assert report.degree == 2
     assert report.numeric_defect == undephased_defect(h).undephased_defect == 15
     assert report.gap_ratio >= 1e6
+
+
+# Modular nullity with a checked lift, the exact upper bound, and the size guard.
+
+ORACLE_SPECS = (
+    [f"fourier:{n}" for n in range(2, 13)]
+    + ["tao"]
+    + [f"haagerup:{k}/8" for k in range(8)]
+)
+SANDWICH_SPECS = ORACLE_SPECS + [
+    f"deformed:(fourier:2,[[0,0],[0,{k}/16]],fourier:2)" for k in range(0, 16, 3)
+] + ["tensor:(fourier:2,fourier:4)"]
+EQUIVALENCE_BASES = ["fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "tao", "haagerup:1/8", "fourier:2x2"]
+
+
+def _spec_matrix(spec):
+    return build_matrix(parse_matrix_spec(spec))
+
+
+def bareiss_nullity(system):
+    return system.n * system.n - integer_matrix_rank(system.integer_rows(), system.n * system.n)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_modular_nullity_matches_bareiss(spec):
+    system = build_exact_system(_spec_matrix(spec))
+    nullity = rational_nullity(system)
+    assert nullity == bareiss_nullity(system)
+    assert nullity.method == MODULAR_LIFT
+    assert nullity.prime == modular_prime(system.root_order)
+    if spec.startswith("haagerup:") and int(spec.split(":")[1].split("/")[0]) % 2:
+        assert nullity == 12
+
+
+def test_modular_nullity_on_seeded_random_equivalents():
+    rng = random.Random(20261018)
+    for spec in EQUIVALENCE_BASES:
+        h = _spec_matrix(spec)
+        q = h.phase_order()
+        for _ in range(3):
+            rows, cols = list(range(h.n)), list(range(h.n))
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            phases = [[Fraction(rng.randrange(q), q) for _ in range(h.n)] for _ in range(2)]
+            system = build_exact_system(apply_equivalence(h, rows, cols, *phases))
+            assert rational_nullity(system) == bareiss_nullity(system)
+
+
+@st.composite
+def equivalent_matrices(draw):
+    h = _spec_matrix(draw(st.sampled_from(EQUIVALENCE_BASES)))
+    q = h.phase_order()
+    rows = draw(st.permutations(range(h.n)))
+    cols = draw(st.permutations(range(h.n)))
+    phases = st.lists(st.integers(0, q - 1), min_size=h.n, max_size=h.n)
+    row_phases = [Fraction(k, q) for k in draw(phases)]
+    col_phases = [Fraction(k, q) for k in draw(phases)]
+    return h, apply_equivalence(h, rows, cols, row_phases, col_phases)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(equivalent_matrices())
+def test_modular_nullity_invariant_under_equivalence(pair):
+    base, equivalent = pair
+    system = build_exact_system(equivalent)
+    nullity = rational_nullity(system)
+    assert nullity == bareiss_nullity(system)
+    assert nullity == rational_nullity(build_exact_system(base))
+
+
+def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
+    # Modulo 2 the lifted kernel fails the exact check: the half system loses rank, or -1 lifts as 1.
+    monkeypatch.setattr(exact, "modular_prime", lambda q: 2)
+    for spec in ("fourier:2", "fourier:4", "fourier:6", "tao"):
+        system = build_exact_system(_spec_matrix(spec))
+        nullity = rational_nullity(system)
+        assert (nullity.method, nullity.prime) == (BAREISS, 2)
+        assert nullity == bareiss_nullity(system)
+    # Modulo 7 the kernel entries of haagerup:1/8 have no small rational preimage.
+    monkeypatch.setattr(exact, "modular_prime", lambda q: 7)
+    nullity = rational_nullity(build_exact_system(haagerup_matrix(Fraction(1, 8))))
+    assert (nullity, nullity.method) == (12, BAREISS)
+
+
+def test_each_branch_is_forced(monkeypatch):
+    system = build_exact_system(fourier_matrix(make_group([6])))
+    assert rational_nullity(system).method == MODULAR_LIFT
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_solves_full_system", lambda system, kernel: False)
+        nullity = rational_nullity(system)
+        assert (nullity, nullity.method) == (15, BAREISS)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_lift_kernel", lambda reduced, pivots, p: None)
+        nullity = rational_nullity(system)
+        assert (nullity, nullity.method) == (15, BAREISS)
+
+
+def test_lifted_kernel_is_checked_exactly():
+    system = build_exact_system(haagerup_matrix(Fraction(1, 8)))
+    p = modular_prime(system.root_order)
+    pairs, exps = exact._pair_arrays(system)
+    half = pairs[:, 0] < pairs[:, 1]
+    blocks = power_reduction_table(8)[exps[half]].transpose(0, 2, 1)
+    reduced = exact._pair_rows(pairs[half], blocks, system.n) % p
+    pivots = exact._row_reduce_mod(reduced, p)
+    kernel = exact._lift_kernel(reduced[: len(pivots)], pivots, p)
+    assert kernel.shape == (36, 12)
+    full = np.array(system.integer_rows(), dtype=object)
+    assert not (full @ kernel).any()
+    assert exact._solves_full_system(system, kernel)
+    # Large entries take the Python-int path and are still checked exactly.
+    assert exact._solves_full_system(system, kernel * 2**62)
+    broken = kernel.copy()
+    broken[pivots[0], 0] += 1
+    assert not exact._solves_full_system(system, broken)
+    assert not exact._solves_full_system(system, broken * 2**62)
+
+
+def test_rational_reconstruction():
+    p = 2147483647
+    residues = np.array([0, 1, p - 1, pow(3, -1, p), (-5 * pow(7, -1, p)) % p])
+    num, den = exact._rational_reconstruction(residues, p)
+    assert num.tolist() == [0, 1, -1, 1, -5]
+    assert den.tolist() == [1, 1, 1, 3, 7]
+    assert exact._rational_reconstruction(np.array([2]), 5) is None
+
+
+def test_prime_search():
+    assert [n for n in range(60) if exact._is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert exact._is_prime(2**31 - 1)
+    assert not exact._is_prime(25326001)  # strong pseudoprime to the bases 2, 3 and 5
+    for q in (1, 2, 3, 8, 12, 16, 60):
+        p = modular_prime(q)
+        assert p < 2**31 and (p - 1) % q == 0 and exact._is_prime(p)
+        assert all(not exact._is_prime(c) for c in range(p + q, 2**31, q))
+        w = exact._root_of_order(q, p)
+        assert pow(w, q, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, q))
+
+
+@pytest.mark.parametrize("spec", SANDWICH_SPECS)
+def test_sandwich_on_corpus(spec):
+    report = conjecture_check(_spec_matrix(spec))
+    assert report.exact_upper_bound >= report.numeric_defect >= report.rational_nullity
+    assert report.method == MODULAR_LIFT
+    assert report.prime == modular_prime(report.root_order)
+
+
+def test_integer_rows_evaluate_to_entry_products():
+    for h in (fourier_matrix(make_group([6])), tao_matrix(), haagerup_matrix(Fraction(3, 8))):
+        system = build_exact_system(h)
+        rows = np.array(system.integer_rows()).reshape(len(system.pairs), system.degree, -1)
+        basis = np.exp(2j * np.pi * np.arange(system.degree) / system.root_order)
+        values = h.to_values()
+        for (i, j), row in zip(system.pairs, np.einsum("ptc,t->pc", rows, basis)):
+            expected = np.zeros((h.n, h.n), dtype=complex)
+            expected[i] += values[i] * np.conj(values[j])
+            expected[j] -= values[i] * np.conj(values[j])
+            assert np.allclose(row, expected.ravel(), atol=1e-12)
+
+
+def test_size_guard_raises_before_allocating():
+    h = fourier_matrix(make_group([4]))
+    system = build_exact_system(h)
+    # Half system 6 pairs x phi(4) = 2 rows by 16 columns of int64: 1536 bytes.
+    assert rational_nullity(system, byte_cap=1536) == 8
+    with pytest.raises(CapExceededError):
+        rational_nullity(system, byte_cap=1535)
+    # Complex system: 12 ordered pairs by 16 columns.
+    assert exact_upper_bound(system, byte_cap=1536) == 8
+    with pytest.raises(CapExceededError):
+        exact_upper_bound(system, byte_cap=1535)
+
+
+def test_cli_size_guard_exit_code(capsys):
+    # 64 * 63 / 2 pairs x phi(64) = 32 rows by 4096 columns would need about 2.1 GB.
+    assert run(["conjecture", "fourier:64"]) == 1
+    assert "above the cap" in capsys.readouterr().err

@@ -159,6 +159,21 @@ def test_tangent_basis_f3():
         assert np.max(np.abs(system @ b.ravel())) < 1e-12
 
 
+def test_tangent_basis_runs_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert len(tangent_basis(fourier_matrix(make_group([2, 2])))) == 10
+    assert calls == [True]
+    with pytest.raises(AmbiguousRankError):
+        tangent_basis(fourier_matrix(make_group([3])), gap_threshold=1e300)
+
+
 def test_tangent_basis_trivial_matrix():
     h = fourier_matrix(make_group([1]))
     basis = tangent_basis(h)
