@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -384,7 +383,7 @@ def _cmd_scan(args) -> int:
     h = build_matrix(parse_matrix_spec(args.h_spec))
     k = build_matrix(parse_matrix_spec(args.k_spec))
     grid = _parse_grid(args.grid)
-    cells = deformation_scan(h, k, grid, rel_tol=args.tol, gap_threshold=args.gap, jobs=args.jobs)
+    cells = deformation_scan(h, k, grid, rel_tol=args.tol, gap_threshold=args.gap)
     header = ["cell_id", "l_turns", "defect", "dephased_defect", "gap_ratio", "certified", "error"]
 
     def rows():
@@ -465,7 +464,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="hdefect",
         description="Construct complex Hadamard matrices and compute tangent-space defects.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="build a matrix and write it as JSON")
@@ -497,7 +495,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV file (default: stdout)")
     p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--gap", type=float, default=DEFAULT_GAP_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("conjecture", help="rational nullity versus numeric defect")
@@ -510,11 +507,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ds", help="fixed-point statistic estimate of the Fourier defect")
     p.add_argument("--group", required=True, help="cycle orders, e.g. 2x3x4")
     p.add_argument("--k", type=int, default=1, help="moment index")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--l", dest="window", type=int, default=None, help="window length")
-    group.add_argument(
-        "--exact", action="store_true", help="use the group exponent as window (the default)"
-    )
+    p.add_argument("--l", dest="window", type=int, default=None, help="window length (default: the group exponent)")
     p.set_defaults(handler=_cmd_ds)
 
     return parser
@@ -526,8 +519,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.handler(args)
     except SpecParseError as exc:

@@ -45,12 +45,10 @@ import numpy as np
 from .cyclotomic import divisors, euler_phi, power_reduction_table
 from .errors import CapExceededError, NonExactError
 from .matrices import HadamardMatrix
-from .tangent import DEFAULT_GAP_THRESHOLD, DEFAULT_REL_TOL, undephased_defect
+from .tangent import DEFAULT_GAP_THRESHOLD, DEFAULT_REL_TOL, MAX_SYSTEM_BYTES, undephased_defect
+from .tangent import check_system_size, ordered_pairs, pair_rows
 
 DEFAULT_DEGREE_CAP = 64
-# Largest int64 array one modular system may allocate; the temporaries of the
-# elimination and of the kernel check are of the same order.
-MAX_SYSTEM_BYTES = 2**29
 # Moduli stay below this, so the product of two residues fits in int64.
 MODULUS_LIMIT = 2**31
 
@@ -85,7 +83,7 @@ class ExactSystem:
         """The phi(q) * len(pairs) integer rows over the N^2 unknowns."""
         pairs, exps = _pair_arrays(self)
         blocks = power_reduction_table(self.root_order)[exps].transpose(0, 2, 1)
-        return _pair_rows(pairs, blocks, self.n).tolist()
+        return pair_rows(pairs, blocks, self.n).tolist()
 
     def evaluate_pair(self, pair_index: int) -> np.ndarray:
         """Complex coefficient row of the pair equation at x = e^(2 pi i / q)."""
@@ -109,22 +107,14 @@ def build_exact_system(h: HadamardMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) 
     degree = euler_phi(q)
     if degree > degree_cap:
         raise CapExceededError(f"cyclotomic degree {degree} exceeds cap {degree_cap} (q = {q})")
-    n = h.n
-    nums = [[int(t * q) for t in row] for row in h.turns]
-    pairs = []
-    exponents = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pairs.append((i, j))
-            exponents.append(tuple((nums[i][b] - nums[j][b]) % q for b in range(n)))
+    pairs = ordered_pairs(h.n)
+    exponents = (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % q
     return ExactSystem(
         root_order=q,
         degree=degree,
-        n=n,
-        pairs=tuple(pairs),
-        exponents=tuple(exponents),
+        n=h.n,
+        pairs=tuple(map(tuple, pairs.tolist())),
+        exponents=tuple(map(tuple, exponents.tolist())),
         provenance=h.provenance,
     )
 
@@ -136,26 +126,8 @@ def _pair_arrays(system: ExactSystem) -> tuple[np.ndarray, np.ndarray]:
     return pairs, exps
 
 
-def _pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
-    """Rows of the pair equations as one int64 array.
-
-    blocks[p] (rows per pair x N) holds the coefficients of pair (i, j) =
-    pairs[p] on the unknowns A_ib; those on A_jb are their negatives.
-    """
-    npairs, per_pair, _ = blocks.shape
-    rows = np.zeros((npairs, per_pair, n, n), dtype=np.int64)
-    index = np.arange(npairs)
-    rows[index, :, pairs[:, 0], :] = blocks
-    rows[index, :, pairs[:, 1], :] = -blocks
-    return rows.reshape(npairs * per_pair, n * n)
-
-
-def _guard_size(nrows: int, ncols: int, byte_cap: int) -> None:
-    nbytes = nrows * ncols * 8
-    if nbytes > byte_cap:
-        raise CapExceededError(
-            f"modular system of {nrows} x {ncols} int64 entries needs {nbytes} bytes, above the cap {byte_cap}"
-        )
+# The scatter's earlier name in this module.
+_pair_rows = pair_rows
 
 
 def _is_prime(n: int) -> bool:
@@ -355,13 +327,13 @@ def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> C
     fraction-free rank of the full rows (method "bareiss"); see the module
     docstring.
     """
-    p = modular_prime(system.root_order)
     n = system.n
+    check_system_size(n * (n - 1) // 2 * system.degree, n, byte_cap)
+    p = modular_prime(system.root_order)
     pairs, exps = _pair_arrays(system)
     half = pairs[:, 0] < pairs[:, 1]
-    _guard_size(int(half.sum()) * system.degree, n * n, byte_cap)
     blocks = power_reduction_table(system.root_order)[exps[half]].transpose(0, 2, 1)
-    reduced = _pair_rows(pairs[half], blocks, n)
+    reduced = pair_rows(pairs[half], blocks, n, byte_cap)
     reduced %= p
     pivots = _row_reduce_mod(reduced, p)
     kernel = _lift_kernel(reduced[: len(pivots)], pivots, p)
@@ -381,13 +353,13 @@ def exact_upper_bound(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> 
     the defect.
     """
     q = system.root_order
-    p = modular_prime(q)
     n = system.n
+    check_system_size(len(system.pairs), n, byte_cap)
+    p = modular_prime(q)
     pairs, exps = _pair_arrays(system)
-    _guard_size(len(pairs), n * n, byte_cap)
     w = _root_of_order(q, p)
     powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
-    rows = _pair_rows(pairs, powers[exps][:, None, :], n)
+    rows = pair_rows(pairs, powers[exps][:, None, :], n, byte_cap)
     rows %= p
     return n * n - len(_row_reduce_mod(rows, p))
 

@@ -1,9 +1,10 @@
 """Complex Hadamard matrices: representations, constructors, validity checks.
 
-A matrix carries either exact phases (entry (i, j) is e^(2 pi i t) with t a
-Fraction of a turn, normalized into [0, 1)) or a complex128 array. Exact to
-floating conversion is explicit and one-way; all named constructors that can
-stay exact do.
+A matrix carries either exact phases, int64 numerators m_ij in [0, q) over
+the smallest root order q (entry e^(2 pi i m_ij / q); `turns` derives them as
+Fractions of a turn), or a complex128 array. Exact to floating conversion is
+explicit and one-way; all named constructors that can stay exact do, and
+operations on exact matrices are integer array arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import power_reduction_table
-from .errors import NonExactError, NonHadamardError
+from .errors import CapExceededError, NonExactError, NonHadamardError
 from .groups import FiniteAbelianGroup
 
 _QUARTER_TURNS = {
@@ -26,6 +27,8 @@ _QUARTER_TURNS = {
     Fraction(1, 2): -1 + 0j,
     Fraction(3, 4): -1j,
 }
+# Root orders stay below this, so sums of a few numerators fit in int64.
+MAX_PHASE_ORDER = 2**31
 
 
 def turn_to_complex(turn: Fraction) -> complex:
@@ -37,45 +40,85 @@ def turn_to_complex(turn: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(turn))
 
 
-def _normalize_turns(rows) -> tuple[tuple[Fraction, ...], ...]:
-    out = []
-    for row in rows:
-        out.append(tuple(Fraction(t) % 1 for t in row))
-    widths = {len(r) for r in out}
-    if len(widths) > 1:
+def _roots(nums: np.ndarray, q: int) -> np.ndarray:
+    """e^(2 pi i m / q) for every numerator m, computed once per distinct m."""
+    unique, inverse = np.unique(nums, return_inverse=True)
+    roots = np.array([turn_to_complex(Fraction(int(m), q)) for m in unique], dtype=complex)
+    return roots[inverse].reshape(nums.shape)
+
+
+def _check_order(q: int) -> None:
+    if q >= MAX_PHASE_ORDER:
+        raise CapExceededError(f"phase order {q} is not below the cap {MAX_PHASE_ORDER}")
+
+
+def _phases_from_turns(rows) -> tuple[np.ndarray, int]:
+    """Numerators over the lcm q of the denominators, for rows of turns (Fractions or ints)."""
+    turns = [[Fraction(t) for t in row] for row in rows]
+    if len({len(row) for row in turns}) > 1:
         raise ValueError("ragged phase rows")
-    return tuple(out)
+    q = math.lcm(1, *(t.denominator for row in turns for t in row))
+    _check_order(q)
+    nums = [[t.numerator * (q // t.denominator) % q for t in row] for row in turns]
+    return np.array(nums, dtype=np.int64).reshape(len(turns), len(turns[0]) if turns else 0), q
 
 
 class UnimodularMatrix:
-    """Rectangular matrix of unimodular entries, exact-phase or floating."""
+    """Rectangular matrix of unimodular entries, exact-phase or floating.
 
-    def __init__(self, *, turns=None, values=None):
-        if (turns is None) == (values is None):
-            raise ValueError("exactly one of turns or values must be given")
+    Built from exactly one of `turns` (rows of turn Fractions or ints),
+    `phases` (integer numerators and their root order q) or `values` (a
+    complex array). `numerators` is None for floating matrices.
+    """
+
+    def __init__(self, *, turns=None, values=None, phases=None):
+        if sum(x is not None for x in (turns, values, phases)) != 1:
+            raise ValueError("exactly one of turns, phases or values must be given")
+        self._values = None
+        self.numerators = None
         if turns is not None:
-            self.turns = _normalize_turns(turns)
-            self.rows = len(self.turns)
-            self.cols = len(self.turns[0]) if self.rows else 0
-            self._values = None
+            phases = _phases_from_turns(turns)
+        if phases is not None:
+            nums, q = phases
+            _check_order(q)
+            nums = np.asarray(nums, dtype=np.int64) % q
+            if nums.ndim != 2:
+                raise ValueError(f"expected 2-d numerators, got shape {nums.shape}")
+            common = math.gcd(q, int(np.gcd.reduce(nums, axis=None)))
+            nums //= common
+            nums.flags.writeable = False
+            self.numerators = nums
+            self._order = q // common
+            self.rows, self.cols = nums.shape
         else:
             arr = np.asarray(values, dtype=complex)
             if arr.ndim != 2:
                 raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
-            self.turns = None
             self.rows, self.cols = arr.shape
             self._values = arr
 
     @property
     def is_exact(self) -> bool:
-        return self.turns is not None
+        return self.numerators is not None
+
+    @property
+    def turns(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """Exact phases as Fractions of a turn in [0, 1); None for floating matrices."""
+        if not self.is_exact:
+            return None
+        q = self._order
+        return tuple(tuple(Fraction(m, q) for m in row) for row in self.numerators.tolist())
+
+    def phase_order(self) -> int:
+        """Smallest q with every entry a q-th root of unity; exact matrices only."""
+        if not self.is_exact:
+            raise NonExactError("phase order requires exact phases")
+        return self._order
 
     def to_values(self) -> np.ndarray:
         """Complex entries; computed once for exact matrices."""
         if self._values is None:
-            self._values = np.array(
-                [[turn_to_complex(t) for t in row] for row in self.turns], dtype=complex
-            )
+            self._values = _roots(self.numerators, self._order)
         return self._values
 
     def max_modulus_error(self) -> float:
@@ -84,11 +127,18 @@ class UnimodularMatrix:
         return float(np.max(np.abs(np.abs(self.to_values()) - 1.0))) if self.rows else 0.0
 
 
+def _common_order(*matrices: UnimodularMatrix) -> tuple[list[np.ndarray], int]:
+    """Numerators of exact matrices rescaled to one common root order, and that order."""
+    q = math.lcm(*(m.phase_order() for m in matrices))
+    _check_order(q)
+    return [m.numerators * (q // m.phase_order()) for m in matrices], q
+
+
 class DeformationParameters(UnimodularMatrix):
     """The M x N parameter matrix of a deformed tensor product."""
 
-    def __init__(self, *, turns=None, values=None, unimodular_tol=1e-10):
-        super().__init__(turns=turns, values=values)
+    def __init__(self, *, turns=None, values=None, phases=None, unimodular_tol=1e-10):
+        super().__init__(turns=turns, values=values, phases=phases)
         if not self.is_exact and self.max_modulus_error() > unimodular_tol:
             raise NonHadamardError(
                 f"deformation parameters must be unimodular (error {self.max_modulus_error():.3e})"
@@ -100,14 +150,14 @@ class DeformationParameters(UnimodularMatrix):
 
     @classmethod
     def flat(cls, rows: int, cols: int) -> "DeformationParameters":
-        return cls(turns=[[Fraction(0)] * cols for _ in range(rows)])
+        return cls(phases=(np.zeros((rows, cols), dtype=np.int64), 1))
 
 
 class HadamardMatrix(UnimodularMatrix):
     """Square candidate matrix with a provenance label; validity is a separate check."""
 
-    def __init__(self, *, turns=None, values=None, provenance: str = ""):
-        super().__init__(turns=turns, values=values)
+    def __init__(self, *, turns=None, values=None, phases=None, provenance: str = ""):
+        super().__init__(turns=turns, values=values, phases=phases)
         if self.rows != self.cols:
             raise ValueError(f"matrix must be square, got {self.rows} x {self.cols}")
         self.n = self.rows
@@ -120,12 +170,6 @@ class HadamardMatrix(UnimodularMatrix):
     @classmethod
     def from_values(cls, values, provenance: str = "") -> "HadamardMatrix":
         return cls(values=values, provenance=provenance)
-
-    def phase_order(self) -> int:
-        """Smallest q with every entry a q-th root of unity; exact matrices only."""
-        if not self.is_exact:
-            raise NonExactError("phase order requires exact phases")
-        return math.lcm(1, *(t.denominator for row in self.turns for t in row))
 
 
 @dataclass(frozen=True)
@@ -140,29 +184,21 @@ class ValidationReport:
 def fourier_matrix(group: FiniteAbelianGroup) -> HadamardMatrix:
     """Character table of the group: entry (g, h) has phase sum_t g_t h_t / N_t."""
     orders = group.cycle_orders
-    elems = group.element_list()
-    rows = []
-    for g in elems:
-        rows.append(
-            [
-                sum((Fraction(x * y, n) for x, y, n in zip(g, h, orders)), Fraction(0))
-                for h in elems
-            ]
-        )
+    q = group.exponent
+    elems = np.array(group.element_list(), dtype=np.int64).reshape(group.order, len(orders))
+    weights = np.array([q // n for n in orders], dtype=np.int64)
     label = "x".join(str(n) for n in orders) if orders else "1"
-    return HadamardMatrix.from_turns(rows, provenance=f"fourier:{label}")
+    return HadamardMatrix(phases=((elems * weights) @ elems.T, q), provenance=f"fourier:{label}")
 
 
 def tensor_product(h: HadamardMatrix, k: HadamardMatrix) -> HadamardMatrix:
     """(H (x) K)_{ia,jb} = H_ij K_ab, left factor outermost."""
     prov = f"tensor:({h.provenance},{k.provenance})"
     if h.is_exact and k.is_exact:
-        rows = [
-            [th + tk for th in hrow for tk in krow]
-            for hrow in h.turns
-            for krow in k.turns
-        ]
-        return HadamardMatrix.from_turns(rows, provenance=prov)
+        (hn, kn), q = _common_order(h, k)
+        size = h.n * k.n
+        nums = hn[:, None, :, None] + kn[None, :, None, :]
+        return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov)
     return HadamardMatrix.from_values(np.kron(h.to_values(), k.to_values()), provenance=prov)
 
 
@@ -176,17 +212,10 @@ def deformed_tensor(
         )
     prov = f"deformed:({h.provenance},{k.provenance})"
     if h.is_exact and k.is_exact and params.is_exact:
-        rows = []
-        for i in range(h.n):
-            for a in range(k.n):
-                rows.append(
-                    [
-                        h.turns[i][j] + params.turns[a][j] + k.turns[a][b]
-                        for j in range(h.n)
-                        for b in range(k.n)
-                    ]
-                )
-        return HadamardMatrix.from_turns(rows, provenance=prov)
+        (hn, ln, kn), q = _common_order(h, params, k)
+        size = h.n * k.n
+        nums = hn[:, None, :, None] + ln[None, :, :, None] + kn[None, :, None, :]
+        return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov)
     hv, lv, kv = h.to_values(), params.to_values(), k.to_values()
     out = np.einsum("ij,aj,ab->iajb", hv, lv, kv).reshape(h.n * k.n, h.n * k.n)
     return HadamardMatrix.from_values(out, provenance=prov)
@@ -196,9 +225,7 @@ def recombination_parameters(n: int, m: int) -> DeformationParameters:
     """L_aj = w^(aj) with w the primitive (nm)-th root; rethreads F_n, F_m into F_nm."""
     if n < 1 or m < 1:
         raise ValueError("orders must be positive")
-    return DeformationParameters.from_turns(
-        [[Fraction(a * j, n * m) for j in range(n)] for a in range(m)]
-    )
+    return DeformationParameters(phases=(np.outer(range(m), range(n)), n * m))
 
 
 def haagerup_matrix(q) -> HadamardMatrix:
@@ -229,7 +256,6 @@ def haagerup_matrix(q) -> HadamardMatrix:
 
 def tao_matrix() -> HadamardMatrix:
     """The 6 x 6 matrix over cube roots of unity."""
-    third = Fraction(1, 3)
     t = [
         [0, 0, 0, 0, 0, 0],
         [0, 0, 1, 1, 2, 2],
@@ -238,9 +264,7 @@ def tao_matrix() -> HadamardMatrix:
         [0, 2, 2, 1, 0, 1],
         [0, 2, 1, 2, 1, 0],
     ]
-    return HadamardMatrix.from_turns(
-        [[third * e for e in row] for row in t], provenance="tao"
-    )
+    return HadamardMatrix(phases=(t, 3), provenance="tao")
 
 
 def circulant_from_eigenvalues(eigenvalues) -> HadamardMatrix:
@@ -292,11 +316,8 @@ def dephase(h: HadamardMatrix) -> HadamardMatrix:
     """Scale columns then rows so the first row and column are all ones. Idempotent."""
     prov = h.provenance
     if h.is_exact:
-        t = h.turns
-        rows = [
-            [t[i][j] - t[0][j] - t[i][0] + t[0][0] for j in range(h.n)] for i in range(h.n)
-        ]
-        return HadamardMatrix.from_turns(rows, provenance=prov)
+        t = h.numerators
+        return HadamardMatrix(phases=(t - t[:1] - t[:, :1] + t[:1, :1], h.phase_order()), provenance=prov)
     v = h.to_values()
     col = np.conj(v[0, :])
     step = v * col[None, :]
@@ -324,11 +345,8 @@ def apply_equivalence(
     all_exact = all(isinstance(p, (Fraction, int)) for p in row_phases + col_phases)
     prov = f"equivalent:({h.provenance})"
     if h.is_exact and all_exact:
-        rows = [
-            [Fraction(row_phases[i]) + Fraction(col_phases[j]) + h.turns[rp[i]][cp[j]] for j in range(h.n)]
-            for i in range(h.n)
-        ]
-        return HadamardMatrix.from_turns(rows, provenance=prov)
+        (hn, (rn, cn)), q = _common_order(h, UnimodularMatrix(turns=[row_phases, col_phases]))
+        return HadamardMatrix(phases=(rn[:, None] + cn[None, :] + hn[np.ix_(rp, cp)], q), provenance=prov)
     v = h.to_values()
     rvals = np.array([turn_to_complex(p) if isinstance(p, (Fraction, int)) else complex(p) for p in row_phases])
     cvals = np.array([turn_to_complex(p) if isinstance(p, (Fraction, int)) else complex(p) for p in col_phases])
@@ -337,19 +355,21 @@ def apply_equivalence(
 
 
 def _verify_exact(h: HadamardMatrix) -> ValidationReport:
+    """Rows i < j are orthogonal iff the counts of their phase differences reduce to 0 mod Phi_q.
+
+    Row i is checked against all rows j > i at once, so the counts take
+    (N - 1) x q entries at most.
+    """
     q = h.phase_order()
     table = power_reduction_table(q)
-    nums = np.array(
-        [[int(t * q) for t in row] for row in h.turns], dtype=np.int64
-    )
+    nums = h.numerators
     worst = 0.0
-    for i in range(h.n):
-        for j in range(i + 1, h.n):
-            diff = (nums[i] - nums[j]) % q
-            counts = np.bincount(diff, minlength=q)
-            if np.any(counts @ table):
-                value = np.sum(np.exp(2j * np.pi * diff / q))
-                worst = max(worst, abs(value) / h.n)
+    for i in range(h.n - 1):
+        diff = (nums[i] - nums[i + 1 :]) % q
+        offsets = q * np.arange(len(diff))[:, None]
+        counts = np.bincount((diff + offsets).ravel(), minlength=len(diff) * q).reshape(-1, q)
+        for d in diff[(counts @ table).any(axis=1)]:
+            worst = max(worst, abs(np.sum(np.exp(2j * np.pi * d / q))) / h.n)
     return ValidationReport(
         passed=worst == 0.0,
         max_modulus_error=0.0,
@@ -387,10 +407,8 @@ def profile_matrix(h: HadamardMatrix) -> np.ndarray:
 
 def design_array(h: HadamardMatrix) -> np.ndarray:
     """eps[i, j, k] = H_ik H_jk for a matrix with entries +-1 only."""
-    if h.is_exact:
-        allowed = {Fraction(0), Fraction(1, 2)}
-        if any(t not in allowed for row in h.turns for t in row):
-            raise ValueError("design array needs entries +-1, got other phases")
+    if h.is_exact and np.any(2 * h.numerators % h.phase_order()):
+        raise ValueError("design array needs entries +-1, got other phases")
     v = h.to_values()
     if np.max(np.abs(v.imag)) > 1e-12 or np.max(np.abs(np.abs(v.real) - 1.0)) > 1e-12:
         raise ValueError("design array needs entries +-1, got non-real entries")
@@ -400,7 +418,9 @@ def design_array(h: HadamardMatrix) -> np.ndarray:
 
 def matrix_to_dict(h: HadamardMatrix) -> dict:
     if h.is_exact:
-        entries = [[t.numerator, t.denominator] for row in h.turns for t in row]
+        q = h.phase_order()
+        common = np.gcd(h.numerators, q)
+        entries = np.stack([h.numerators // common, q // common], axis=-1).reshape(-1, 2).tolist()
         repr_tag = "phase"
     else:
         v = h.to_values()

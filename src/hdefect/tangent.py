@@ -5,12 +5,15 @@ of, for all i != j, sum_k H_ik conj(H_jk) (A_ik - A_jk) = 0. It is encoded as
 one real row per ordered pair (real part for i < j, imaginary part for i > j)
 over the N^2 unknowns A_ab laid out row-major. Ranks come from singular
 values only, and every reported rank must clear a spectral-gap certificate.
+
+Every pair system in the package, floating or exact, is built by one scatter,
+`pair_rows`, from per-pair coefficient blocks; `check_system_size` refuses
+any system above `MAX_SYSTEM_BYTES` before it or its blocks are allocated.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -18,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AmbiguousRankError, DefectMismatchError, NonHadamardError, ResidualError
+from .errors import AmbiguousRankError, CapExceededError, DefectMismatchError, NonHadamardError, ResidualError
 from .groups import FiniteAbelianGroup, fourier_defect, p_space_components
 from .matrices import (
     DeformationParameters,
@@ -33,6 +36,9 @@ from .matrices import (
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
+# Largest pair system, at 8 bytes an entry, that may be allocated; the
+# temporaries of an SVD or of modular elimination are of the same order.
+MAX_SYSTEM_BYTES = 2**29
 
 
 @dataclass(frozen=True)
@@ -44,25 +50,54 @@ class TangentSystem:
     provenance: str
 
 
-def _pair_rows(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    rows = np.zeros((n * (n - 1), n * n))
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            prods = values[i] * np.conj(values[j])
-            coeff = prods.real if i < j else prods.imag
-            rows[r, i * n : (i + 1) * n] = coeff
-            rows[r, j * n : (j + 1) * n] -= coeff
-            r += 1
-    return rows
+def ordered_pairs(n: int) -> np.ndarray:
+    """All (i, j) with i != j in row-major order, as an n(n-1) x 2 array."""
+    return np.argwhere(~np.eye(n, dtype=bool))
+
+
+def check_system_size(nrows: int, n: int, byte_cap: int = MAX_SYSTEM_BYTES) -> None:
+    """Raise CapExceededError when nrows pair rows over N^2 unknowns need more than byte_cap bytes."""
+    ncols = n * n
+    nbytes = nrows * ncols * 8
+    if nbytes > byte_cap:
+        raise CapExceededError(
+            f"pair system of {nrows} x {ncols} entries needs {nbytes} bytes, above the cap {byte_cap}"
+        )
+
+
+def pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
+    """Rows of the pair equations over the N^2 unknowns A_ab, in the dtype of blocks.
+
+    blocks[p] (rows per pair x N) holds the coefficients of pair (i, j) =
+    pairs[p] on the unknowns A_ib; those on A_jb are their negatives. The
+    size is checked by `check_system_size` before the rows are allocated;
+    callers that build large blocks check it before building them.
+    """
+    npairs, per_pair, _ = blocks.shape
+    nrows, ncols = npairs * per_pair, n * n
+    check_system_size(nrows, n, byte_cap)
+    rows = np.zeros((npairs, per_pair, n, n), dtype=blocks.dtype)
+    index = np.arange(npairs)
+    rows[index, :, pairs[:, 0], :] = blocks
+    rows[index, :, pairs[:, 1], :] -= blocks
+    return rows.reshape(nrows, ncols)
+
+
+def _real_pair_system(pairs: np.ndarray, prods: np.ndarray, n: int, provenance: str) -> TangentSystem:
+    """One real row per ordered pair from its products H_ik conj(H_jk): real part for i < j, else imaginary."""
+    upper = (pairs[:, 0] < pairs[:, 1])[:, None]
+    blocks = np.where(upper, prods.real, prods.imag)[:, None, :]
+    return TangentSystem(matrix=pair_rows(pairs, blocks, n), n=n, provenance=provenance)
 
 
 def tangent_system(h: HadamardMatrix) -> TangentSystem:
     """Assemble the pair-equation system for any unimodular square matrix."""
-    return TangentSystem(matrix=_pair_rows(h.to_values()), n=h.n, provenance=h.provenance)
+    check_system_size(h.n * (h.n - 1), h.n)
+    pairs = ordered_pairs(h.n)
+    values = h.to_values()
+    prods = values[pairs[:, 0]]
+    prods *= np.conj(values)[pairs[:, 1]]
+    return _real_pair_system(pairs, prods, h.n, h.provenance)
 
 
 class RankResult(NamedTuple):
@@ -313,32 +348,17 @@ def circulant_tangent_system(eigenvalues) -> TangentSystem:
     )
     w = np.exp(2j * np.pi / n)
     d = np.array([np.sum(w ** (m * np.arange(n)) * qv) for m in range(n)])
-    rows = np.zeros((n * (n - 1), n * n))
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            coeffs = np.array([d[(k - i) % n] * np.conj(d[(k - j) % n]) for k in range(n)]) / n
-            coeff = coeffs.real if i < j else coeffs.imag
-            rows[r, i * n : (i + 1) * n] = coeff
-            rows[r, j * n : (j + 1) * n] -= coeff
-            r += 1
-    return TangentSystem(matrix=rows, n=n, provenance=h.provenance)
+    pairs = ordered_pairs(n)
+    k = np.arange(n)
+    prods = d[(k - pairs[:, :1]) % n] * np.conj(d[(k - pairs[:, 1:]) % n]) / n
+    return _real_pair_system(pairs, prods, n, h.provenance)
 
 
 def real_design_system(h: HadamardMatrix) -> np.ndarray:
     """Unordered-pair system for a matrix with +-1 entries; imaginary rows vanish."""
     eps = design_array(h)
-    n = h.n
-    rows = np.zeros((n * (n - 1) // 2, n * n))
-    r = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[r, i * n : (i + 1) * n] = eps[i, j]
-            rows[r, j * n : (j + 1) * n] = -eps[i, j]
-            r += 1
-    return rows
+    i, j = np.triu_indices(h.n, 1)
+    return pair_rows(np.stack([i, j], axis=1), eps[i, j][:, None, :].astype(float), h.n)
 
 
 @dataclass(frozen=True)
@@ -375,7 +395,7 @@ def _scan_cell(h, k, assignment, free, rel_tol, gap_threshold) -> ScanCell:
         turns[a][j] = t
     params = DeformationParameters.from_turns(turns)
     cell_id = ";".join(str(t) for t in assignment)
-    full = tuple(tuple(row) for row in params.turns)
+    full = tuple(tuple(row) for row in turns)
     try:
         matrix = deformed_tensor(h, params, k)
         report = undephased_defect(matrix, rel_tol, gap_threshold)
@@ -406,14 +426,12 @@ def deformation_scan(
     grid: ScanGrid,
     rel_tol: float = DEFAULT_REL_TOL,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    jobs: int = 1,
 ) -> list[ScanCell]:
     """Defects of H (x)_L K over all dephased parameter matrices on the grid.
 
     The free entries of L are positions (a, j) with a, j >= 1 in row-major
     order; each ranges over the grid turns. The flat cell is prepended when
-    the grid does not contain it. Cells are independent and the result order
-    is the deterministic grid order regardless of the job count.
+    the grid does not contain it. Cells come in the deterministic grid order.
     """
     free = [(a, j) for a in range(1, k.n) for j in range(1, h.n)]
     turns = grid.turns()
@@ -421,11 +439,4 @@ def deformation_scan(
     flat = tuple(Fraction(0) for _ in free)
     if flat not in assignments:
         assignments.insert(0, flat)
-
-    def run(assignment):
-        return _scan_cell(h, k, assignment, free, rel_tol, gap_threshold)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, assignments))
-    return [run(a) for a in assignments]
+    return [_scan_cell(h, k, a, free, rel_tol, gap_threshold) for a in assignments]

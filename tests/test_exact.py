@@ -360,6 +360,20 @@ def test_size_guard_raises_before_allocating():
         exact_upper_bound(system, byte_cap=1535)
 
 
+def test_size_guard_runs_before_the_blocks(monkeypatch):
+    system = build_exact_system(fourier_matrix(make_group([4])))
+
+    def unexpected(q):
+        raise AssertionError("blocks built before the size check")
+
+    monkeypatch.setattr(exact, "power_reduction_table", unexpected)
+    monkeypatch.setattr(exact, "modular_prime", unexpected)
+    with pytest.raises(CapExceededError):
+        rational_nullity(system, byte_cap=1535)
+    with pytest.raises(CapExceededError):
+        exact_upper_bound(system, byte_cap=1535)
+
+
 def test_cli_size_guard_exit_code(capsys):
     # 64 * 63 / 2 pairs x phi(64) = 32 rows by 4096 columns would need about 2.1 GB.
     assert run(["conjecture", "fourier:64"]) == 1
