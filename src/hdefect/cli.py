@@ -50,10 +50,9 @@ from .tangent import (
     DEFAULT_GAP_THRESHOLD,
     DEFAULT_REL_TOL,
     ScanGrid,
+    _defect_pass,
     deformation_scan,
-    dephased_defect,
     tangent_basis,
-    undephased_defect,
 )
 
 MatrixSpec = Union[
@@ -344,7 +343,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_defect(args) -> int:
     matrix = build_matrix(parse_matrix_spec(args.spec))
-    report = undephased_defect(matrix, rel_tol=args.tol, gap_threshold=args.gap)
+    report, dephased = _defect_pass(matrix, args.tol, args.gap, dephased=args.dephased)
     payload = {
         "provenance": report.provenance,
         "n": report.n,
@@ -356,9 +355,9 @@ def _cmd_defect(args) -> int:
         "gap_threshold": report.gap_threshold,
     }
     if args.dephased:
-        payload["dephased_defect"] = dephased_defect(matrix, rel_tol=args.tol, gap_threshold=args.gap)
+        payload["dephased_defect"] = dephased
     if args.basis:
-        basis = tangent_basis(matrix, rel_tol=args.tol)
+        basis = tangent_basis(matrix, rel_tol=args.tol, gap_threshold=args.gap)
         with open(args.basis, "w") as handle:
             json.dump(
                 {

@@ -4,14 +4,19 @@ Phi_q is computed by recursive exact division of x^q - 1 by the product of
 Phi_d over proper divisors d, entirely in integer coefficient lists
 (low degree first). The reduction table expresses x^m mod Phi_q in the power
 basis 1, x, ..., x^(phi(q)-1); sums of q-th roots of unity are exactly zero
-iff their reduced coefficient vector vanishes.
+iff their reduced coefficient vector vanishes. A table above
+`MAX_SYSTEM_BYTES` is refused before Phi_q is built.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import MAX_SYSTEM_BYTES, CapExceededError
+from .groups import factorize
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -71,14 +76,21 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
 
 
 def euler_phi(q: int) -> int:
-    return len(cyclotomic_polynomial(q)) - 1
+    """Degree of Phi_q, from the prime factorisation: q times the product of 1 - 1/p over p | q."""
+    primes = factorize(q)
+    return q // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=None)
 def power_reduction_table(q: int) -> np.ndarray:
     """Rows m = 0..q-1: coefficient vector of x^m mod Phi_q (int64, shape q x phi)."""
+    deg = euler_phi(q)
+    nbytes = q * deg * 8
+    if nbytes > MAX_SYSTEM_BYTES:
+        raise CapExceededError(
+            f"reduction table of {q} x {deg} entries needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
+        )
     phi = cyclotomic_polynomial(q)
-    deg = len(phi) - 1
     table = np.zeros((q, deg), dtype=np.int64)
     row = [0] * deg
     row[0] = 1
@@ -91,12 +103,3 @@ def power_reduction_table(q: int) -> np.ndarray:
             for t in range(deg):
                 row[t] -= lead * phi[t]
     return table
-
-
-def root_power_sum_is_zero(q: int, counts) -> bool:
-    """Whether sum over m of counts[m] * e^(2 pi i m / q) is exactly zero."""
-    table = power_reduction_table(q)
-    vec = np.asarray(counts, dtype=np.int64)
-    if vec.shape != (q,):
-        raise ValueError(f"counts must have length {q}")
-    return not np.any(vec @ table)

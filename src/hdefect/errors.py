@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size cap behind CapExceededError."""
+
+# Largest array, at 8 bytes an entry, that a pair system or a cyclotomic
+# reduction table may allocate; the temporaries of an SVD or of modular
+# elimination are of the same order.
+MAX_SYSTEM_BYTES = 2**29
 
 
 class DomainError(Exception):

@@ -42,10 +42,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import divisors, euler_phi, power_reduction_table
-from .errors import CapExceededError, NonExactError
+from .cyclotomic import euler_phi, power_reduction_table
+from .errors import MAX_SYSTEM_BYTES, CapExceededError, NonExactError
+from .groups import factorize, is_prime
 from .matrices import HadamardMatrix
-from .tangent import DEFAULT_GAP_THRESHOLD, DEFAULT_REL_TOL, MAX_SYSTEM_BYTES, undephased_defect
+from .tangent import DEFAULT_GAP_THRESHOLD, DEFAULT_REL_TOL, undephased_defect
 from .tangent import check_system_size, ordered_pairs, pair_rows
 
 DEFAULT_DEGREE_CAP = 64
@@ -60,43 +61,23 @@ BAREISS = "bareiss"
 
 @dataclass(frozen=True)
 class ExactSystem:
-    """Pair equations with coefficients stored as power-basis integer vectors."""
+    """Pair equations with coefficients stored as power-basis integer vectors.
+
+    `pairs` (P x 2) are the ordered pairs and `exponents` (P x N) the root
+    power of each pair's coefficient on column b; both are read-only int64.
+    """
 
     root_order: int
     degree: int
     n: int
-    pairs: tuple[tuple[int, int], ...]
-    exponents: tuple[tuple[int, ...], ...]  # per pair, the root power for each column b
+    pairs: np.ndarray
+    exponents: np.ndarray
     provenance: str
-
-    def coefficient(self, pair_index: int, a: int, b: int) -> tuple[int, ...]:
-        """Power-basis vector of the coefficient on unknown A_ab in the given pair row."""
-        i, j = self.pairs[pair_index]
-        sign = (1 if a == i else 0) - (1 if a == j else 0)
-        if sign == 0:
-            return (0,) * self.degree
-        table = power_reduction_table(self.root_order)
-        vec = table[self.exponents[pair_index][b]]
-        return tuple(int(sign * v) for v in vec)
 
     def integer_rows(self) -> list[list[int]]:
         """The phi(q) * len(pairs) integer rows over the N^2 unknowns."""
-        pairs, exps = _pair_arrays(self)
-        blocks = power_reduction_table(self.root_order)[exps].transpose(0, 2, 1)
-        return pair_rows(pairs, blocks, self.n).tolist()
-
-    def evaluate_pair(self, pair_index: int) -> np.ndarray:
-        """Complex coefficient row of the pair equation at x = e^(2 pi i / q)."""
-        basis = np.exp(2j * np.pi * np.arange(self.degree) / self.root_order)
-        i, j = self.pairs[pair_index]
-        table = power_reduction_table(self.root_order)
-        n = self.n
-        row = np.zeros(n * n, dtype=complex)
-        for b in range(n):
-            value = table[self.exponents[pair_index][b]] @ basis
-            row[i * n + b] = value
-            row[j * n + b] = -value
-        return row
+        blocks = power_reduction_table(self.root_order)[self.exponents].transpose(0, 2, 1)
+        return pair_rows(self.pairs, blocks, self.n).tolist()
 
 
 def build_exact_system(h: HadamardMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> ExactSystem:
@@ -109,66 +90,27 @@ def build_exact_system(h: HadamardMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) 
         raise CapExceededError(f"cyclotomic degree {degree} exceeds cap {degree_cap} (q = {q})")
     pairs = ordered_pairs(h.n)
     exponents = (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % q
+    pairs.flags.writeable = False
+    exponents.flags.writeable = False
     return ExactSystem(
-        root_order=q,
-        degree=degree,
-        n=h.n,
-        pairs=tuple(map(tuple, pairs.tolist())),
-        exponents=tuple(map(tuple, exponents.tolist())),
-        provenance=h.provenance,
+        root_order=q, degree=degree, n=h.n, pairs=pairs, exponents=exponents, provenance=h.provenance
     )
-
-
-def _pair_arrays(system: ExactSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The ordered pairs (P x 2) and their root exponents (P x N) as int64 arrays."""
-    pairs = np.array(system.pairs, dtype=np.int64).reshape(-1, 2)
-    exps = np.array(system.exponents, dtype=np.int64).reshape(-1, system.n)
-    return pairs, exps
-
-
-# The scatter's earlier name in this module.
-_pair_rows = pair_rows
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 decide every n < 3.2e9."""
-    if n < 2:
-        return False
-    for base in (2, 3, 5, 7):
-        if n % base == 0:
-            return n == base
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
 def modular_prime(q: int) -> int:
     """Largest prime p < 2^31 with p = 1 (mod q)."""
     p = (MODULUS_LIMIT - 2) // q * q + 1
-    while not _is_prime(p):
+    while not is_prime(p):
         p -= q
     return p
 
 
 def _root_of_order(q: int, p: int) -> int:
     """An element of multiplicative order exactly q in F_p, for p = 1 (mod q)."""
-    prime_factors = [r for r in divisors(q) if r > 1 and _is_prime(r)]
     for g in range(2, p):
         w = pow(g, (p - 1) // q, p)
-        if all(pow(w, q // r, p) != 1 for r in prime_factors):
+        if all(pow(w, q // r, p) != 1 for r in factorize(q)):
             return w
     raise ValueError(f"no element of order {q} modulo {p}")
 
@@ -256,12 +198,11 @@ def _solves_full_system(system: ExactSystem, kernel: np.ndarray) -> bool:
     at most 2N terms of size at most max|M| max|V|, so the product runs in
     int64 when max|M| max|V| N^2 < 2^63 and in Python ints otherwise.
     """
-    n = system.n
-    pairs, exps = _pair_arrays(system)
+    n, pairs = system.n, system.pairs
     table = power_reduction_table(system.root_order)
     biggest = int(np.abs(table).max()) * int(np.abs(kernel).max(initial=0))
     dtype = np.int64 if biggest * n * n < 2**63 else object
-    blocks = table[exps].astype(dtype).transpose(0, 2, 1)
+    blocks = table[system.exponents].astype(dtype).transpose(0, 2, 1)
     v = kernel.astype(dtype).reshape(n, n, kernel.shape[1])
     for i in range(n):
         mine = pairs[:, 0] == i
@@ -330,9 +271,9 @@ def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> C
     n = system.n
     check_system_size(n * (n - 1) // 2 * system.degree, n, byte_cap)
     p = modular_prime(system.root_order)
-    pairs, exps = _pair_arrays(system)
+    pairs = system.pairs
     half = pairs[:, 0] < pairs[:, 1]
-    blocks = power_reduction_table(system.root_order)[exps[half]].transpose(0, 2, 1)
+    blocks = power_reduction_table(system.root_order)[system.exponents[half]].transpose(0, 2, 1)
     reduced = pair_rows(pairs[half], blocks, n, byte_cap)
     reduced %= p
     pivots = _row_reduce_mod(reduced, p)
@@ -356,10 +297,9 @@ def exact_upper_bound(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> 
     n = system.n
     check_system_size(len(system.pairs), n, byte_cap)
     p = modular_prime(q)
-    pairs, exps = _pair_arrays(system)
     w = _root_of_order(q, p)
     powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
-    rows = pair_rows(pairs, powers[exps][:, None, :], n, byte_cap)
+    rows = pair_rows(system.pairs, powers[system.exponents][:, None, :], n, byte_cap)
     rows %= p
     return n * n - len(_row_reduce_mod(rows, p))
 

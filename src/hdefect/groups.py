@@ -81,13 +81,6 @@ class FiniteAbelianGroup:
     def neg(self, g) -> tuple[int, ...]:
         return tuple((-x) % n for x, n in zip(g, self.cycle_orders))
 
-    def index_of(self, g) -> int:
-        """Position of g in odometer order."""
-        idx = 0
-        for x, n in zip(g, self.cycle_orders):
-            idx = idx * n + x
-        return idx
-
 
 def make_group(orders) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(orders))
@@ -108,7 +101,7 @@ def delta_bruteforce(group: FiniteAbelianGroup, cap: int | None = None) -> Fract
     return total
 
 
-def _factorize(n: int) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; {} for n = 1."""
     factors: dict[int, int] = {}
     d = 2
@@ -123,6 +116,7 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(p: int) -> bool:
+    """Trial division, exact for every p."""
     if p < 2:
         return False
     d = 2
@@ -140,19 +134,9 @@ def isotypic_decomposition(group: FiniteAbelianGroup) -> dict[int, tuple[int, ..
     """
     parts: dict[int, list[int]] = {}
     for n in group.cycle_orders:
-        for p, a in _factorize(n).items():
+        for p, a in factorize(n).items():
             parts.setdefault(p, []).append(a)
     return {p: tuple(sorted(a)) for p, a in sorted(parts.items())}
-
-
-def order_counts(p: int, exponents, k: int) -> int:
-    """Number of elements g of the p-group with p^k g = 0: p^(sum_i min(k, a_i))."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    exponents = _check_exponents(exponents)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return p ** sum(min(k, a) for a in exponents)
 
 
 def _check_exponents(exponents) -> tuple[int, ...]:
@@ -208,7 +192,7 @@ def fourier_defect_cyclic(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     value = Fraction(n)
-    for p, a in _factorize(n).items():
+    for p, a in factorize(n).items():
         value *= 1 + a - Fraction(a, p)
     if value.denominator != 1:
         raise RuntimeError(f"cyclic defect formula produced non-integer {value} for n={n}")
@@ -319,7 +303,7 @@ def abelian_group_types(order: int) -> list[FiniteAbelianGroup]:
     """All isomorphism types of abelian groups of the given order (primary form)."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    factors = sorted(_factorize(order).items())
+    factors = sorted(factorize(order).items())
     choices = [[tuple(p**a for a in part) for part in _partitions(e)] for p, e in factors]
     groups = []
     for combo in product(*choices):

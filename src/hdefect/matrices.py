@@ -397,25 +397,6 @@ def verify_hadamard(h: HadamardMatrix, tol: float = 1e-9) -> ValidationReport:
     )
 
 
-def profile_matrix(h: HadamardMatrix) -> np.ndarray:
-    """N^2 x N^2 array M[(i,a),(j,b)] = sum_k H_ik conj(H_jk) conj(H_ak) H_bk."""
-    v = h.to_values()
-    vc = np.conj(v)
-    arr = np.einsum("ik,jk,ak,bk->iajb", v, vc, vc, v)
-    return arr.reshape(h.n * h.n, h.n * h.n)
-
-
-def design_array(h: HadamardMatrix) -> np.ndarray:
-    """eps[i, j, k] = H_ik H_jk for a matrix with entries +-1 only."""
-    if h.is_exact and np.any(2 * h.numerators % h.phase_order()):
-        raise ValueError("design array needs entries +-1, got other phases")
-    v = h.to_values()
-    if np.max(np.abs(v.imag)) > 1e-12 or np.max(np.abs(np.abs(v.real) - 1.0)) > 1e-12:
-        raise ValueError("design array needs entries +-1, got non-real entries")
-    s = np.where(v.real > 0, 1, -1).astype(np.int64)
-    return np.einsum("ik,jk->ijk", s, s)
-
-
 def matrix_to_dict(h: HadamardMatrix) -> dict:
     if h.is_exact:
         q = h.phase_order()

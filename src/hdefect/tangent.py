@@ -21,24 +21,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AmbiguousRankError, CapExceededError, DefectMismatchError, NonHadamardError, ResidualError
-from .groups import FiniteAbelianGroup, fourier_defect, p_space_components
-from .matrices import (
-    DeformationParameters,
-    HadamardMatrix,
-    circulant_from_eigenvalues,
-    deformed_tensor,
-    design_array,
-    fourier_matrix,
-    turn_to_complex,
-    verify_hadamard,
+from .errors import (
+    MAX_SYSTEM_BYTES,
+    AmbiguousRankError,
+    CapExceededError,
+    DefectMismatchError,
+    NonHadamardError,
+    ResidualError,
 )
+from .groups import FiniteAbelianGroup, fourier_defect, p_space_components
+from .matrices import DeformationParameters, HadamardMatrix, deformed_tensor, fourier_matrix, verify_hadamard
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
-# Largest pair system, at 8 bytes an entry, that may be allocated; the
-# temporaries of an SVD or of modular elimination are of the same order.
-MAX_SYSTEM_BYTES = 2**29
 
 
 @dataclass(frozen=True)
@@ -83,21 +78,20 @@ def pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int, byte_cap: int = MAX
     return rows.reshape(nrows, ncols)
 
 
-def _real_pair_system(pairs: np.ndarray, prods: np.ndarray, n: int, provenance: str) -> TangentSystem:
-    """One real row per ordered pair from its products H_ik conj(H_jk): real part for i < j, else imaginary."""
-    upper = (pairs[:, 0] < pairs[:, 1])[:, None]
-    blocks = np.where(upper, prods.real, prods.imag)[:, None, :]
-    return TangentSystem(matrix=pair_rows(pairs, blocks, n), n=n, provenance=provenance)
-
-
 def tangent_system(h: HadamardMatrix) -> TangentSystem:
-    """Assemble the pair-equation system for any unimodular square matrix."""
+    """Assemble the pair-equation system for any unimodular square matrix.
+
+    The row of pair (i, j) is the real part of H_ik conj(H_jk) for i < j and
+    the imaginary part for i > j.
+    """
     check_system_size(h.n * (h.n - 1), h.n)
     pairs = ordered_pairs(h.n)
     values = h.to_values()
     prods = values[pairs[:, 0]]
     prods *= np.conj(values)[pairs[:, 1]]
-    return _real_pair_system(pairs, prods, h.n, h.provenance)
+    upper = (pairs[:, 0] < pairs[:, 1])[:, None]
+    blocks = np.where(upper, prods.real, prods.imag)[:, None, :]
+    return TangentSystem(matrix=pair_rows(pairs, blocks, h.n), n=h.n, provenance=h.provenance)
 
 
 class RankResult(NamedTuple):
@@ -165,18 +159,25 @@ def _require_hadamard(h: HadamardMatrix, verify_tol: float) -> None:
         )
 
 
-def undephased_defect(
-    h: HadamardMatrix,
-    rel_tol: float = DEFAULT_REL_TOL,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    verify_tol: float = 1e-9,
-) -> DefectReport:
-    """Dimension of the enveloping tangent space: N^2 minus the certified rank."""
+def _dephased_columns(n: int) -> list[int]:
+    return [a * n + b for a in range(1, n) for b in range(1, n)]
+
+
+def _defect_pass(
+    h: HadamardMatrix, rel_tol: float, gap_threshold: float, verify_tol: float = 1e-9, dephased: bool = False
+) -> tuple[DefectReport, int | None]:
+    """Verify once, assemble once and certify the rank; with `dephased`, also return the dephased defect.
+
+    The dephased defect takes one more certified SVD, of the columns A_ab with
+    a, b >= 1 (first row and column pinned), and is checked against the
+    relation d' = d - (2N - 1); the full matrix is released before that SVD.
+    """
     _require_hadamard(h, verify_tol)
-    system = tangent_system(h)
-    result = _certified_rank(system.matrix, rel_tol, gap_threshold, f"defect of {h.provenance or 'matrix'}")
+    label = h.provenance or "matrix"
+    matrix = tangent_system(h).matrix
+    result = _certified_rank(matrix, rel_tol, gap_threshold, f"defect of {label}")
     d = h.n * h.n - result.rank
-    return DefectReport(
+    report = DefectReport(
         n=h.n,
         undephased_defect=d,
         dephased_defect=d - (2 * h.n - 1),
@@ -188,10 +189,28 @@ def undephased_defect(
         certified=True,
         provenance=h.provenance,
     )
+    if not dephased:
+        return report, None
+    restricted = matrix[:, _dephased_columns(h.n)]
+    del matrix
+    result = _certified_rank(restricted, rel_tol, gap_threshold, f"dephased defect of {label}")
+    direct = (h.n - 1) * (h.n - 1) - result.rank
+    if direct != report.dephased_defect:
+        raise DefectMismatchError(
+            f"dephased defect paths disagree: restricted system gives {direct}, "
+            f"undephased relation gives {report.dephased_defect}"
+        )
+    return report, direct
 
 
-def _dephased_columns(n: int) -> list[int]:
-    return [a * n + b for a in range(1, n) for b in range(1, n)]
+def undephased_defect(
+    h: HadamardMatrix,
+    rel_tol: float = DEFAULT_REL_TOL,
+    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
+    verify_tol: float = 1e-9,
+) -> DefectReport:
+    """Dimension of the enveloping tangent space: N^2 minus the certified rank."""
+    return _defect_pass(h, rel_tol, gap_threshold, verify_tol)[0]
 
 
 def dephased_defect(
@@ -200,27 +219,12 @@ def dephased_defect(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     verify_tol: float = 1e-9,
 ) -> int:
-    """Defect with first row and column pinned; computed two ways, which must agree."""
-    report = undephased_defect(h, rel_tol, gap_threshold, verify_tol)
-    via_relation = report.undephased_defect - (2 * h.n - 1)
-    restricted = tangent_system(h).matrix[:, _dephased_columns(h.n)]
-    result = _certified_rank(restricted, rel_tol, gap_threshold, f"dephased defect of {h.provenance or 'matrix'}")
-    direct = (h.n - 1) * (h.n - 1) - result.rank
-    if direct != via_relation:
-        raise DefectMismatchError(
-            f"dephased defect paths disagree: restricted system gives {direct}, "
-            f"undephased relation gives {via_relation}"
-        )
-    return direct
+    """Defect with the first row and column pinned, from the certified rank of the restricted system.
 
-
-def isolation_flag(
-    h: HadamardMatrix,
-    rel_tol: float = DEFAULT_REL_TOL,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-) -> bool:
-    """True when the certified dephased defect vanishes."""
-    return dephased_defect(h, rel_tol, gap_threshold) == 0
+    It is an independent check of the undephased defect d: the two SVDs
+    must give d - (2N - 1), else DefectMismatchError.
+    """
+    return _defect_pass(h, rel_tol, gap_threshold, verify_tol, dephased=True)[1]
 
 
 def tangent_basis(
@@ -332,33 +336,6 @@ def fourier_P_check(
             f"combinatorial {report.dimension_combinatorial}, closed form {report.closed_form}"
         )
     return report
-
-
-def circulant_tangent_system(eigenvalues) -> TangentSystem:
-    """Pair system assembled from the eigenvalue vector of a circulant Hadamard.
-
-    Uses H_ik conj(H_jk) = D_{k-i} conj(D_{k-j}) / N with D the plain Fourier
-    sum of the eigenvalues. The input must define a valid Hadamard matrix.
-    """
-    h = circulant_from_eigenvalues(eigenvalues)
-    _require_hadamard(h, verify_tol=1e-9)
-    n = h.n
-    qv = np.array(
-        [turn_to_complex(v) if isinstance(v, (Fraction, int)) else complex(v) for v in eigenvalues]
-    )
-    w = np.exp(2j * np.pi / n)
-    d = np.array([np.sum(w ** (m * np.arange(n)) * qv) for m in range(n)])
-    pairs = ordered_pairs(n)
-    k = np.arange(n)
-    prods = d[(k - pairs[:, :1]) % n] * np.conj(d[(k - pairs[:, 1:]) % n]) / n
-    return _real_pair_system(pairs, prods, n, h.provenance)
-
-
-def real_design_system(h: HadamardMatrix) -> np.ndarray:
-    """Unordered-pair system for a matrix with +-1 entries; imaginary rows vanish."""
-    eps = design_array(h)
-    i, j = np.triu_indices(h.n, 1)
-    return pair_rows(np.stack([i, j], axis=1), eps[i, j][:, None, :].astype(float), h.n)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdefect.cli import (
     CirculantSpec,
@@ -73,6 +75,33 @@ def test_canonical_round_trip():
     for spec in specs:
         assert parse_matrix_spec(spec.canonical()) == spec
     assert parse_matrix_spec("haagerup:-1/8").canonical() == "haagerup:7/8"
+
+
+TURNS = st.builds(Fraction, st.integers(0, 30), st.integers(1, 24)).map(lambda t: t % 1)
+# A path that read as a turn would be ambiguous after a circulant's eigenvalues.
+PATHS = st.builds(str.__add__, st.sampled_from("abz"), st.text(alphabet="abz09._-/", max_size=7))
+TURN_ROWS = st.lists(st.lists(TURNS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3).map(tuple)
+LEAF_SPECS = st.one_of(
+    st.lists(st.integers(1, 12), min_size=1, max_size=3).map(lambda orders: FourierSpec(tuple(orders))),
+    st.builds(HaagerupSpec, TURNS),
+    st.just(TaoSpec()),
+    st.lists(TURNS, min_size=1, max_size=4).map(lambda turns: CirculantSpec(tuple(turns))),
+    st.builds(FileSpec, PATHS),
+)
+SPECS = st.recursive(
+    LEAF_SPECS,
+    lambda inner: st.one_of(
+        st.builds(TensorSpec, inner, inner),
+        st.builds(DeformedSpec, inner, st.one_of(TURN_ROWS, PATHS), inner),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(SPECS)
+def test_canonical_round_trip_of_generated_specs(spec):
+    assert parse_matrix_spec(spec.canonical()) == spec
 
 
 def test_parse_errors_carry_positions():
@@ -156,6 +185,14 @@ def test_defect_dephased_and_basis(tmp_path, capsys):
     assert stored["dimension"] == 5
     assert len(stored["basis"]) == 5
     assert all(len(row) == 9 for row in stored["basis"])
+
+
+def test_defect_basis_honours_gap(tmp_path, capsys):
+    # At --tol 0.6 the rank of F6 is certified at gap 1.73, below the default 1e6.
+    basis_path = tmp_path / "basis.json"
+    assert run(["defect", "fourier:6", "--tol", "0.6", "--gap", "1.01", "--basis", str(basis_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert json.loads(basis_path.read_text())["dimension"] == payload["defect"]
 
 
 def test_scan_csv_and_summary(tmp_path, capsys):
@@ -244,6 +281,16 @@ def test_float_tangent_system_size_guard(capsys):
     # 128 * 127 ordered pairs by 128^2 columns of float64 would need about 2.1 GB.
     assert run(["defect", "fourier:128"]) == 1
     assert "above the cap" in capsys.readouterr().err
+
+
+def test_verify_refuses_large_reduction_table_at_once(capsys):
+    # q = 4 x 9973: the table would need about 6.4 GB, and Phi_q alone took 32 s to build.
+    start = time.perf_counter()
+    assert run(["verify", "haagerup:1/9973"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "reduction table" in capsys.readouterr().err
+    assert run(["verify", "haagerup:1/997"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_deformed_parameter_file(tmp_path):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from hdefect import cyclotomic
 from hdefect.cyclotomic import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
     power_reduction_table,
-    root_power_sum_is_zero,
 )
+from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
 
 
 def test_small_cyclotomics():
@@ -44,6 +45,19 @@ def test_euler_phi():
 
     for n in range(1, 50):
         assert euler_phi(n) == totient(n)
+    for q in range(1, 201):
+        assert euler_phi(q) == len(cyclotomic_polynomial(q)) - 1
+
+
+def test_reduction_table_size_guard(monkeypatch):
+    # q = 39892 = 4 x 9973 would need 39892 x 19944 x 8 bytes, about 6.4 GB; Phi_q must not be built.
+    def refused(q):
+        raise AssertionError("Phi_q built before the size check")
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", refused)
+    assert 39892 * euler_phi(39892) * 8 > MAX_SYSTEM_BYTES
+    with pytest.raises(CapExceededError):
+        power_reduction_table(39892)
 
 
 def test_reduction_table_matches_numeric_roots():
@@ -54,20 +68,22 @@ def test_reduction_table_matches_numeric_roots():
         assert np.allclose(table @ basis, roots, atol=1e-12)
 
 
+def _root_power_sum_is_zero(q, counts):
+    return not (np.asarray(counts) @ power_reduction_table(q)).any()
+
+
 def test_root_power_sums():
     for q in range(2, 20):
-        assert root_power_sum_is_zero(q, [1] * q)
+        assert _root_power_sum_is_zero(q, [1] * q)
     counts = [0] * 6
     counts[0] = 1
     counts[3] = 1  # 1 + e^(pi i) = 0
-    assert root_power_sum_is_zero(6, counts)
+    assert _root_power_sum_is_zero(6, counts)
     counts = [0] * 6
     counts[0] = 1
     counts[2] = 1
     counts[4] = 1  # cube roots inside the 6th roots
-    assert root_power_sum_is_zero(6, counts)
+    assert _root_power_sum_is_zero(6, counts)
     counts[4] = 0
-    assert not root_power_sum_is_zero(6, counts)
-    assert not root_power_sum_is_zero(5, [1, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        root_power_sum_is_zero(4, [1, 2])
+    assert not _root_power_sum_is_zero(6, counts)
+    assert not _root_power_sum_is_zero(5, [1, 0, 0, 0, 0])

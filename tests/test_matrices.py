@@ -17,13 +17,11 @@ from hdefect.matrices import (
     circulant_from_eigenvalues,
     deformed_tensor,
     dephase,
-    design_array,
     fourier_matrix,
     haagerup_matrix,
     load_matrix,
     matrix_from_dict,
     matrix_to_dict,
-    profile_matrix,
     recombination_parameters,
     save_matrix,
     tao_matrix,
@@ -223,40 +221,6 @@ def test_apply_equivalence_preserves_validity():
         apply_equivalence(t, (0, 0, 1, 2, 3, 4), tuple(range(6)), [F(0)] * 6, [F(0)] * 6)
     with pytest.raises(ValueError):
         apply_equivalence(t, tuple(range(6)), tuple(range(6)), [F(0)] * 5, [F(0)] * 6)
-
-
-def test_profile_matrix():
-    f2 = fourier_matrix(make_group([2]))
-    m = profile_matrix(f2)
-    assert m.shape == (4, 4)
-    assert np.allclose(np.diag(m), 2.0)
-    # row swap permutes profile indices accordingly
-    swapped = apply_equivalence(f2, (1, 0), (0, 1), [F(0)] * 2, [F(0)] * 2)
-    ms = profile_matrix(swapped)
-    perm = [1, 0]
-    n = 2
-    for i in range(n):
-        for a in range(n):
-            for j in range(n):
-                for b in range(n):
-                    assert np.isclose(
-                        ms[i * n + a, j * n + b],
-                        m[perm[i] * n + perm[a], perm[j] * n + perm[b]],
-                        atol=1e-12,
-                    )
-
-
-def test_design_array():
-    klein = fourier_matrix(make_group([2, 2]))
-    eps = design_array(klein)
-    assert eps.shape == (4, 4, 4)
-    v = klein.to_values().real.astype(np.int64)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                assert eps[i, j, k] == v[i, k] * v[j, k]
-    with pytest.raises(ValueError):
-        design_array(tao_matrix())
 
 
 def test_matrix_json_roundtrip_exact(tmp_path):

@@ -1,11 +1,15 @@
 """Tangent systems, certified numeric defects, and deformation scans."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hdefect import tangent
+from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.errors import (
     AmbiguousRankError,
     DefectMismatchError,
@@ -14,6 +18,7 @@ from hdefect.errors import (
 from hdefect.groups import abelian_group_types, fourier_defect, make_group
 from hdefect.matrices import (
     DeformationParameters,
+    HadamardMatrix,
     apply_equivalence,
     circulant_from_eigenvalues,
     deformed_tensor,
@@ -22,23 +27,61 @@ from hdefect.matrices import (
     recombination_parameters,
     tao_matrix,
     tensor_product,
+    turn_to_complex,
     verify_hadamard,
 )
 from hdefect.tangent import (
     ScanGrid,
-    circulant_tangent_system,
     deformation_scan,
     dephased_defect,
     fourier_P_check,
-    isolation_flag,
     numeric_rank,
-    real_design_system,
+    ordered_pairs,
+    pair_rows,
     tangent_basis,
     tangent_system,
     undephased_defect,
 )
 
 F = Fraction
+
+
+def circulant_tangent_system(eigenvalues) -> np.ndarray:
+    """Oracle: the pair system of a circulant Hadamard matrix from its eigenvalue vector.
+
+    Uses H_ik conj(H_jk) = D_{k-i} conj(D_{k-j}) / N with D the plain Fourier
+    sum of the eigenvalues, in place of the matrix entries.
+    """
+    h = circulant_from_eigenvalues(eigenvalues)
+    if not verify_hadamard(h).passed:
+        raise NonHadamardError(f"{h.provenance} is not Hadamard")
+    n = h.n
+    qv = np.array([turn_to_complex(v) for v in eigenvalues])
+    w = np.exp(2j * np.pi / n)
+    d = np.array([np.sum(w ** (m * np.arange(n)) * qv) for m in range(n)])
+    pairs = ordered_pairs(n)
+    k = np.arange(n)
+    prods = d[(k - pairs[:, :1]) % n] * np.conj(d[(k - pairs[:, 1:]) % n]) / n
+    upper = (pairs[:, 0] < pairs[:, 1])[:, None]
+    return pair_rows(pairs, np.where(upper, prods.real, prods.imag)[:, None, :], n)
+
+
+def design_array(h: HadamardMatrix) -> np.ndarray:
+    """eps[i, j, k] = H_ik H_jk for a matrix with entries +-1 only."""
+    if h.is_exact and np.any(2 * h.numerators % h.phase_order()):
+        raise ValueError("design array needs entries +-1, got other phases")
+    v = h.to_values()
+    if np.max(np.abs(v.imag)) > 1e-12 or np.max(np.abs(np.abs(v.real) - 1.0)) > 1e-12:
+        raise ValueError("design array needs entries +-1, got non-real entries")
+    s = np.where(v.real > 0, 1, -1).astype(np.int64)
+    return np.einsum("ik,jk->ijk", s, s)
+
+
+def real_design_system(h: HadamardMatrix) -> np.ndarray:
+    """Oracle: unordered-pair system for a matrix with +-1 entries, whose imaginary rows vanish."""
+    eps = design_array(h)
+    i, j = np.triu_indices(h.n, 1)
+    return pair_rows(np.stack([i, j], axis=1), eps[i, j][:, None, :].astype(float), h.n)
 
 
 def f22(q):
@@ -115,12 +158,62 @@ def test_tensor_defect_exceeds_factor_product():
     assert d_tensor > d_factor**2
 
 
+TENSOR_FACTORS = [
+    "fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "fourier:2x2",
+    "tao", "haagerup:0", "haagerup:1/8", "circulant:0,1/4",
+]
+SMALL_TENSORS = [
+    (left, right)
+    for left in TENSOR_FACTORS
+    for right in TENSOR_FACTORS
+    if build_matrix(parse_matrix_spec(left)).n * build_matrix(parse_matrix_spec(right)).n <= 12
+]
+
+
+# More examples than the 41 pairs, so that hypothesis runs every pair once.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_TENSORS))
+def test_tensor_defect_at_least_factor_product(specs):
+    h, k = (build_matrix(parse_matrix_spec(spec)) for spec in specs)
+    d_tensor = undephased_defect(tensor_product(h, k)).undephased_defect
+    assert d_tensor >= undephased_defect(h).undephased_defect * undephased_defect(k).undephased_defect
+
+
+def test_one_tangent_pass_per_defect_call(monkeypatch, capsys):
+    counts = {}
+    for name in ("verify_hadamard", "tangent_system", "numeric_rank"):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=getattr(tangent, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tangent, name, counted)
+
+    def calls(action):
+        counts.update(dict.fromkeys(counts, 0))
+        action()
+        return tuple(counts.values())
+
+    assert calls(lambda: run(["defect", "fourier:6"])) == (1, 1, 1)
+    assert "dephased_defect" not in json.loads(capsys.readouterr().out)
+    assert calls(lambda: run(["defect", "fourier:6", "--dephased"])) == (1, 1, 2)
+    assert json.loads(capsys.readouterr().out)["dephased_defect"] == 4
+    f6 = fourier_matrix(make_group([6]))
+    assert calls(lambda: dephased_defect(f6)) == (1, 1, 2)
+    assert calls(lambda: undephased_defect(f6)) == (1, 1, 1)
+    # The dephased columns are a check of their own: a wrong set must not pass.
+    monkeypatch.setattr(tangent, "_dephased_columns", lambda n: [])
+    with pytest.raises(DefectMismatchError):
+        dephased_defect(f6)
+    assert run(["defect", "fourier:6", "--dephased"]) == 1
+
+
 def test_dephased_defect_examples():
     assert dephased_defect(f22(F(0))) == 3
     assert dephased_defect(fourier_matrix(make_group([2]))) == 0
     assert dephased_defect(tao_matrix()) == 0
-    assert isolation_flag(tao_matrix())
-    assert not isolation_flag(fourier_matrix(make_group([6])))
+    assert dephased_defect(fourier_matrix(make_group([6]))) > 0
     assert dephased_defect(haagerup_matrix(F(1, 7))) >= 1
 
 
@@ -196,11 +289,24 @@ def test_circulant_tangent_system_matches_generic():
     for q in ([F(0), F(1, 4)], [F(0), F(0), F(1, 2), F(0)]):
         special = circulant_tangent_system(q)
         generic = tangent_system(circulant_from_eigenvalues(q))
-        assert np.allclose(special.matrix, generic.matrix, atol=1e-12)
-        assert numeric_rank(special.matrix).rank == numeric_rank(generic.matrix).rank
+        assert np.allclose(special, generic.matrix, atol=1e-12)
+        assert numeric_rank(special).rank == numeric_rank(generic.matrix).rank
     assert undephased_defect(circulant_from_eigenvalues([F(0), F(1, 4)])).undephased_defect == 3
     with pytest.raises(NonHadamardError):
         circulant_tangent_system([F(0), F(1, 4), F(0), F(1, 4)])
+
+
+def test_design_array():
+    klein = fourier_matrix(make_group([2, 2]))
+    eps = design_array(klein)
+    assert eps.shape == (4, 4, 4)
+    v = klein.to_values().real.astype(np.int64)
+    for i in range(4):
+        for j in range(4):
+            for k in range(4):
+                assert eps[i, j, k] == v[i, k] * v[j, k]
+    with pytest.raises(ValueError):
+        design_array(tao_matrix())
 
 
 def test_real_design_system_agrees():
