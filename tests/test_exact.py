@@ -301,19 +301,28 @@ def test_sandwich_on_corpus(spec):
     assert report.prime == modular_prime(report.root_order)
 
 
+def assert_rows_evaluate_to_entry_products(h):
+    system = build_exact_system(h)
+    rows = np.array(system.integer_rows()).reshape(len(system.pairs), system.degree, -1)
+    basis = np.exp(2j * np.pi * np.arange(system.degree) / system.root_order)
+    values = h.to_values()
+    for (i, j), row in zip(system.pairs, np.einsum("ptc,t->pc", rows, basis)):
+        expected = np.zeros((h.n, h.n), dtype=complex)
+        expected[i] += values[i] * np.conj(values[j])
+        expected[j] -= values[i] * np.conj(values[j])
+        assert np.allclose(row, expected.ravel(), atol=1e-12)
+
+
+def test_system_evaluation_matches_entry_products():
+    for orders in ([2], [3], [6], [2, 2]):
+        assert_rows_evaluate_to_entry_products(fourier_matrix(make_group(orders)))
+    assert_rows_evaluate_to_entry_products(tao_matrix())
+    assert_rows_evaluate_to_entry_products(haagerup_matrix(Fraction(1, 8)))
+
+
 def test_integer_rows_evaluate_to_entry_products():
-    matrices = [fourier_matrix(make_group(orders)) for orders in ([2], [3], [6], [2, 2])]
-    matrices += [tao_matrix(), haagerup_matrix(Fraction(1, 8)), haagerup_matrix(Fraction(3, 8))]
-    for h in matrices:
-        system = build_exact_system(h)
-        rows = np.array(system.integer_rows()).reshape(len(system.pairs), system.degree, -1)
-        basis = np.exp(2j * np.pi * np.arange(system.degree) / system.root_order)
-        values = h.to_values()
-        for (i, j), row in zip(system.pairs, np.einsum("ptc,t->pc", rows, basis)):
-            expected = np.zeros((h.n, h.n), dtype=complex)
-            expected[i] += values[i] * np.conj(values[j])
-            expected[j] -= values[i] * np.conj(values[j])
-            assert np.allclose(row, expected.ravel(), atol=1e-12)
+    for h in (fourier_matrix(make_group([6])), tao_matrix(), haagerup_matrix(Fraction(3, 8))):
+        assert_rows_evaluate_to_entry_products(h)
 
 
 def test_size_guard_raises_before_allocating():
