@@ -52,7 +52,6 @@ from .tangent import (
     ScanGrid,
     _defect_pass,
     deformation_scan,
-    tangent_basis,
 )
 
 MatrixSpec = Union[
@@ -154,16 +153,17 @@ class _SpecParser:
             self.expect(")")
             return TensorSpec(left, right)
         if self.literal("deformed:("):
+            start = self.pos
             left = self.parse_spec()
-            self.expect(",")
-            if self.peek() == "[":
-                parameters = self.parse_inline_turns()
-            else:
-                parameters = self.parse_path()
-            self.expect(",")
-            right = self.parse_spec()
-            self.expect(")")
-            return DeformedSpec(left, parameters, right)
+            if isinstance(left, CirculantSpec) and len(left.turns) > 1:
+                # A parameter path that reads as a turn was taken as one more eigenvalue: give it back first,
+                # the only split with which a nested right spec such as tensor:(...) parses.
+                end, self.pos = self.pos, self.text.rindex(",", start, self.pos)
+                try:
+                    return self.parse_deformed_rest(CirculantSpec(left.turns[:-1]))
+                except SpecParseError:
+                    self.pos = end
+            return self.parse_deformed_rest(left)
         if self.literal("haagerup:"):
             return HaagerupSpec(self.parse_turn())
         if self.literal("tensor") or self.literal("deformed"):
@@ -184,6 +184,15 @@ class _SpecParser:
         if self.literal("file:"):
             return FileSpec(self.parse_path())
         self.fail("unknown constructor")
+
+    def parse_deformed_rest(self, left: MatrixSpec) -> DeformedSpec:
+        """The parameters and the right spec of a deformed product after its left spec, through ')'."""
+        self.expect(",")
+        parameters = self.parse_inline_turns() if self.peek() == "[" else self.parse_path()
+        self.expect(",")
+        right = self.parse_spec()
+        self.expect(")")
+        return DeformedSpec(left, parameters, right)
 
     def parse_orders(self) -> tuple[int, ...]:
         orders = [self.parse_int()]
@@ -343,7 +352,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_defect(args) -> int:
     matrix = build_matrix(parse_matrix_spec(args.spec))
-    report, dephased = _defect_pass(matrix, args.tol, args.gap, dephased=args.dephased)
+    report, dephased, basis = _defect_pass(matrix, args.tol, args.gap, dephased=args.dephased, basis=bool(args.basis))
     payload = {
         "provenance": report.provenance,
         "n": report.n,
@@ -357,7 +366,6 @@ def _cmd_defect(args) -> int:
     if args.dephased:
         payload["dephased_defect"] = dephased
     if args.basis:
-        basis = tangent_basis(matrix, rel_tol=args.tol, gap_threshold=args.gap)
         with open(args.basis, "w") as handle:
             json.dump(
                 {
@@ -404,12 +412,17 @@ def _cmd_scan(args) -> int:
             writer.writerow(header)
             writer.writerows(rows())
         defects = sorted({cell.defect for cell in cells if cell.defect is not None})
+        worst = min((cell for cell in cells if cell.certified), key=lambda cell: cell.gap_ratio, default=None)
+        error_types = [cell.error_type for cell in cells if cell.error]
         _emit(
             {
                 "cells": len(cells),
                 "defect_values": defects,
                 "errors": sum(1 for cell in cells if cell.error),
                 "out": args.out,
+                "min_gap_ratio": None if worst is None else worst.gap_ratio,
+                "worst_cell": None if worst is None else worst.cell_id,
+                "errors_by_type": {name: error_types.count(name) for name in sorted(set(error_types))},
             }
         )
     else:

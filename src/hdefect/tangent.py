@@ -6,9 +6,11 @@ one real row per ordered pair (real part for i < j, imaginary part for i > j)
 over the N^2 unknowns A_ab laid out row-major. Ranks come from singular
 values only, and every reported rank must clear a spectral-gap certificate.
 
-Every pair system in the package, floating or exact, is built by one scatter,
-`pair_rows`, from per-pair coefficient blocks; `check_system_size` refuses
-any system above `MAX_SYSTEM_BYTES` before it or its blocks are allocated.
+Every pair system in the package, floating or exact, single or stacked, is
+built by one scatter, `pair_rows`, from per-pair coefficient blocks;
+`check_system_size` refuses any system above `MAX_SYSTEM_BYTES` before it or
+its blocks are allocated. A deformation scan takes one stack of cells, one
+stacked verification, one scatter and one stacked SVD per chunk of cells.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -29,11 +31,14 @@ from .errors import (
     NonHadamardError,
     ResidualError,
 )
-from .groups import FiniteAbelianGroup, fourier_defect, p_space_components
-from .matrices import DeformationParameters, HadamardMatrix, deformed_tensor, fourier_matrix, verify_hadamard
+from .groups import FiniteAbelianGroup, enumeration_cap, fourier_defect, p_space_components
+from .matrices import DeformationParameters, HadamardMatrix, UnimodularMatrix, _common_order
+from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_errors, turn_to_complex, verify_hadamard
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
+# Bytes of the stacked pair systems of one scan chunk: 18 cells of F2 (x) F4.
+SCAN_CHUNK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -63,35 +68,38 @@ def check_system_size(nrows: int, n: int, byte_cap: int = MAX_SYSTEM_BYTES) -> N
 def pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
     """Rows of the pair equations over the N^2 unknowns A_ab, in the dtype of blocks.
 
-    blocks[p] (rows per pair x N) holds the coefficients of pair (i, j) =
-    pairs[p] on the unknowns A_ib; those on A_jb are their negatives. The
-    size is checked by `check_system_size` before the rows are allocated;
-    callers that build large blocks check it before building them.
+    blocks[..., p, :, :] (rows per pair x N) holds the coefficients of pair
+    (i, j) = pairs[p] on the unknowns A_ib; those on A_jb are their negatives.
+    Leading axes stack systems. The size of the whole stack is checked by
+    `check_system_size` before the rows are allocated; callers that build
+    large blocks check it before building them.
     """
-    npairs, per_pair, _ = blocks.shape
-    nrows, ncols = npairs * per_pair, n * n
-    check_system_size(nrows, n, byte_cap)
-    rows = np.zeros((npairs, per_pair, n, n), dtype=blocks.dtype)
+    *stack, npairs, per_pair, _ = blocks.shape
+    nrows, ncols, count = npairs * per_pair, n * n, math.prod(stack)
+    check_system_size(count * nrows, n, byte_cap)
+    flat = blocks.reshape(count, npairs, per_pair, n).swapaxes(0, 1)
+    rows = np.zeros((count, npairs, per_pair, n, n), dtype=blocks.dtype)
+    # The two index arrays are split by a slice, so their pair axis comes first.
     index = np.arange(npairs)
-    rows[index, :, pairs[:, 0], :] = blocks
-    rows[index, :, pairs[:, 1], :] -= blocks
-    return rows.reshape(nrows, ncols)
+    rows[:, index, :, pairs[:, 0], :] = flat
+    rows[:, index, :, pairs[:, 1], :] -= flat
+    return rows.reshape(*stack, nrows, ncols)
+
+
+def _pair_blocks(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Pair-row blocks of one complex matrix or a stack: Re H_ik conj(H_jk) for i < j, Im for i > j."""
+    prods = values[..., pairs[:, 0], :]
+    prods *= np.conj(values)[..., pairs[:, 1], :]
+    upper = (pairs[:, 0] < pairs[:, 1])[:, None]
+    return np.where(upper, prods.real, prods.imag)[..., None, :]
 
 
 def tangent_system(h: HadamardMatrix) -> TangentSystem:
-    """Assemble the pair-equation system for any unimodular square matrix.
-
-    The row of pair (i, j) is the real part of H_ik conj(H_jk) for i < j and
-    the imaginary part for i > j.
-    """
+    """Assemble the pair-equation system for any unimodular square matrix."""
     check_system_size(h.n * (h.n - 1), h.n)
     pairs = ordered_pairs(h.n)
-    values = h.to_values()
-    prods = values[pairs[:, 0]]
-    prods *= np.conj(values)[pairs[:, 1]]
-    upper = (pairs[:, 0] < pairs[:, 1])[:, None]
-    blocks = np.where(upper, prods.real, prods.imag)[:, None, :]
-    return TangentSystem(matrix=pair_rows(pairs, blocks, h.n), n=h.n, provenance=h.provenance)
+    matrix = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), h.n)
+    return TangentSystem(matrix=matrix, n=h.n, provenance=h.provenance)
 
 
 class RankResult(NamedTuple):
@@ -102,22 +110,24 @@ class RankResult(NamedTuple):
 
 def numeric_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> RankResult:
     """Rank as the number of singular values above rel_tol times the largest."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return RankResult(0, math.inf, ())
-    return _rank_from_spectrum(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+    return _rank_from_spectrum(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False), rel_tol)
 
 
 def _rank_from_spectrum(sigma: np.ndarray, rel_tol: float) -> RankResult:
-    top = sigma[0]
-    rank = int(np.sum(sigma > rel_tol * top))
-    if rank == len(sigma) or sigma[rank] == 0.0:
-        gap = math.inf
-    elif rank == 0:
-        gap = math.inf if top == 0.0 else 0.0
-    else:
-        gap = float(sigma[rank - 1] / sigma[rank])
-    return RankResult(rank, gap, tuple(float(s) for s in sigma))
+    ranks, gaps = _ranks_and_gaps(sigma[None], rel_tol)
+    return RankResult(int(ranks[0]), float(gaps[0]), tuple(float(s) for s in sigma))
+
+
+def _ranks_and_gaps(sigma: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rank (values above rel_tol sigma_max) and gap sigma[rank - 1] / sigma[rank] (inf over 0) of each row."""
+    ranks = np.sum(sigma > rel_tol * sigma[:, :1], axis=1)
+    padded = np.concatenate([sigma, np.zeros((len(sigma), 1))], axis=1)
+    cells = np.arange(len(sigma))
+    below = padded[cells, ranks]
+    gaps = np.full(len(sigma), math.inf)
+    # At rank 0 the index -1 picks the zero padding, so the ratio is 0.
+    np.divide(padded[cells, ranks - 1], below, out=gaps, where=below != 0)
+    return ranks, gaps
 
 
 def _certified_rank(matrix, rel_tol, gap_threshold, label) -> RankResult:
@@ -164,18 +174,32 @@ def _dephased_columns(n: int) -> list[int]:
 
 
 def _defect_pass(
-    h: HadamardMatrix, rel_tol: float, gap_threshold: float, verify_tol: float = 1e-9, dephased: bool = False
-) -> tuple[DefectReport, int | None]:
-    """Verify once, assemble once and certify the rank; with `dephased`, also return the dephased defect.
+    h: HadamardMatrix, rel_tol: float, gap_threshold: float, verify_tol: float = 1e-9,
+    dephased: bool = False, basis: bool = False,
+) -> tuple[DefectReport, int | None, list[np.ndarray] | None]:
+    """Verify once, assemble once and certify the rank; optionally also the dephased defect and a tangent basis.
 
-    The dephased defect takes one more certified SVD, of the columns A_ab with
-    a, b >= 1 (first row and column pinned), and is checked against the
-    relation d' = d - (2N - 1); the full matrix is released before that SVD.
+    With `basis` the one SVD also gives the right singular vectors past the
+    rank: an orthonormal basis, each checked to solve the system within 10
+    rel_tol sigma_max. The dephased defect takes one more certified SVD, of
+    the columns A_ab with a, b >= 1 (first row and column pinned), checked
+    against d' = d - (2N - 1); the full matrix is released before that SVD.
     """
     _require_hadamard(h, verify_tol)
     label = h.provenance or "matrix"
     matrix = tangent_system(h).matrix
-    result = _certified_rank(matrix, rel_tol, gap_threshold, f"defect of {label}")
+    elements = None
+    if basis:
+        _, sigma, vh = np.linalg.svd(matrix)
+        result = _certify(_rank_from_spectrum(sigma, rel_tol), gap_threshold, f"defect of {label}")
+        elements = [vh[r].reshape(h.n, h.n) for r in range(result.rank, len(vh))]
+        bound = 10 * rel_tol * sigma.max(initial=0.0)
+        for b in elements:
+            residual = float(np.abs(matrix @ b.ravel()).max(initial=0.0))
+            if residual > bound:
+                raise ResidualError(f"basis residual {residual:.3e} above bound {bound:.3e}")
+    else:
+        result = _certified_rank(matrix, rel_tol, gap_threshold, f"defect of {label}")
     d = h.n * h.n - result.rank
     report = DefectReport(
         n=h.n,
@@ -190,7 +214,7 @@ def _defect_pass(
         provenance=h.provenance,
     )
     if not dephased:
-        return report, None
+        return report, None, elements
     restricted = matrix[:, _dephased_columns(h.n)]
     del matrix
     result = _certified_rank(restricted, rel_tol, gap_threshold, f"dephased defect of {label}")
@@ -200,7 +224,7 @@ def _defect_pass(
             f"dephased defect paths disagree: restricted system gives {direct}, "
             f"undephased relation gives {report.dephased_defect}"
         )
-    return report, direct
+    return report, direct, elements
 
 
 def undephased_defect(
@@ -233,22 +257,7 @@ def tangent_basis(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
 ) -> list[np.ndarray]:
     """Orthonormal basis of the tangent space, as N x N real matrices."""
-    _require_hadamard(h, verify_tol=1e-9)
-    system = tangent_system(h)
-    matrix = system.matrix
-    if matrix.size == 0:
-        return [np.ones((1, 1))] if h.n == 1 else []
-    _, sigma, vh = np.linalg.svd(matrix)
-    result = _certify(
-        _rank_from_spectrum(sigma, rel_tol), gap_threshold, f"tangent basis of {h.provenance or 'matrix'}"
-    )
-    basis = [vh[r].reshape(h.n, h.n) for r in range(result.rank, vh.shape[0])]
-    bound = 10 * rel_tol * sigma[0]
-    for b in basis:
-        residual = float(np.max(np.abs(matrix @ b.ravel())))
-        if residual > bound:
-            raise ResidualError(f"basis residual {residual:.3e} above bound {bound:.3e}")
-    return basis
+    return _defect_pass(h, rel_tol, gap_threshold, basis=True)[2]
 
 
 @dataclass(frozen=True)
@@ -363,38 +372,7 @@ class ScanCell:
     gap_ratio: float | None
     certified: bool
     error: str | None
-
-
-def _scan_cell(h, k, assignment, free, rel_tol, gap_threshold) -> ScanCell:
-    m, n = k.n, h.n
-    turns = [[Fraction(0)] * n for _ in range(m)]
-    for (a, j), t in zip(free, assignment):
-        turns[a][j] = t
-    params = DeformationParameters.from_turns(turns)
-    cell_id = ";".join(str(t) for t in assignment)
-    full = tuple(tuple(row) for row in turns)
-    try:
-        matrix = deformed_tensor(h, params, k)
-        report = undephased_defect(matrix, rel_tol, gap_threshold)
-        return ScanCell(
-            cell_id=cell_id,
-            parameter_turns=full,
-            defect=report.undephased_defect,
-            dephased_defect=report.dephased_defect,
-            gap_ratio=report.gap_ratio,
-            certified=True,
-            error=None,
-        )
-    except (AmbiguousRankError, NonHadamardError) as exc:
-        return ScanCell(
-            cell_id=cell_id,
-            parameter_turns=full,
-            defect=None,
-            dephased_defect=None,
-            gap_ratio=None,
-            certified=False,
-            error=str(exc),
-        )
+    error_type: str | None = None
 
 
 def deformation_scan(
@@ -409,11 +387,60 @@ def deformation_scan(
     The free entries of L are positions (a, j) with a, j >= 1 in row-major
     order; each ranges over the grid turns. The flat cell is prepended when
     the grid does not contain it. Cells come in the deterministic grid order.
+    A scan of more cells than the enumeration cap (HD_CAP) is refused with
+    CapExceededError before any cell is built.
     """
-    free = [(a, j) for a in range(1, k.n) for j in range(1, h.n)]
+    m, n = k.n, h.n
+    size, nfree = n * m, max(m - 1, 0) * max(n - 1, 0)
     turns = grid.turns()
-    assignments = [tuple(v) for v in product(turns, repeat=len(free))]
-    flat = tuple(Fraction(0) for _ in free)
-    if flat not in assignments:
-        assignments.insert(0, flat)
-    return [_scan_cell(h, k, a, free, rel_tol, gap_threshold) for a in assignments]
+    add_flat = nfree > 0 and Fraction(0) not in turns
+    count = len(turns) ** nfree + add_flat
+    if count > enumeration_cap():
+        raise CapExceededError(f"deformation scan of {count} cells exceeds the cap {enumeration_cap()}")
+    zero = len(turns)
+    turns.append(Fraction(0))
+    labels = [str(t) for t in turns]
+    turn_objects = np.array(turns, dtype=object)
+    assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
+    per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, size * (size - 1) * size * size * 8))
+    exact = h.is_exact and k.is_exact
+    if exact:  # cells as integer phases over one root order q, their values from one table of q roots
+        (hn, kn, (tn,)), q = _common_order(h, k, UnimodularMatrix(turns=[turns]))
+        roots = np.array([turn_to_complex(Fraction(r, q)) for r in range(q)])
+    else:
+        hv, kv, tv = h.to_values(), k.to_values(), np.array([turn_to_complex(t) for t in turns])
+    pairs = ordered_pairs(size)
+    label = f"defect of deformed:({h.provenance},{k.provenance})"
+    cells = []
+    for chunk in iter(lambda: list(islice(assignments, per_chunk)), []):
+        l_index = np.full((len(chunk), m, n), zero)
+        l_index[:, 1:, 1:] = np.reshape(chunk, l_index[:, 1:, 1:].shape)
+        if exact:
+            nums = (hn[:, None, :, None] + tn[l_index][:, None, :, :, None] + kn[:, None, :]) % q
+            nums = nums.reshape(-1, size, size)
+            values, failed = roots[nums], failing_pairs(nums, q).any(axis=(1, 2))
+        else:  # checked within the verify tolerance of a single defect call
+            values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
+            modulus, ortho = gram_errors(values)
+            failed = ~((modulus <= 1e-9) & (ortho <= 1e-9))
+        sigma = np.linalg.svd(pair_rows(pairs, _pair_blocks(values[~failed], pairs), size), compute_uv=False)
+        solved = zip(*_ranks_and_gaps(sigma, rel_tol), sigma)
+        for c, (assignment, rows) in enumerate(zip(chunk, turn_objects[l_index].tolist())):
+            cell_id = ";".join(map(labels.__getitem__, assignment))
+            full = tuple(map(tuple, rows))
+            try:
+                if failed[c]:
+                    # Rebuilt and checked alone, for the error text of a single defect call.
+                    params = DeformationParameters.from_turns(full)
+                    report = undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
+                    rank, gap = report.rank, report.gap_ratio
+                else:
+                    rank, gap, spectrum = next(solved)
+                    if gap < gap_threshold:
+                        _certify(_rank_from_spectrum(spectrum, rel_tol), gap_threshold, label)
+            except (AmbiguousRankError, NonHadamardError) as exc:
+                cells.append(ScanCell(cell_id, full, None, None, None, False, str(exc), type(exc).__name__))
+                continue
+            d = size * size - int(rank)
+            cells.append(ScanCell(cell_id, full, d, d - (2 * size - 1), float(gap), True, None))
+    return cells

@@ -5,6 +5,7 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,8 +79,11 @@ def test_canonical_round_trip():
 
 
 TURNS = st.builds(Fraction, st.integers(0, 30), st.integers(1, 24)).map(lambda t: t % 1)
-# A path that read as a turn would be ambiguous after a circulant's eigenvalues.
-PATHS = st.builds(str.__add__, st.sampled_from("abz"), st.text(alphabet="abz09._-/", max_size=7))
+# Paths of digits, '/' and '.' read as turns, also after a circulant's eigenvalues.
+PATHS = st.one_of(
+    st.builds(str.__add__, st.sampled_from("abz"), st.text(alphabet="abz09._-/", max_size=7)),
+    st.text(alphabet="0123456789/.", min_size=1, max_size=6),
+)
 TURN_ROWS = st.lists(st.lists(TURNS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3).map(tuple)
 LEAF_SPECS = st.one_of(
     st.lists(st.integers(1, 12), min_size=1, max_size=3).map(lambda orders: FourierSpec(tuple(orders))),
@@ -102,6 +106,21 @@ SPECS = st.recursive(
 @given(SPECS)
 def test_canonical_round_trip_of_generated_specs(spec):
     assert parse_matrix_spec(spec.canonical()) == spec
+
+
+def test_parameter_path_that_reads_as_a_turn_after_a_circulant():
+    spec = DeformedSpec(CirculantSpec((Fraction(0),)), "0", TaoSpec())
+    assert spec.canonical() == "deformed:(circulant:0,0,tao)"
+    assert parse_matrix_spec(spec.canonical()) == spec
+    # Taking the greedy split first would read "tensor:(tao" as the path here.
+    nested = DeformedSpec(CirculantSpec((Fraction(0),)), "0", TensorSpec(TaoSpec(), FourierSpec((2,))))
+    assert parse_matrix_spec(nested.canonical()) == nested
+    partial = DeformedSpec(CirculantSpec((Fraction(0), Fraction(1, 4))), "1/2/3", TaoSpec())
+    assert parse_matrix_spec(partial.canonical()) == partial
+    # A path that does not read as a turn stays a path.
+    assert parse_matrix_spec("deformed:(circulant:0,1/4,tao.json,tao)") == DeformedSpec(
+        CirculantSpec((Fraction(0), Fraction(1, 4))), "tao.json", TaoSpec()
+    )
 
 
 def test_parse_errors_carry_positions():
@@ -212,6 +231,76 @@ def test_scan_csv_and_summary(tmp_path, capsys):
         assert row["certified"] == "true"
         assert row["error"] == ""
     assert rows[1]["l_turns"] == "0,0;0,1/16"
+
+
+def test_scan_summary_explains_itself(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert run(["scan", "fourier:2", "fourier:4", "--grid", "4", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    worst = min(rows, key=lambda row: float(row["gap_ratio"]))
+    assert summary["min_gap_ratio"] == float(worst["gap_ratio"])
+    assert summary["worst_cell"] == worst["cell_id"]
+    assert summary["errors_by_type"] == {}
+    assert list(summary)[:4] == ["cells", "defect_values", "errors", "out"]
+
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "4", "--gap", "1e300", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["errors_by_type"] == {"AmbiguousRankError": summary["errors"]}
+    # Only the flat cell, whose gap is infinite, is certified.
+    assert (summary["min_gap_ratio"], summary["worst_cell"]) == (float("inf"), "0")
+
+    bad = tmp_path / "bad.json"
+    save_matrix(HadamardMatrix.from_turns([[0, 0], [0, 0]]), str(bad))
+    assert run(["scan", f"file:{bad}", "fourier:2", "--grid", "2", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["errors_by_type"] == {"NonHadamardError": 2}
+    assert (summary["min_gap_ratio"], summary["worst_cell"]) == (None, None)
+
+
+def test_scan_cell_cap_before_enumeration(monkeypatch, capsys):
+    # 16^9 cells, about 6.9e10: refused from the count alone.
+    start = time.perf_counter()
+    assert run(["scan", "fourier:4", "fourier:4", "--grid", "16"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "68719476736 cells" in capsys.readouterr().err
+    monkeypatch.setenv("HD_CAP", "16")
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "16"]) == 0
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "8:1,3,5"]) == 0
+    capsys.readouterr()
+    # With the flat cell prepended, 16 grid cells make 17.
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "32:1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16"]) == 1
+    assert "17 cells exceeds the cap 16" in capsys.readouterr().err
+
+
+def test_defect_basis_is_one_pass(monkeypatch, tmp_path, capsys):
+    from hdefect import tangent
+
+    counts = {"verify_hadamard": 0, "tangent_system": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(tangent, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tangent, name, counted)
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    basis = tmp_path / "b.json"
+    assert run(["defect", "fourier:6", "--dephased", "--basis", str(basis)]) == 0
+    assert (counts["verify_hadamard"], counts["tangent_system"], svd_calls) == (1, 1, [True, False])
+    payload = json.loads(capsys.readouterr().out)
+    assert json.loads(basis.read_text())["dimension"] == payload["defect"] == 15
+    svd_calls.clear()
+    assert run(["defect", "fourier:6", "--dephased"]) == 0
+    assert svd_calls == [False, False]
+    capsys.readouterr()
 
 
 def test_scan_jobs_deterministic(tmp_path, capsys):

@@ -1,8 +1,13 @@
 """Tangent systems, certified numeric defects, and deformation scans."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,15 +27,18 @@ from hdefect.matrices import (
     apply_equivalence,
     circulant_from_eigenvalues,
     deformed_tensor,
+    failing_pairs,
     fourier_matrix,
     haagerup_matrix,
     recombination_parameters,
+    save_matrix,
     tao_matrix,
     tensor_product,
     turn_to_complex,
     verify_hadamard,
 )
 from hdefect.tangent import (
+    ScanCell,
     ScanGrid,
     deformation_scan,
     dephased_defect,
@@ -44,6 +52,7 @@ from hdefect.tangent import (
 )
 
 F = Fraction
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def circulant_tangent_system(eigenvalues) -> np.ndarray:
@@ -381,3 +390,149 @@ def test_deformation_scan_two_parameters():
     assert cells[0].defect == undephased_defect(tensor_product(f2, f3)).undephased_defect
     for cell in cells:
         assert cell.certified
+
+
+def _scan_cell(h, k, assignment, free, rel_tol, gap_threshold) -> ScanCell:
+    """Oracle: one scan cell built as a single matrix and put through a single defect call."""
+    m, n = k.n, h.n
+    turns = [[Fraction(0)] * n for _ in range(m)]
+    for (a, j), t in zip(free, assignment):
+        turns[a][j] = t
+    params = DeformationParameters.from_turns(turns)
+    cell_id = ";".join(str(t) for t in assignment)
+    full = tuple(tuple(row) for row in turns)
+    try:
+        report = undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
+    except (AmbiguousRankError, NonHadamardError) as exc:
+        return ScanCell(cell_id, full, None, None, None, False, str(exc), type(exc).__name__)
+    return ScanCell(
+        cell_id, full, report.undephased_defect, report.dephased_defect, report.gap_ratio, True, None
+    )
+
+
+def per_cell_scan(h, k, grid, rel_tol=tangent.DEFAULT_REL_TOL, gap_threshold=tangent.DEFAULT_GAP_THRESHOLD):
+    """Oracle: the scan cell by cell, over an enumerated list of assignments."""
+    free = [(a, j) for a in range(1, k.n) for j in range(1, h.n)]
+    assignments = [tuple(v) for v in product(grid.turns(), repeat=len(free))]
+    flat = tuple(Fraction(0) for _ in free)
+    if flat not in assignments:
+        assignments.insert(0, flat)
+    return [_scan_cell(h, k, a, free, rel_tol, gap_threshold) for a in assignments]
+
+
+def _spec(text):
+    return build_matrix(parse_matrix_spec(text))
+
+
+SCAN_CASES = [
+    ("fourier:2", "fourier:2", ScanGrid(16)),
+    ("fourier:2", "fourier:4", ScanGrid(4)),
+    ("fourier:3", "fourier:2", ScanGrid(6)),
+    ("fourier:2", "fourier:2", ScanGrid(8, (1, 3))),
+    ("circulant:0,1/4", "fourier:2", ScanGrid(8)),
+    ("fourier:2", "circulant:0,1/4", ScanGrid(8)),
+]
+
+
+@pytest.mark.parametrize("h_spec, k_spec, grid", SCAN_CASES)
+def test_batched_scan_equals_per_cell_oracle(h_spec, k_spec, grid):
+    h, k = _spec(h_spec), _spec(k_spec)
+    cells = deformation_scan(h, k, grid)
+    # Ids, turns, defects, bit-identical gap ratios and error strings.
+    assert cells == per_cell_scan(h, k, grid)
+    assert all(cell.certified for cell in cells)
+
+
+def test_batched_scan_ambiguous_cells_carry_the_single_call_text():
+    f2 = fourier_matrix(make_group([2]))
+    cells = deformation_scan(f2, f2, ScanGrid(4), gap_threshold=1e300)
+    assert cells == per_cell_scan(f2, f2, ScanGrid(4), gap_threshold=1e300)
+    ambiguous = [cell for cell in cells if cell.error]
+    assert ambiguous and all(cell.error_type == "AmbiguousRankError" for cell in ambiguous)
+    assert ambiguous[0].error.startswith("ambiguous rank for defect of deformed:(fourier:2,fourier:2)")
+
+
+@pytest.mark.parametrize("bad", [
+    HadamardMatrix.from_turns([[0, 0], [0, 0]]),
+    HadamardMatrix.from_values(np.ones((2, 2))),
+    HadamardMatrix.from_values(np.array([[1, 1], [1, 1.5]])),
+])
+def test_batched_scan_non_hadamard_factor_fails_every_cell(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    save_matrix(bad, str(path))
+    h, f2 = _spec(f"file:{path}"), fourier_matrix(make_group([2]))
+    for left, right in ((h, f2), (f2, h)):
+        cells = deformation_scan(left, right, ScanGrid(4))
+        assert cells == per_cell_scan(left, right, ScanGrid(4))
+        assert all(cell.error_type == "NonHadamardError" for cell in cells)
+        assert cells[0].error.startswith("matrix is not Hadamard")
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_batched_scan_chunk_boundaries(monkeypatch, per_chunk):
+    f2, f4 = fourier_matrix(make_group([2])), fourier_matrix(make_group([4]))
+    cases = [(f2, f4, ScanGrid(4)), (f2, f2, ScanGrid(8, (1, 3, 5))), (f2, f2, ScanGrid(8, (0, 3)))]
+    expected = [deformation_scan(h, k, grid) for h, k, grid in cases]
+    for (h, k, grid), cells in zip(cases, expected):
+        size = h.n * k.n
+        monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", per_chunk * size * (size - 1) * size * size * 8)
+        assert deformation_scan(h, k, grid) == cells
+
+
+def test_scan_csv_digest_with_gap_ratios(tmp_path):
+    # Recorded on x86-64 with OpenBLAS 0.3.31 (Haswell kernels) at 1 thread.
+    out = tmp_path / "scan.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
+    code = "import sys; from hdefect.cli import run; raise SystemExit(run(sys.argv[1:]))"
+    argv = ["scan", "fourier:2", "fourier:4", "--grid", "16", "--out", str(out)]
+    subprocess.run([sys.executable, "-c", code, *argv], check=True, env=env, capture_output=True)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e6cb77d6670662dd482f93a34de5adcaf58b87fa5c26b1cc35b8b052ae47faf4"
+
+
+def _scalar_rank_rule(sigma, rel_tol):
+    """Oracle: rank and gap ratio of one spectrum, case by case."""
+    top = sigma[0]
+    rank = int(np.sum(sigma > rel_tol * top))
+    if rank == len(sigma) or sigma[rank] == 0.0:
+        return rank, math.inf
+    if rank == 0:
+        return rank, math.inf if top == 0.0 else 0.0
+    return rank, float(sigma[rank - 1] / sigma[rank])
+
+
+def test_stacked_ranks_and_gaps_match_the_scalar_rule():
+    rng = np.random.default_rng(5)
+    spectra = [rng.random(6) * 10.0 ** -rng.integers(0, 14, 6) for _ in range(40)]
+    spectra += [np.array([2.0, 1.0, 1.0, 1.0, 0.0, 0.0]), np.zeros(6), np.array([1.0, 1e-12, 1e-13, 0, 0, 0])]
+    stack = -np.sort(-np.array(spectra), axis=1)
+    for rel_tol in (1e-9, 0.5, 2.0):
+        ranks, gaps = tangent._ranks_and_gaps(stack, rel_tol)
+        for sigma, rank, gap in zip(stack, ranks.tolist(), gaps.tolist()):
+            assert (rank, gap) == _scalar_rank_rule(sigma, rel_tol)
+
+
+def test_stacked_pair_rows_equal_single_systems():
+    rng = np.random.default_rng(11)
+    pairs = ordered_pairs(5)
+    blocks = rng.standard_normal((3, len(pairs), 2, 5))
+    stacked = pair_rows(pairs, blocks, 5)
+    assert stacked.shape == (3, 2 * len(pairs), 25)
+    for system, block in zip(stacked, blocks):
+        assert np.array_equal(system, pair_rows(pairs, block, 5))
+
+
+def test_stacked_exact_verify_matches_single_verify():
+    rng = np.random.default_rng(3)
+    f6 = fourier_matrix(make_group([6])).numerators
+    stack = [f6, 2 * tao_matrix().numerators, rng.integers(0, 6, (6, 6))]
+    for _ in range(5):
+        changed = f6.copy()
+        changed[rng.integers(6), rng.integers(6)] += rng.integers(1, 6)
+        stack.append(changed % 6)
+    stack = np.array(stack)
+    flags = failing_pairs(stack, 6)
+    for nums, bad in zip(stack, flags):
+        assert np.array_equal(bad, failing_pairs(nums[None], 6)[0])
+        assert bad.any() == (not verify_hadamard(HadamardMatrix(phases=(nums, 6))).passed)
+    assert not flags[:2].any() and flags[2:].any(axis=(1, 2)).all()
