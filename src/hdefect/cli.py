@@ -213,10 +213,7 @@ class _SpecParser:
         return int(self.text[start : self.pos])
 
     def parse_turn(self) -> Fraction:
-        negative = False
-        if self.peek() == "-":
-            negative = True
-            self.pos += 1
+        negative = self.literal("-")
         numerator = self.parse_int()
         denominator = 1
         if self.peek() == "/":
@@ -229,22 +226,16 @@ class _SpecParser:
         return (-value if negative else value) % 1
 
     def parse_inline_turns(self) -> tuple:
-        self.expect("[")
-        rows = [self.parse_turn_row()]
-        while self.peek() == ",":
-            self.pos += 1
-            rows.append(self.parse_turn_row())
-        self.expect("]")
-        return tuple(rows)
+        return self.parse_bracketed(lambda: self.parse_bracketed(self.parse_turn))
 
-    def parse_turn_row(self) -> tuple:
+    def parse_bracketed(self, parse_item) -> tuple:
         self.expect("[")
-        entries = [self.parse_turn()]
+        items = [parse_item()]
         while self.peek() == ",":
             self.pos += 1
-            entries.append(self.parse_turn())
+            items.append(parse_item())
         self.expect("]")
-        return tuple(entries)
+        return tuple(items)
 
     def parse_path(self) -> str:
         # Paths may not contain ',' or ')': those end the path in nested specs.
@@ -302,12 +293,7 @@ def build_matrix(spec: MatrixSpec) -> HadamardMatrix:
 def _parse_grid(text: str) -> ScanGrid:
     head, sep, tail = text.partition(":")
     try:
-        denominator = int(head)
-        if sep:
-            numerators = tuple(int(part) for part in tail.split(","))
-        else:
-            numerators = None
-        return ScanGrid(denominator, numerators)
+        return ScanGrid(int(head), tuple(int(part) for part in tail.split(",")) if sep else None)
     except ValueError as exc:
         raise SpecParseError(f"bad grid: {exc}", text, 0) from None
 
@@ -366,16 +352,9 @@ def _cmd_defect(args) -> int:
     if args.dephased:
         payload["dephased_defect"] = dephased
     if args.basis:
+        elements = [[float(x) for x in element.ravel()] for element in basis]
         with open(args.basis, "w") as handle:
-            json.dump(
-                {
-                    "n": matrix.n,
-                    "dimension": len(basis),
-                    "basis": [[float(x) for x in element.ravel()] for element in basis],
-                },
-                handle,
-                indent=2,
-            )
+            json.dump({"n": matrix.n, "dimension": len(basis), "basis": elements}, handle, indent=2)
             handle.write("\n")
     _emit(payload)
     return 0
@@ -389,8 +368,7 @@ def _cmd_formula(args) -> int:
 def _cmd_scan(args) -> int:
     h = build_matrix(parse_matrix_spec(args.h_spec))
     k = build_matrix(parse_matrix_spec(args.k_spec))
-    grid = _parse_grid(args.grid)
-    cells = deformation_scan(h, k, grid, rel_tol=args.tol, gap_threshold=args.gap)
+    cells = deformation_scan(h, k, _parse_grid(args.grid), rel_tol=args.tol, gap_threshold=args.gap)
     header = ["cell_id", "l_turns", "defect", "dephased_defect", "gap_ratio", "certified", "error"]
 
     def rows():
@@ -411,13 +389,12 @@ def _cmd_scan(args) -> int:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows())
-        defects = sorted({cell.defect for cell in cells if cell.defect is not None})
         worst = min((cell for cell in cells if cell.certified), key=lambda cell: cell.gap_ratio, default=None)
         error_types = [cell.error_type for cell in cells if cell.error]
         _emit(
             {
                 "cells": len(cells),
-                "defect_values": defects,
+                "defect_values": sorted({cell.defect for cell in cells if cell.defect is not None}),
                 "errors": sum(1 for cell in cells if cell.error),
                 "out": args.out,
                 "min_gap_ratio": None if worst is None else worst.gap_ratio,

@@ -29,6 +29,8 @@ _QUARTER_TURNS = {
 }
 # Root orders stay below this, so sums of a few numerators fit in int64.
 MAX_PHASE_ORDER = 2**31
+# Bytes of the working arrays that the exact orthogonality check holds at once.
+CHECK_BLOCK_BYTES = 2**19
 
 
 def turn_to_complex(turn: Fraction) -> complex:
@@ -357,21 +359,26 @@ def apply_equivalence(
 def failing_pairs(nums: np.ndarray, q: int) -> np.ndarray:
     """Flags of the rows i < j that are not orthogonal, per matrix of a (C, N, N) stack of numerators over q.
 
-    Rows i < j are orthogonal iff the counts of their phase differences reduce
-    to 0 mod Phi_q. Blocks of N - 1 pairs of all C matrices are counted at
-    once, so the counts take C x (N - 1) x q entries at most.
+    Rows i < j are orthogonal iff sum_k x^(m_ik - m_jk), a sum of N rows of `power_reduction_table(q)`,
+    is 0 mod Phi_q. The (matrix, pair) rows are taken in blocks whose working arrays, per row its sums, a
+    gathered table row, its differences and a gathered column, fit in CHECK_BLOCK_BYTES.
     """
     table = power_reduction_table(q)
     c, n, _ = nums.shape
     first, second = np.triu_indices(n, 1)
-    step = max(1, n - 1)
+    columns, flags = nums.transpose(2, 0, 1).reshape(n, c * n), np.zeros(c * len(first), dtype=bool)
+    step = max(1, CHECK_BLOCK_BYTES // (16 * (table.shape[1] + n)))
+    for s in range(0, len(flags), step):
+        cell, pair = np.divmod(np.arange(s, min(s + step, len(flags))), len(first))
+        diff = columns[:, cell * n + first[pair]]
+        diff -= columns[:, cell * n + second[pair]]
+        diff %= q
+        sums = np.zeros((len(cell), table.shape[1]), dtype=np.int64)
+        for row in diff:
+            sums += table[row]
+        flags[s : s + step] = sums.any(axis=1)
     bad = np.zeros((c, n, n), dtype=bool)
-    for s in range(0, len(first), step):
-        i, j = first[s : s + step], second[s : s + step]
-        diff = (nums[:, i] - nums[:, j]) % q
-        slots = q * np.arange(c * len(i)).reshape(c, -1, 1)
-        counts = np.bincount((diff + slots).ravel(), minlength=slots.size * q).reshape(c, -1, q)
-        bad[:, i, j] = (counts @ table).any(axis=-1)
+    bad[:, first, second] = flags.reshape(c, len(first))
     return bad
 
 

@@ -10,7 +10,8 @@ Every pair system in the package, floating or exact, single or stacked, is
 built by one scatter, `pair_rows`, from per-pair coefficient blocks;
 `check_system_size` refuses any system above `MAX_SYSTEM_BYTES` before it or
 its blocks are allocated. A deformation scan takes one stack of cells, one
-stacked verification, one scatter and one stacked SVD per chunk of cells.
+scatter and one stacked SVD per chunk of cells, verified as stacks: exact
+cells grouped by their own root orders, as a single defect call checks them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     ResidualError,
 )
 from .groups import FiniteAbelianGroup, enumeration_cap, fourier_defect, p_space_components
-from .matrices import DeformationParameters, HadamardMatrix, UnimodularMatrix, _common_order
+from .matrices import MAX_PHASE_ORDER, DeformationParameters, HadamardMatrix, _common_order, _roots
 from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_errors, turn_to_complex, verify_hadamard
 
 DEFAULT_REL_TOL = 1e-9
@@ -130,10 +131,6 @@ def _ranks_and_gaps(sigma: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.n
     return ranks, gaps
 
 
-def _certified_rank(matrix, rel_tol, gap_threshold, label) -> RankResult:
-    return _certify(numeric_rank(matrix, rel_tol), gap_threshold, label)
-
-
 def _certify(result: RankResult, gap_threshold, label) -> RankResult:
     if result.gap_ratio < gap_threshold:
         raise AmbiguousRankError(
@@ -199,7 +196,7 @@ def _defect_pass(
             if residual > bound:
                 raise ResidualError(f"basis residual {residual:.3e} above bound {bound:.3e}")
     else:
-        result = _certified_rank(matrix, rel_tol, gap_threshold, f"defect of {label}")
+        result = _certify(numeric_rank(matrix, rel_tol), gap_threshold, f"defect of {label}")
     d = h.n * h.n - result.rank
     report = DefectReport(
         n=h.n,
@@ -217,7 +214,7 @@ def _defect_pass(
         return report, None, elements
     restricted = matrix[:, _dephased_columns(h.n)]
     del matrix
-    result = _certified_rank(restricted, rel_tol, gap_threshold, f"dephased defect of {label}")
+    result = _certify(numeric_rank(restricted, rel_tol), gap_threshold, f"dephased defect of {label}")
     direct = (h.n - 1) * (h.n - 1) - result.rank
     if direct != report.dephased_defect:
         raise DefectMismatchError(
@@ -274,15 +271,11 @@ def _p_space_basis(group: FiniteAbelianGroup) -> list[np.ndarray]:
     n = group.order
     basis = []
     for members, forced in p_space_components(group):
-        real = np.zeros((n, n), dtype=complex)
-        for i, j, _ in members:
-            real[i, j] = 1.0
-        basis.append(real)
-        if not forced:
-            imag = np.zeros((n, n), dtype=complex)
-            for i, j, par in members:
-                imag[i, j] = -1j if par else 1j
-            basis.append(imag)
+        rows, cols, parities = np.array(members, dtype=int).T
+        for entries in [1.0] if forced else [1.0, np.where(parities, -1j, 1j)]:  # real, then imaginary
+            element = np.zeros((n, n), dtype=complex)
+            element[rows, cols] = entries
+            basis.append(element)
     return basis
 
 
@@ -303,28 +296,23 @@ def fourier_P_check(
     n = group.order
     elems = group.element_list()
     index = {g: i for i, g in enumerate(elems)}
-    add_index = [[index[group.add(gi, gj)] for gj in elems] for gi in elems]
+    add_index = np.array([[index[group.add(gi, gj)] for gj in elems] for gi in elems], dtype=int)
     neg_index = [index[group.neg(g)] for g in elems]
 
     basis = tangent_basis(f, rel_tol)
     violation = 0.0
-    for a in basis:
+    for a in basis:  # P[i, j] = P[i + j, j] = conj(P[i, -j])
         p = a @ fv
-        for j in range(n):
-            for i in range(n):
-                shifted = p[add_index[i][j], j]
-                violation = max(violation, abs(p[i, j] - shifted))
-                conjugated = np.conj(p[i, neg_index[j]])
-                violation = max(violation, abs(p[i, j] - conjugated))
+        shifted, conjugated = p[add_index, np.arange(n)], np.conj(p[:, neg_index])
+        violation = max(violation, float(np.abs(p - shifted).max()), float(np.abs(p - conjugated).max()))
 
     system = tangent_system(f).matrix
     membership = 0.0
     combinatorial = _p_space_basis(group)
     for p in combinatorial:
         a = p @ np.conj(fv.T) / n
-        membership = max(membership, float(np.max(np.abs(a.imag))))
-        if system.size:
-            membership = max(membership, float(np.max(np.abs(system @ a.real.ravel()))))
+        residual = np.abs(system @ a.real.ravel()).max(initial=0.0)
+        membership = max(membership, float(np.max(np.abs(a.imag))), float(residual))
 
     report = PCheckReport(
         dimension_numeric=len(basis),
@@ -388,7 +376,8 @@ def deformation_scan(
     order; each ranges over the grid turns. The flat cell is prepended when
     the grid does not contain it. Cells come in the deterministic grid order.
     A scan of more cells than the enumeration cap (HD_CAP) is refused with
-    CapExceededError before any cell is built.
+    CapExceededError before any cell is built; a cell whose root order reaches
+    MAX_PHASE_ORDER raises the CapExceededError of a single defect call.
     """
     m, n = k.n, h.n
     size, nfree = n * m, max(m - 1, 0) * max(n - 1, 0)
@@ -404,21 +393,39 @@ def deformation_scan(
     assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
     per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, size * (size - 1) * size * size * 8))
     exact = h.is_exact and k.is_exact
-    if exact:  # cells as integer phases over one root order q, their values from one table of q roots
-        (hn, kn, (tn,)), q = _common_order(h, k, UnimodularMatrix(turns=[turns]))
-        roots = np.array([turn_to_complex(Fraction(r, q)) for r in range(q)])
+    if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
+        (hn, kn), hk = _common_order(h, k)
+        base = hn[:, None, :, None] + kn[:, None, :]
     else:
-        hv, kv, tv = h.to_values(), k.to_values(), np.array([turn_to_complex(t) for t in turns])
+        hv, kv, tv, hk = h.to_values(), k.to_values(), np.array([turn_to_complex(t) for t in turns]), 1
+    # Clipped to the order cap, so the lcms stay in int64; a cell that reaches the cap is refused.
+    tq, tn = np.array([(min(t.denominator, MAX_PHASE_ORDER), t.numerator % MAX_PHASE_ORDER) for t in turns]).T
     pairs = ordered_pairs(size)
     label = f"defect of deformed:({h.provenance},{k.provenance})"
+
+    def single(c):  # cell c of the chunk rebuilt and put through a single defect call, for its errors
+        params = DeformationParameters.from_turns(turn_objects[l_index[c]].tolist())
+        return undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
+
     cells = []
     for chunk in iter(lambda: list(islice(assignments, per_chunk)), []):
         l_index = np.full((len(chunk), m, n), zero)
         l_index[:, 1:, 1:] = np.reshape(chunk, l_index[:, 1:, 1:].shape)
-        if exact:
-            nums = (hn[:, None, :, None] + tn[l_index][:, None, :, :, None] + kn[:, None, :]) % q
-            nums = nums.reshape(-1, size, size)
-            values, failed = roots[nums], failing_pairs(nums, q).any(axis=(1, 2))
+        cell_q = np.full(len(chunk), hk)
+        for column in tq[l_index].reshape(len(chunk), -1).T:
+            cell_q = np.minimum(np.lcm(cell_q, column), MAX_PHASE_ORDER)
+        if cell_q.max() == MAX_PHASE_ORDER:
+            single(np.argmax(cell_q))  # raises the CapExceededError of a single call
+        if exact:  # numerators over the cell's order, then reduced to lowest terms as a single call does
+            lq = cell_q[:, None, None]
+            nums = base * (lq // hk)[..., None, None] + (tn[l_index] * (lq // tq[l_index]))[:, None, :, :, None]
+            common = np.gcd(np.gcd.reduce(nums.reshape(len(chunk), -1), axis=1), cell_q)
+            nums, orders = nums.reshape(-1, size, size) % lq // common[:, None, None], cell_q // common
+            values, failed = np.empty(nums.shape, dtype=complex), np.zeros(len(nums), dtype=bool)
+            for order in dict.fromkeys(orders.tolist()):  # each cell verified at its own order
+                group = orders == order
+                failed[group] = failing_pairs(nums[group], order).any(axis=(1, 2))
+                values[group] = _roots(nums[group], order)
         else:  # checked within the verify tolerance of a single defect call
             values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
             modulus, ortho = gram_errors(values)
@@ -430,9 +437,7 @@ def deformation_scan(
             full = tuple(map(tuple, rows))
             try:
                 if failed[c]:
-                    # Rebuilt and checked alone, for the error text of a single defect call.
-                    params = DeformationParameters.from_turns(full)
-                    report = undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
+                    report = single(c)
                     rank, gap = report.rank, report.gap_ratio
                 else:
                     rank, gap, spectrum = next(solved)

@@ -274,6 +274,21 @@ def test_scan_cell_cap_before_enumeration(monkeypatch, capsys):
     assert "17 cells exceeds the cap 16" in capsys.readouterr().err
 
 
+def test_scan_verifies_each_cell_at_its_own_order(tmp_path, capsys):
+    # One cell of order 2000000014: its reduction table is refused before any large array is built.
+    start = time.perf_counter()
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "1000000007:1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "reduction table of 2000000014 x 1000000006 entries" in capsys.readouterr().err
+    # Cells of orders 178 and 194 take tables of their own orders, not of their common order 17266.
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "8633:89,97", "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["cell_id"], row["defect"]) for row in rows] == [("0", "10"), ("1/97", "8"), ("1/89", "8")]
+    assert json.loads(capsys.readouterr().out)["errors"] == 0
+
+
 def test_defect_basis_is_one_pass(monkeypatch, tmp_path, capsys):
     from hdefect import tangent
 

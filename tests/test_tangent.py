@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdefect import tangent
+from hdefect import matrices, tangent
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.errors import (
     AmbiguousRankError,
+    CapExceededError,
     DefectMismatchError,
     NonHadamardError,
 )
@@ -429,6 +431,10 @@ SCAN_CASES = [
     ("fourier:2", "fourier:4", ScanGrid(4)),
     ("fourier:3", "fourier:2", ScanGrid(6)),
     ("fourier:2", "fourier:2", ScanGrid(8, (1, 3))),
+    # Cells of orders 178 and 194, over a common order of 17266.
+    ("fourier:2", "fourier:2", ScanGrid(8633, (89, 97))),
+    # Cells of orders 2p for p = 181, 191, 193, 197, whose common order 2 * 181 * 191 * 193 * 197 is above 2^31.
+    ("fourier:2", "fourier:2", ScanGrid(1314423991, (7262011, 6881801, 6810487, 6672203))),
     ("circulant:0,1/4", "fourier:2", ScanGrid(8)),
     ("fourier:2", "circulant:0,1/4", ScanGrid(8)),
 ]
@@ -466,6 +472,17 @@ def test_batched_scan_non_hadamard_factor_fails_every_cell(tmp_path, bad):
         assert cells == per_cell_scan(left, right, ScanGrid(4))
         assert all(cell.error_type == "NonHadamardError" for cell in cells)
         assert cells[0].error.startswith("matrix is not Hadamard")
+
+
+@pytest.mark.parametrize("h_spec", ["fourier:2", "circulant:0,1/4"])
+def test_batched_scan_refuses_a_cell_above_the_order_cap_as_a_single_call(h_spec):
+    h, f2 = _spec(h_spec), fourier_matrix(make_group([2]))
+    grid = ScanGrid(2**32 + 15, (1,))
+    with pytest.raises(CapExceededError) as single:
+        per_cell_scan(h, f2, grid)
+    with pytest.raises(CapExceededError) as batched:
+        deformation_scan(h, f2, grid)
+    assert str(batched.value) == str(single.value) == "phase order 4294967311 is not below the cap 2147483648"
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3])
@@ -536,3 +553,36 @@ def test_stacked_exact_verify_matches_single_verify():
         assert np.array_equal(bad, failing_pairs(nums[None], 6)[0])
         assert bad.any() == (not verify_hadamard(HadamardMatrix(phases=(nums, 6))).passed)
     assert not flags[:2].any() and flags[2:].any(axis=(1, 2)).all()
+
+
+def _nonorthogonal_pairs(nums, q):
+    """Oracle: flags of the rows i < j whose floating inner product is not 0."""
+    roots = np.exp(2j * np.pi * nums / q)
+    return np.triu(np.abs(roots @ np.conj(roots).swapaxes(1, 2)) > 1e-6, 1)
+
+
+@pytest.mark.parametrize("q", [2, 6, 8, 12])
+def test_failing_pairs_match_floating_inner_products(monkeypatch, q):
+    rng = np.random.default_rng(q)
+    f2x2 = fourier_matrix(make_group([2, 2])).numerators * (q // 2)
+    stack = np.concatenate([f2x2[None], rng.integers(0, q, (40, 4, 4)), (f2x2 + rng.integers(0, 2, (4, 4)))[None] % q])
+    flags = failing_pairs(stack, q)
+    assert np.array_equal(flags, _nonorthogonal_pairs(stack, q))
+    assert not flags[0].any()
+    # One (matrix, pair) row per block gives the same flags.
+    monkeypatch.setattr(matrices, "CHECK_BLOCK_BYTES", 1)
+    assert np.array_equal(failing_pairs(stack, q), flags)
+
+
+def test_failing_pairs_work_in_blocks_of_bounded_size():
+    q, stack = 1024, np.random.default_rng(2).integers(0, 1024, (2000, 4, 4))
+    expected = failing_pairs(stack[:50], q)  # also builds the cached reduction table before tracing
+    tracemalloc.start()
+    try:
+        flags = failing_pairs(stack, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(flags[:50], expected)
+    # All 12000 (matrix, pair) rows of phi(1024) = 512 sums at once would take 49 MB.
+    assert peak < 2 * matrices.CHECK_BLOCK_BYTES
