@@ -373,7 +373,7 @@ def _cmd_scan(args) -> int:
 
     def rows():
         for cell in cells:
-            l_turns = ";".join(",".join(str(t) for t in row) for row in cell.parameter_turns)
+            l_turns = ";".join([",".join(map(str, row)) for row in cell.parameter_turns])
             yield [
                 cell.cell_id,
                 l_turns,

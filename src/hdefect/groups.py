@@ -92,15 +92,6 @@ def element_order(group: FiniteAbelianGroup, g) -> int:
     return math.lcm(*(n // math.gcd(n, x) for x, n in zip(g, group.cycle_orders))) if g else 1
 
 
-def delta_bruteforce(group: FiniteAbelianGroup, cap: int | None = None) -> Fraction:
-    """Sum of 1/order(g) over the whole group, by enumeration."""
-    _check_cap(group.order, cap, "delta_bruteforce")
-    total = Fraction(0)
-    for g in group.elements():
-        total += Fraction(1, element_order(group, g))
-    return total
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; {} for n = 1."""
     factors: dict[int, int] = {}

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import power_reduction_table
-from .errors import CapExceededError, NonExactError, NonHadamardError
+from .errors import MAX_SYSTEM_BYTES, CapExceededError, NonExactError, NonHadamardError
 from .groups import FiniteAbelianGroup
 
 _QUARTER_TURNS = {
@@ -43,10 +43,12 @@ def turn_to_complex(turn: Fraction) -> complex:
 
 
 def _roots(nums: np.ndarray, q: int) -> np.ndarray:
-    """e^(2 pi i m / q) for every numerator m, computed once per distinct m."""
+    """e^(2 pi i m / q) for each numerator m in [0, q), once per distinct m: turn_to_complex(Fraction(m, q))."""
     unique, inverse = np.unique(nums, return_inverse=True)
-    roots = np.array([turn_to_complex(Fraction(int(m), q)) for m in unique], dtype=complex)
-    return roots[inverse].reshape(nums.shape)
+    # Bit for bit: m / q is correctly rounded, as float(Fraction(m, q)) is.
+    roots = [cmath.exp(2j * cmath.pi * (m / q)) if 4 * m % q else _QUARTER_TURNS[Fraction(m, q)]
+             for m in unique.tolist()]
+    return np.array(roots, dtype=complex)[inverse].reshape(nums.shape)
 
 
 def _check_order(q: int) -> None:
@@ -186,6 +188,10 @@ class ValidationReport:
 def fourier_matrix(group: FiniteAbelianGroup) -> HadamardMatrix:
     """Character table of the group: entry (g, h) has phase sum_t g_t h_t / N_t."""
     orders = group.cycle_orders
+    if (nbytes := group.order**2 * 8) > MAX_SYSTEM_BYTES:
+        raise CapExceededError(
+            f"Fourier matrix of order {group.order} needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
+        )
     q = group.exponent
     elems = np.array(group.element_list(), dtype=np.int64).reshape(group.order, len(orders))
     weights = np.array([q // n for n in orders], dtype=np.int64)

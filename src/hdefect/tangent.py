@@ -12,6 +12,8 @@ built by one scatter, `pair_rows`, from per-pair coefficient blocks;
 its blocks are allocated. A deformation scan takes one stack of cells, one
 scatter and one stacked SVD per chunk of cells, verified as stacks: exact
 cells grouped by their own root orders, as a single defect call checks them.
+One background thread per scan runs each chunk's SVD, a LAPACK call that
+releases the GIL, while the next chunk is built; at most two chunks are held.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, islice, pairwise, product
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +42,7 @@ DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
 # Bytes of the stacked pair systems of one scan chunk: 18 cells of F2 (x) F4.
 SCAN_CHUNK_BYTES = 2**19
+SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
 
 
 @dataclass(frozen=True)
@@ -391,7 +394,8 @@ def deformation_scan(
     labels = [str(t) for t in turns]
     turn_objects = np.array(turns, dtype=object)
     assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
-    per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, size * (size - 1) * size * size * 8))
+    rows = size * (size - 1)  # of a cell's pair system, and so its singular values
+    per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * size * size * 8), -(-SCAN_CHUNK_VALUES // max(1, rows)))
     exact = h.is_exact and k.is_exact
     if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
         (hn, kn), hk = _common_order(h, k)
@@ -403,19 +407,18 @@ def deformation_scan(
     pairs = ordered_pairs(size)
     label = f"defect of deformed:({h.provenance},{k.provenance})"
 
-    def single(c):  # cell c of the chunk rebuilt and put through a single defect call, for its errors
-        params = DeformationParameters.from_turns(turn_objects[l_index[c]].tolist())
+    def single(l_row):  # one cell rebuilt and put through a single defect call, for its errors
+        params = DeformationParameters.from_turns(turn_objects[l_row].tolist())
         return undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
 
-    cells = []
-    for chunk in iter(lambda: list(islice(assignments, per_chunk)), []):
+    def prepare(chunk):  # build and verify a chunk of cells, then submit its stacked SVD
         l_index = np.full((len(chunk), m, n), zero)
         l_index[:, 1:, 1:] = np.reshape(chunk, l_index[:, 1:, 1:].shape)
         cell_q = np.full(len(chunk), hk)
         for column in tq[l_index].reshape(len(chunk), -1).T:
             cell_q = np.minimum(np.lcm(cell_q, column), MAX_PHASE_ORDER)
         if cell_q.max() == MAX_PHASE_ORDER:
-            single(np.argmax(cell_q))  # raises the CapExceededError of a single call
+            single(l_index[np.argmax(cell_q)])  # raises the CapExceededError of a single call
         if exact:  # numerators over the cell's order, then reduced to lowest terms as a single call does
             lq = cell_q[:, None, None]
             nums = base * (lq // hk)[..., None, None] + (tn[l_index] * (lq // tq[l_index]))[:, None, :, :, None]
@@ -430,14 +433,18 @@ def deformation_scan(
             values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
             modulus, ortho = gram_errors(values)
             failed = ~((modulus <= 1e-9) & (ortho <= 1e-9))
-        sigma = np.linalg.svd(pair_rows(pairs, _pair_blocks(values[~failed], pairs), size), compute_uv=False)
+        systems = pair_rows(pairs, _pair_blocks(values[~failed], pairs), size)
+        return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
+
+    def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVD and single calls
+        sigma = svd.result()
         solved = zip(*_ranks_and_gaps(sigma, rel_tol), sigma)
         for c, (assignment, rows) in enumerate(zip(chunk, turn_objects[l_index].tolist())):
             cell_id = ";".join(map(labels.__getitem__, assignment))
             full = tuple(map(tuple, rows))
             try:
                 if failed[c]:
-                    report = single(c)
+                    report = single(l_index[c])
                     rank, gap = report.rank, report.gap_ratio
                 else:
                     rank, gap, spectrum = next(solved)
@@ -448,4 +455,12 @@ def deformation_scan(
                 continue
             d = size * size - int(rank)
             cells.append(ScanCell(cell_id, full, d, d - (2 * size - 1), float(gap), True, None))
+
+    from concurrent.futures import ThreadPoolExecutor  # only a scan needs it: its import takes 10 ms and 0.7 MB
+    cells = []
+    chunks = iter(lambda: list(islice(assignments, per_chunk)), [])
+    with ThreadPoolExecutor(max_workers=1) as pool:  # shut down, so joined, on every exit
+        # pairwise prepares chunk k + 1 before chunk k is emitted: at most two chunks are in flight.
+        for ready, _ in pairwise(chain(map(prepare, chunks), [None])):
+            emit(*ready)
     return cells

@@ -8,7 +8,6 @@ import pytest
 from hdefect.errors import CapExceededError
 from hdefect.groups import (
     abelian_group_types,
-    delta_bruteforce,
     delta_closed,
     delta_dihedral,
     delta_isotypic,
@@ -17,6 +16,7 @@ from hdefect.groups import (
     fourier_defect_cyclic,
     isotypic_decomposition,
     make_group,
+    p_space_components,
     p_space_dimension,
 )
 
@@ -74,26 +74,26 @@ def test_element_order_matches_repeated_addition():
 
 
 def test_delta_bruteforce_examples():
-    assert delta_bruteforce(make_group([6])) == Fraction(5, 2)
-    assert delta_bruteforce(make_group([2])) == Fraction(3, 2)
-    assert delta_bruteforce(make_group([])) == 1
-    assert delta_bruteforce(make_group([1])) == 1
+    assert delta_by_enumeration(make_group([6])) == Fraction(5, 2)
+    assert delta_by_enumeration(make_group([2])) == Fraction(3, 2)
+    assert delta_by_enumeration(make_group([])) == 1
+    assert delta_by_enumeration(make_group([1])) == 1
 
 
-def test_delta_bruteforce_cap():
+def test_p_space_components_cap():
     with pytest.raises(CapExceededError):
-        delta_bruteforce(make_group([100]), cap=99)
-    assert delta_bruteforce(make_group([100]), cap=100) == delta_by_enumeration(make_group([100]))
+        p_space_components(make_group([12]), cap=11)
+    assert p_space_dimension(make_group([12]), cap=12) == fourier_defect(make_group([12]))
 
 
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("HD_CAP", "10")
     with pytest.raises(CapExceededError):
-        delta_bruteforce(make_group([11]))
-    assert delta_bruteforce(make_group([10])) == delta_by_enumeration(make_group([10]))
+        p_space_components(make_group([11]))
+    assert p_space_dimension(make_group([10])) == fourier_defect(make_group([10]))
     monkeypatch.setenv("HD_CAP", "zero")
     with pytest.raises(ValueError):
-        delta_bruteforce(make_group([2]))
+        p_space_components(make_group([2]))
 
 
 def test_isotypic_decomposition_examples():
@@ -111,7 +111,7 @@ def test_isotypic_reconstruction():
         h = make_group(sorted(cycles))
         assert h.order == g.order
         assert h.exponent == g.exponent
-        assert delta_bruteforce(h) == delta_bruteforce(g)
+        assert delta_by_enumeration(h) == delta_by_enumeration(g)
 
 
 def test_delta_isotypic_examples():

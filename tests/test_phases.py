@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdefect.cli import build_matrix, parse_matrix_spec
+from hdefect import matrices
+from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
 from hdefect.errors import CapExceededError
+from hdefect.groups import FiniteAbelianGroup, make_group
 from hdefect.matrices import (
     DeformationParameters,
     HadamardMatrix,
@@ -18,10 +20,12 @@ from hdefect.matrices import (
     apply_equivalence,
     deformed_tensor,
     dephase,
+    fourier_matrix,
     haagerup_matrix,
     matrix_from_dict,
     matrix_to_dict,
     tensor_product,
+    turn_to_complex,
     verify_hadamard,
 )
 from hdefect.tangent import MAX_SYSTEM_BYTES, tangent_system, undephased_defect
@@ -166,6 +170,25 @@ def test_large_phase_orders():
         HadamardMatrix.from_turns([[Fraction(1, 2**31)]])
 
 
+def _same_bits(roots, q, nums):
+    expected = np.array([turn_to_complex(Fraction(m, q)) for m in nums], dtype=complex)
+    return np.array_equal(roots.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 2**30, 2**31 - 4, 2**31 - 1])
+def test_roots_equal_turn_to_complex_bit_for_bit(q):
+    quarters = [j * q // 4 for j in range(4) if j * q % 4 == 0]
+    nums = np.array(sorted({*quarters, q // 3, (q // 2 + 1) % q, q - 1, *range(min(q, 24))}), dtype=np.int64)
+    assert _same_bits(matrices._roots(nums, q), q, nums.tolist())
+
+
+@PROPERTY
+@given(st.integers(1, 2**31 - 1).flatmap(lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), min_size=1))))
+def test_roots_equal_turn_to_complex_on_drawn_numerators(drawn):
+    q, nums = drawn
+    assert _same_bits(matrices._roots(np.array(nums, dtype=np.int64), q), q, nums)
+
+
 def _pairwise_orthogonality_error(h):
     """Reference exact check: one pair of rows at a time."""
     q, nums = h.phase_order(), h.numerators
@@ -214,3 +237,15 @@ def test_float_tangent_system_refused_before_products():
     # The products H_ik conj(H_jk) alone would take 16256 x 128 x 16 bytes, about 33 MB.
     assert 128 * 127 * 128**2 * 8 > MAX_SYSTEM_BYTES
     assert _peak_bytes(refused) < 2**20
+
+
+def test_fourier_matrix_refused_before_its_elements(monkeypatch, capsys):
+    monkeypatch.setattr(matrices, "MAX_SYSTEM_BYTES", 64**2 * 8 - 1)  # one byte below the 64 x 64 phase array
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteAbelianGroup, "element_list", lambda group: pytest.fail("elements listed before the check"))
+        with pytest.raises(CapExceededError, match="Fourier matrix of order 64 needs 32768 bytes"):
+            fourier_matrix(make_group([8, 8]))
+        assert run(["defect", "fourier:64"]) == 1
+    assert "above the cap 32767" in capsys.readouterr().err
+    monkeypatch.setattr(matrices, "MAX_SYSTEM_BYTES", 64**2 * 8)
+    assert verify_hadamard(fourier_matrix(make_group([64]))).passed

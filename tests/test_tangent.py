@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -485,7 +487,8 @@ def test_batched_scan_refuses_a_cell_above_the_order_cap_as_a_single_call(h_spec
     assert str(batched.value) == str(single.value) == "phase order 4294967311 is not below the cap 2147483648"
 
 
-@pytest.mark.parametrize("per_chunk", [1, 3])
+# 64 cells per chunk put each case's cells in one chunk.
+@pytest.mark.parametrize("per_chunk", [1, 3, 64])
 def test_batched_scan_chunk_boundaries(monkeypatch, per_chunk):
     f2, f4 = fourier_matrix(make_group([2])), fourier_matrix(make_group([4]))
     cases = [(f2, f4, ScanGrid(4)), (f2, f2, ScanGrid(8, (1, 3, 5))), (f2, f2, ScanGrid(8, (0, 3)))]
@@ -493,7 +496,63 @@ def test_batched_scan_chunk_boundaries(monkeypatch, per_chunk):
     for (h, k, grid), cells in zip(cases, expected):
         size = h.n * k.n
         monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", per_chunk * size * (size - 1) * size * size * 8)
+        monkeypatch.setattr(tangent, "SCAN_CHUNK_VALUES", 1)
         assert deformation_scan(h, k, grid) == cells
+
+
+def test_scan_chunks_hold_enough_singular_values_to_release_the_gil(monkeypatch):
+    # numpy runs a stacked SVD without the GIL only above 500 singular values; 0.5 MiB holds 3 cells of size 12.
+    f2, f6 = fourier_matrix(make_group([2])), fourier_matrix(make_group([6]))
+    stacks, svd = [], np.linalg.svd
+
+    def recording_svd(a, **kwargs):
+        stacks.append(a.shape)
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert len(deformation_scan(f2, f6, ScanGrid(2))) == 32
+    assert stacks == [(4, 132, 144)] * 8
+
+
+def test_scan_svd_error_propagates_unchanged_and_the_thread_is_joined(monkeypatch):
+    f2, f4 = fourier_matrix(make_group([2])), fourier_matrix(make_group([4]))
+    injected, svd, threads = np.linalg.LinAlgError("injected into the second chunk"), np.linalg.svd, []
+
+    def failing_svd(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise injected
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        deformation_scan(f2, f4, ScanGrid(4))  # 64 cells in chunks of 18
+    assert raised.value is injected
+    assert threading.main_thread() not in threads
+    assert threading.active_count() == before
+
+
+def test_scan_refuses_a_cell_above_the_order_cap_while_a_chunk_is_in_flight(monkeypatch):
+    f2, grid = fourier_matrix(make_group([2])), ScanGrid(2**32 + 15, (0, 1))
+    with pytest.raises(CapExceededError) as single:
+        per_cell_scan(f2, f2, grid)
+    finished, svd = [], np.linalg.svd
+
+    def slow_svd(*args, **kwargs):
+        time.sleep(0.2)  # still running when the second cell is refused
+        finished.append(True)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", slow_svd)
+    monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", 1)  # one cell per chunk
+    monkeypatch.setattr(tangent, "SCAN_CHUNK_VALUES", 1)
+    before = threading.active_count()
+    with pytest.raises(CapExceededError) as batched:
+        deformation_scan(f2, f2, grid)
+    assert str(batched.value) == str(single.value)
+    assert finished == [True]
+    assert threading.active_count() == before
 
 
 def test_scan_csv_digest_with_gap_ratios(tmp_path):
