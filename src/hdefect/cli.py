@@ -432,8 +432,6 @@ def _cmd_conjecture(args) -> int:
 def _cmd_ds(args) -> int:
     group = _parse_orders_arg(args.group)
     window = group.exponent if args.window is None else args.window
-    if window < 1:
-        raise ValueError("window length must be >= 1")
     estimate = ds_defect_estimate(group, args.k, window)
     _emit(
         {

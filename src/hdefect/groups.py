@@ -1,9 +1,10 @@
 """Finite abelian groups and the exact combinatorics behind Fourier-matrix defects.
 
-Everything here is exact: integers and fractions.Fraction only, no floating
-point. A group is a product of cyclic factors Z_N1 x ... x Z_Nr; elements are
-residue tuples iterated in odometer order (first factor outermost), which is
-also the row order used by the Fourier matrix constructors.
+Everything here is exact: integers, int64 index arrays and fractions.Fraction
+only, no floating point. A group is a product of cyclic factors
+Z_N1 x ... x Z_Nr; elements are residue tuples iterated in odometer order
+(first factor outermost), which is also the row order used by the Fourier
+matrix constructors.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import pairwise, product
 
-from .errors import CapExceededError
+import numpy as np
+
+from .errors import MAX_SYSTEM_BYTES, CapExceededError
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -78,8 +81,21 @@ class FiniteAbelianGroup:
     def add(self, g, h) -> tuple[int, ...]:
         return tuple((x + y) % n for x, y, n in zip(g, h, self.cycle_orders))
 
-    def neg(self, g) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(g, self.cycle_orders))
+    def index_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Odometer indices of g + h (a |G| x |G| table) and of -g, by mixed-radix digits."""
+        if (nbytes := self.order**2 * 8) > MAX_SYSTEM_BYTES:
+            raise CapExceededError(
+                f"addition table of order {self.order} needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
+            )
+        digits = np.array(self.element_list(), dtype=np.int64).reshape(self.order, len(self.cycle_orders))
+        add = np.zeros((self.order, self.order), dtype=np.int64)
+        neg = np.zeros(self.order, dtype=np.int64)
+        stride = 1
+        for n, d in zip(self.cycle_orders[::-1], digits.T[::-1]):
+            add += (d[:, None] + d) % n * stride
+            neg += -d % n * stride
+            stride *= n
+        return add, neg
 
 
 def make_group(orders) -> FiniteAbelianGroup:
@@ -197,76 +213,32 @@ def delta_dihedral(n: int) -> Fraction:
     return Fraction(n, 2) + delta_closed(make_group([n]))
 
 
-class _ParityUnionFind:
-    """Union-find whose edges may carry a conjugation flag (parity 1)."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.parity = [0] * size
-        self.forced_real = [False] * size
-
-    def find(self, x: int) -> tuple[int, int]:
-        root = x
-        par = 0
-        while self.parent[root] != root:
-            par ^= self.parity[root]
-            root = self.parent[root]
-        # path compression, re-anchoring parities at the root
-        result = par
-        while self.parent[x] != root:
-            nxt = self.parent[x]
-            nxt_par = par ^ self.parity[x]
-            self.parent[x] = root
-            self.parity[x] = par
-            x, par = nxt, nxt_par
-        return root, result
-
-    def union(self, x: int, y: int, flag: int) -> None:
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if px ^ py != flag:
-                # cycle implies z = conj(z) on this class
-                self.forced_real[rx] = True
-            return
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ flag
-        if self.forced_real[ry]:
-            self.forced_real[rx] = True
-
-
-def _p_space_union_find(group: FiniteAbelianGroup) -> tuple[_ParityUnionFind, list]:
-    n = group.order
-    elems = group.element_list()
-    index = {g: i for i, g in enumerate(elems)}
-    uf = _ParityUnionFind(n * n)
-    for j, gj in enumerate(elems):
-        shift = [index[group.add(g, gj)] for g in elems]
-        jneg = index[group.neg(gj)]
-        for i in range(n):
-            node = i * n + j
-            uf.union(node, shift[i] * n + j, 0)
-            uf.union(node, i * n + jneg, 1)
-    return uf, elems
-
-
 def p_space_components(group: FiniteAbelianGroup, cap: int | None = None):
     """Constraint classes of the group-indexed parameter space.
 
-    Entries P[i][j] are tied by column translation (P[i][j] = P[i+j][j]) and
-    column conjugation (P[i][j] = conj(P[i][-j])). Returns a list of
-    (members, forced_real) where members holds (row_index, col_index, parity)
-    triples, parity 1 meaning the entry is the conjugate of the class value.
+    Entries P[i][j] are tied by column translation (P[i][j] = P[i+j][j]), which
+    runs along the coset i + <j>, and column conjugation (P[i][j] = conj(P[i][-j])),
+    which keeps the row; so a class is one coset in the columns j and -j, forced
+    real exactly when j = -j (2j = 0). Returns a list of (members, forced_real)
+    where members holds (row_index, col_index, parity) triples, parity 1 meaning
+    the entry is the conjugate of the class value (the larger of the two columns).
     """
     _check_cap(group.order, cap, "p_space_components")
     n = group.order
-    uf, _ = _p_space_union_find(group)
-    classes: dict[int, list[tuple[int, int, int]]] = {}
-    for i in range(n):
-        for j in range(n):
-            root, par = uf.find(i * n + j)
-            classes.setdefault(root, []).append((i, j, par))
-    return [(members, uf.forced_real[root]) for root, members in sorted(classes.items())]
+    shift, neg = group.index_tables()
+    cols = np.arange(n)
+    # After t steps least[i, j] is the least row i + k j over k < 2^t, and 2^t reaches the exponent.
+    least = np.broadcast_to(cols[:, None], (n, n))
+    for _ in range((group.exponent - 1).bit_length()):
+        least = np.minimum(least, least[shift, cols])
+        shift = shift[shift, cols]
+    key = (least * n + np.minimum(cols, neg)).ravel()
+    order = np.argsort(key, kind="stable")
+    rows, columns = np.divmod(order, n)
+    members = list(zip(rows.tolist(), columns.tolist(), (columns > neg[columns]).astype(int).tolist()))
+    real = (columns == neg[columns]).tolist()
+    starts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), n * n]
+    return [(members[a:b], real[a]) for a, b in pairwise(starts)]
 
 
 def p_space_dimension(group: FiniteAbelianGroup, cap: int | None = None) -> int:

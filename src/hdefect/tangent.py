@@ -297,10 +297,7 @@ def fourier_P_check(
     f = fourier_matrix(group)
     fv = f.to_values()
     n = group.order
-    elems = group.element_list()
-    index = {g: i for i, g in enumerate(elems)}
-    add_index = np.array([[index[group.add(gi, gj)] for gj in elems] for gi in elems], dtype=int)
-    neg_index = [index[group.neg(g)] for g in elems]
+    add_index, neg_index = group.index_tables()
 
     basis = tangent_basis(f, rel_tol)
     violation = 0.0

@@ -150,6 +150,18 @@ def test_estimate_exact_at_exponent_multiples():
             assert ds_defect_estimate(group, 1, 3 * e) == expected
 
 
+def test_estimate_sums_whole_periods():
+    # w * est(w) counts the hits over r <= w, and the hits of r depend only on r mod e
+    for orders in ([2, 3, 4], [6], [2, 2], [1]):
+        group = make_group(orders)
+        e = group.exponent
+        for m in (0, 10**9 + 7):
+            for s in range(1, e + 1):
+                w = m * e + s
+                rest = s * ds_defect_estimate(group, 1, s)
+                assert w * ds_defect_estimate(group, 1, w) == m * e * ds_defect_estimate(group, 1, e) + rest
+
+
 def test_estimate_deviation_bound():
     for orders in ([6], [2, 4], [12]):
         group = make_group(orders)

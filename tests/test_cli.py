@@ -369,6 +369,24 @@ def test_ds_command(capsys):
     assert payload["exact"] is False
 
 
+def test_ds_long_window(capsys):
+    # 1000000007 = 12 * 83333333 + 11: whole periods of the exponent 12, then a window of 11
+    start = time.perf_counter()
+    assert run(["ds", "--group", "2x3x4", "--l", "1000000007"]) == 0
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert run(["ds", "--group", "2x3x4", "--l", "11"]) == 0
+    tail = Fraction(json.loads(capsys.readouterr().out)["estimate"])
+    periods = 83333333 * 12 * fourier_defect(make_group([2, 3, 4]))
+    assert Fraction(payload["estimate"]) == (periods + 11 * tail) / 1000000007
+    assert payload["exact"] is False
+
+
+def test_ds_window_error(capsys):
+    assert run(["ds", "--group", "2", "--l", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: window length must be >= 1"]
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run(["defect", "bogus:1"]) == 2
     assert run(["defect", "circulant:0,1/4,0,1/4"]) == 1

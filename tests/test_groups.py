@@ -1,12 +1,17 @@
 """Group arithmetic and the exact defect formulas, checked against enumeration oracles."""
 
 import math
+from collections import deque
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
-from hdefect.errors import CapExceededError
+from hdefect.charstats import regular_representation
+from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
 from hdefect.groups import (
+    FiniteAbelianGroup,
     abelian_group_types,
     delta_closed,
     delta_dihedral,
@@ -38,6 +43,32 @@ def delta_by_enumeration(group):
         (Fraction(1, order_by_repeated_addition(group, g)) for g in group.elements()),
         Fraction(0),
     )
+
+
+def p_space_classes_by_search(group):
+    """Oracle: breadth-first search over (i, j) -> (i + j, j) and the conjugation (i, j) -> (i, -j).
+
+    Returns (member set, forced_real) per class; a class is forced real when an
+    edge closes a cycle whose conjugation count is odd.
+    """
+    elems = group.element_list()
+    index = {g: k for k, g in enumerate(elems)}
+    neg = [index[tuple(-x % n for x, n in zip(g, group.cycle_orders))] for g in elems]
+    seen, classes = set(), []
+    for start in product(range(group.order), repeat=2):
+        if start in seen:
+            continue
+        parity, forced, queue = {start: 0}, False, deque([start])
+        while queue:
+            node = i, j = queue.popleft()
+            for nxt, flip in (((index[group.add(elems[i], elems[j])], j), 0), ((i, neg[j]), 1)):
+                if nxt not in parity:
+                    parity[nxt] = parity[node] ^ flip
+                    queue.append(nxt)
+                forced |= parity[nxt] != parity[node] ^ flip
+        seen.update(parity)
+        classes.append((frozenset(parity), forced))
+    return classes
 
 
 def test_make_group_validates():
@@ -84,6 +115,45 @@ def test_p_space_components_cap():
     with pytest.raises(CapExceededError):
         p_space_components(make_group([12]), cap=11)
     assert p_space_dimension(make_group([12]), cap=12) == fourier_defect(make_group([12]))
+
+
+def test_p_space_components_match_search_up_to_64():
+    for order in range(1, 65):
+        for group in abelian_group_types(order):
+            components = p_space_components(group)
+            found = {frozenset((i, j) for i, j, _ in members): forced for members, forced in components}
+            assert len(found) == len(components)
+            assert found == dict(p_space_classes_by_search(group)), group
+            add, neg = group.index_tables()
+            for members, forced in components:
+                if forced:
+                    continue
+                parity = {(i, j): p for i, j, p in members}
+                for (i, j), p in parity.items():
+                    assert parity[add[i, j], j] == p  # translation keeps the parity
+                    assert parity[i, neg[j]] == 1 - p  # conjugation flips it
+
+
+def test_index_tables_match_group_addition():
+    for orders in ([], [1], [6], [2, 4], [2, 2, 3]):
+        group = make_group(orders)
+        elems = group.element_list()
+        zero = tuple(0 for _ in orders)
+        add, neg = group.index_tables()
+        assert add.shape == (group.order, group.order) and add.dtype == neg.dtype == np.int64
+        for i, g in enumerate(elems):
+            assert elems[add[i, neg[i]]] == zero
+            for j, h in enumerate(elems):
+                assert elems[add[i, j]] == group.add(g, h)
+
+
+def test_addition_table_refused_before_its_elements(monkeypatch):
+    # 8193^2 x 8 = 537,001,992 bytes is above the 2^29-byte cap; 8192 fits exactly and is never built here.
+    assert 8192**2 * 8 == MAX_SYSTEM_BYTES < 8193**2 * 8
+    monkeypatch.setattr(FiniteAbelianGroup, "element_list", lambda group: pytest.fail("elements listed before the check"))
+    for build in (p_space_components, regular_representation):
+        with pytest.raises(CapExceededError, match="addition table of order 8193 needs 537001992 bytes"):
+            build(make_group([8193]))
 
 
 def test_cap_env_override(monkeypatch):
