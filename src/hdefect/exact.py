@@ -12,26 +12,22 @@ two residues fit in int64, and then proved exactly:
 
 - Upper bound. Gauss-Jordan elimination over F_p of the rows of the pairs
   i < j gives k = N^2 - rank_p. Reduction mod p can only lower a rank, and
-  those rows are a subset of the full system, so rank_p(half) <= rank_Q(half)
-  <= rank_Q(full) and the nullity is at most k, for any prime.
-- Lower bound. Each of the k free-column kernel vectors mod p is lifted to a
-  rational vector by rational reconstruction, scaled to integers and checked
-  exactly against the full ordered-pair system. The checked vectors are
-  independent, since each one is nonzero on its own free column and zero on
-  the others, so the nullity is at least k.
+  those rows are a subset of the full system, so the nullity is at most k.
+- Lower bound. The k free-column kernel vectors mod p are lifted by rational
+  reconstruction, scaled to integers and checked exactly against the full
+  ordered-pair system. Each is nonzero on its own free column only, so they
+  are independent and the nullity is at least k.
 
-The rows of (j, i) are the Galois conjugates of those of (i, j), which is why
-the half system usually has the full rational rank and the lift succeeds; the
-proof does not depend on it. When reconstruction or the check fails (an
-unlucky prime), the nullity comes from fraction-free elimination of the full
-rows (`integer_matrix_rank`) instead.
+The rows of (j, i) are minus the complex conjugates of those of (i, j), so a
+rational A solves the one exactly when it solves the other: the half system
+always has the full rational rank. A lift then fails only at one of finitely
+many unlucky primes, cured by the next prime p = 1 (mod q), or when a kernel
+entry's numerator or denominator exceeds sqrt(p/2), cured by none; after
+`LIFT_PRIMES` primes the nullity is refused.
 
-The prime is the largest p < 2^31 with p = 1 (mod q), so that sending zeta_q
-to an element w of order q in F_p is a ring map Z[zeta_q] -> F_p. Reducing
-the complex ordered-pair system this way gives the float-free bound
-d <= N^2 - rank_p (`exact_upper_bound`). Hence rational nullity <= d <=
-exact_upper_bound, and when the two ends meet, d is proved without floating
-point.
+The first prime, the largest p < 2^31 with p = 1 (mod q), also gives the
+float-free upper bound d <= `exact_upper_bound`. Hence rational nullity <= d
+<= exact_upper_bound, and when the two ends meet, d is proved without floats.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import euler_phi, power_reduction_table
-from .errors import MAX_SYSTEM_BYTES, CapExceededError, NonExactError
+from .errors import MAX_SYSTEM_BYTES, CapExceededError, DefectMismatchError, NonExactError
 from .groups import factorize, is_prime
 from .matrices import HadamardMatrix
 from .tangent import DEFAULT_GAP_THRESHOLD, DEFAULT_REL_TOL, undephased_defect
@@ -56,7 +52,7 @@ MODULUS_LIMIT = 2**31
 SUPPORTED = "SUPPORTED"
 REFUTED_AT_INSTANCE = "REFUTED-at-this-instance"
 MODULAR_LIFT = "modular-lift"
-BAREISS = "bareiss"
+LIFT_PRIMES = 3
 
 
 @dataclass(frozen=True)
@@ -104,6 +100,14 @@ def modular_prime(q: int) -> int:
     while not is_prime(p):
         p -= q
     return p
+
+
+def _lift_primes(q: int):
+    """The LIFT_PRIMES largest primes p < 2^31 with p = 1 (mod q), descending from `modular_prime(q)`."""
+    p = modular_prime(q)
+    for _ in range(LIFT_PRIMES):
+        yield p
+        p = next(c for c in range(p - q, 1, -q) if is_prime(c))
 
 
 def _root_of_order(q: int, p: int) -> int:
@@ -211,43 +215,8 @@ def _solves_full_system(system: ExactSystem, kernel: np.ndarray) -> bool:
     return True
 
 
-def integer_matrix_rank(rows, ncols: int) -> int:
-    """Exact rank by fraction-free elimination with big integers.
-
-    This is the fallback of `rational_nullity` when the modular kernel does
-    not lift, and the oracle the tests compare the modular path with.
-    """
-    m = [list(r) for r in rows]
-    for r in m:
-        if len(r) != ncols:
-            raise ValueError("ragged rows")
-    nrows = len(m)
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((k for k in range(r, nrows) if m[k][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        for k in range(r + 1, nrows):
-            rowk = m[k]
-            rowr = m[r]
-            factor = rowk[c]
-            for col in range(c + 1, ncols):
-                rowk[col] = (piv * rowk[col] - factor * rowr[col]) // prev
-            rowk[c] = 0
-        prev = piv
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
-
-
 class CertifiedNullity(int):
-    """A rational nullity that records how it was proved: `method` and the `prime` tried.
+    """A rational nullity that records how it was proved: `method` and the `prime` it was proved at.
 
     It compares, computes and serialises as the plain int, so callers that
     need only the number are unaffected.
@@ -261,27 +230,28 @@ class CertifiedNullity(int):
 
 
 def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> CertifiedNullity:
-    """Dimension over Q of the rational solutions of the exact system.
+    """Dimension over Q of the rational solutions of the exact system, proved as the module docstring says.
 
-    The value is either k = N^2 - rank_p, p = `modular_prime(q)`, with k
-    lifted kernel vectors checked exactly (method "modular-lift"), or the
-    fraction-free rank of the full rows (method "bareiss"); see the module
-    docstring.
+    Tries the primes of `_lift_primes(q)` in turn; CapExceededError when none of them lifts.
     """
     n = system.n
     check_system_size(n * (n - 1) // 2 * system.degree, n, byte_cap)
-    p = modular_prime(system.root_order)
     pairs = system.pairs
     half = pairs[:, 0] < pairs[:, 1]
     blocks = power_reduction_table(system.root_order)[system.exponents[half]].transpose(0, 2, 1)
-    reduced = pair_rows(pairs[half], blocks, n, byte_cap)
-    reduced %= p
-    pivots = _row_reduce_mod(reduced, p)
-    kernel = _lift_kernel(reduced[: len(pivots)], pivots, p)
-    if kernel is not None and _solves_full_system(system, kernel):
-        return CertifiedNullity(kernel.shape[1], MODULAR_LIFT, p)
-    rank = integer_matrix_rank(system.integer_rows(), n * n)
-    return CertifiedNullity(n * n - rank, BAREISS, p)
+    tried = []
+    for p in _lift_primes(system.root_order):
+        tried.append(p)
+        reduced = pair_rows(pairs[half], blocks, n, byte_cap)
+        reduced %= p
+        pivots = _row_reduce_mod(reduced, p)
+        kernel = _lift_kernel(reduced[: len(pivots)], pivots, p)
+        if kernel is not None and _solves_full_system(system, kernel):
+            return CertifiedNullity(kernel.shape[1], MODULAR_LIFT, p)
+    raise CapExceededError(
+        f"rational nullity not proved: no kernel lifted modulo the primes {', '.join(map(str, tried))} solves "
+        f"the full system (rational reconstruction bound sqrt(p/2) <= {math.isqrt(max(tried) // 2)})"
+    )
 
 
 def exact_upper_bound(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> int:
@@ -336,12 +306,12 @@ def conjecture_check(
     upper = exact_upper_bound(system)
     report = undephased_defect(h, rel_tol, gap_threshold)
     if nullity > report.undephased_defect:
-        raise RuntimeError(
+        raise DefectMismatchError(
             f"rational nullity {nullity} exceeds certified defect {report.undephased_defect}; "
             "one of the two pipelines is wrong"
         )
     if upper < report.undephased_defect:
-        raise RuntimeError(
+        raise DefectMismatchError(
             f"exact upper bound {upper} is below certified defect {report.undephased_defect}; "
             "one of the two pipelines is wrong"
         )

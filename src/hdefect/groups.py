@@ -213,15 +213,12 @@ def delta_dihedral(n: int) -> Fraction:
     return Fraction(n, 2) + delta_closed(make_group([n]))
 
 
-def p_space_components(group: FiniteAbelianGroup, cap: int | None = None):
-    """Constraint classes of the group-indexed parameter space.
+def _p_space_keys(group: FiniteAbelianGroup, cap: int | None):
+    """Class key of each entry P[i][j], row-major, and the index vector of -g.
 
-    Entries P[i][j] are tied by column translation (P[i][j] = P[i+j][j]), which
-    runs along the coset i + <j>, and column conjugation (P[i][j] = conj(P[i][-j])),
-    which keeps the row; so a class is one coset in the columns j and -j, forced
-    real exactly when j = -j (2j = 0). Returns a list of (members, forced_real)
-    where members holds (row_index, col_index, parity) triples, parity 1 meaning
-    the entry is the conjugate of the class value (the larger of the two columns).
+    The key is least(i + <j>) * |G| + min(j, -j): the least row of the coset
+    that column translation runs along, and the column pair that conjugation
+    ties.
     """
     _check_cap(group.order, cap, "p_space_components")
     n = group.order
@@ -232,7 +229,21 @@ def p_space_components(group: FiniteAbelianGroup, cap: int | None = None):
     for _ in range((group.exponent - 1).bit_length()):
         least = np.minimum(least, least[shift, cols])
         shift = shift[shift, cols]
-    key = (least * n + np.minimum(cols, neg)).ravel()
+    return (least * n + np.minimum(cols, neg)).ravel(), neg
+
+
+def p_space_components(group: FiniteAbelianGroup, cap: int | None = None):
+    """Constraint classes of the group-indexed parameter space.
+
+    Entries P[i][j] are tied by column translation (P[i][j] = P[i+j][j]), which
+    runs along the coset i + <j>, and column conjugation (P[i][j] = conj(P[i][-j])),
+    which keeps the row; so a class is one coset in the columns j and -j, forced
+    real exactly when j = -j (2j = 0). Returns a list of (members, forced_real)
+    where members holds (row_index, col_index, parity) triples, parity 1 meaning
+    the entry is the conjugate of the class value (the larger of the two columns).
+    """
+    n = group.order
+    key, neg = _p_space_keys(group, cap)
     order = np.argsort(key, kind="stable")
     rows, columns = np.divmod(order, n)
     members = list(zip(rows.tolist(), columns.tolist(), (columns > neg[columns]).astype(int).tolist()))
@@ -243,7 +254,9 @@ def p_space_components(group: FiniteAbelianGroup, cap: int | None = None):
 
 def p_space_dimension(group: FiniteAbelianGroup, cap: int | None = None) -> int:
     """Real dimension of the constrained parameter space (2 per free class, 1 per real one)."""
-    return sum(1 if forced else 2 for _, forced in p_space_components(group, cap))
+    key, neg = _p_space_keys(group, cap)
+    columns = np.unique(key) % group.order
+    return 2 * columns.size - int(np.count_nonzero(neg[columns] == columns))
 
 
 @lru_cache(maxsize=None)

@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hdefect
+from hdefect import charstats
 from hdefect.cli import (
     CirculantSpec,
     DeformedSpec,
@@ -385,6 +391,28 @@ def test_ds_long_window(capsys):
 def test_ds_window_error(capsys):
     assert run(["ds", "--group", "2", "--l", "0"]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: window length must be >= 1"]
+
+
+def test_ds_group_cap_before_the_sweep(monkeypatch, capsys):
+    def unexpected(group, g):
+        raise AssertionError("group elements swept before the cap check")
+
+    monkeypatch.setattr(charstats, "element_order", unexpected)
+    monkeypatch.delenv("HD_CAP", raising=False)
+    assert run(["ds", "--group", "3000000"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: ds_defect_estimate needs 3000000 elements, cap is 1000000"]
+    monkeypatch.setenv("HD_CAP", "1000")
+    assert run(["ds", "--group", "2000"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: ds_defect_estimate needs 2000 elements, cap is 1000"]
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(hdefect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "hdefect", "formula", "--group", "2x2"], env=env, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "10\n", "")
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -10,16 +10,16 @@ from hypothesis import given, settings, strategies as st
 from hdefect import exact
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
-from hdefect.errors import CapExceededError, NonExactError
+from hdefect.errors import CapExceededError, DefectMismatchError, NonExactError
 from hdefect.exact import (
-    BAREISS,
+    LIFT_PRIMES,
     MODULAR_LIFT,
     REFUTED_AT_INSTANCE,
     SUPPORTED,
+    CertifiedNullity,
     build_exact_system,
     conjecture_check,
     exact_upper_bound,
-    integer_matrix_rank,
     modular_prime,
     rational_nullity,
 )
@@ -51,6 +51,37 @@ def fraction_gauss_rank(rows, ncols):
                 f = m[k][c]
                 m[k] = [a - f * b for a, b in zip(m[k], m[rank])]
         rank += 1
+    return rank
+
+
+def integer_matrix_rank(rows, ncols):
+    # Rank oracle for whole pair systems: fraction-free (Bareiss) elimination with big integers.
+    m = [list(r) for r in rows]
+    for r in m:
+        if len(r) != ncols:
+            raise ValueError("ragged rows")
+    nrows = len(m)
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((k for k in range(r, nrows) if m[k][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        piv = m[r][c]
+        for k in range(r + 1, nrows):
+            rowk = m[k]
+            rowr = m[r]
+            factor = rowk[c]
+            for col in range(c + 1, ncols):
+                rowk[col] = (piv * rowk[col] - factor * rowr[col]) // prev
+            rowk[c] = 0
+        prev = piv
+        rank += 1
+        r += 1
+        if r == nrows:
+            break
     return rank
 
 
@@ -224,39 +255,96 @@ def test_modular_nullity_invariant_under_equivalence(pair):
     assert nullity == rational_nullity(build_exact_system(base))
 
 
-def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
+def descending_primes(q, count):
+    # Oracle for the retry sequence: scan p = 1 (mod q) down from 2^31.
+    found = []
+    p = (2**31 - 2) // q * q + 1
+    while len(found) < count:
+        if is_prime(p):
+            found.append(p)
+        p -= q
+    return found
+
+
+def half_rows_mod(system, p):
+    half = system.pairs[:, 0] < system.pairs[:, 1]
+    blocks = power_reduction_table(system.root_order)[system.exponents[half]].transpose(0, 2, 1)
+    return pair_rows(system.pairs[half], blocks, system.n) % p
+
+
+@pytest.mark.parametrize("spec", SANDWICH_SPECS)
+def test_half_system_mod_p_has_the_full_rational_rank(spec):
+    # The premise of the retry: the rows of (j, i) add nothing over Q, and the first prime is lucky.
+    system = build_exact_system(_spec_matrix(spec))
+    p = modular_prime(system.root_order)
+    rank_p = len(exact._row_reduce_mod(half_rows_mod(system, p), p))
+    assert rank_p == integer_matrix_rank(system.integer_rows(), system.n * system.n)
+
+
+def test_lift_primes_descend_from_the_modular_prime():
+    for q in (1, 2, 8, 12, 16):
+        assert list(exact._lift_primes(q)) == descending_primes(q, LIFT_PRIMES)
+
+
+def test_unlucky_first_prime_retries_the_next(monkeypatch):
     # Modulo 2 the lifted kernel fails the exact check: the half system loses rank, or -1 lifts as 1.
-    monkeypatch.setattr(exact, "modular_prime", lambda q: 2)
+    lift_primes = exact._lift_primes
+    monkeypatch.setattr(exact, "_lift_primes", lambda q: iter([2, *lift_primes(q)]))
     for spec in ("fourier:2", "fourier:4", "fourier:6", "tao"):
         system = build_exact_system(_spec_matrix(spec))
         nullity = rational_nullity(system)
-        assert (nullity.method, nullity.prime) == (BAREISS, 2)
+        assert (nullity.method, nullity.prime) == (MODULAR_LIFT, modular_prime(system.root_order))
         assert nullity == bareiss_nullity(system)
+
+
+def test_no_lifting_prime_refuses(monkeypatch, capsys):
     # Modulo 7 the kernel entries of haagerup:1/8 have no small rational preimage.
-    monkeypatch.setattr(exact, "modular_prime", lambda q: 7)
-    nullity = rational_nullity(build_exact_system(haagerup_matrix(Fraction(1, 8))))
-    assert (nullity, nullity.method) == (12, BAREISS)
+    monkeypatch.setattr(exact, "_lift_primes", lambda q: iter([7]))
+    with pytest.raises(CapExceededError, match="primes 7 solves"):
+        rational_nullity(build_exact_system(haagerup_matrix(Fraction(1, 8))))
+    assert run(["conjecture", "haagerup:1/8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: rational nullity not proved" in captured.err and "primes 7 " in captured.err
 
 
-def test_each_branch_is_forced(monkeypatch):
+def test_failed_check_refuses_after_lift_primes(monkeypatch):
     system = build_exact_system(fourier_matrix(make_group([6])))
     assert rational_nullity(system).method == MODULAR_LIFT
-    with monkeypatch.context() as patch:
-        patch.setattr(exact, "_solves_full_system", lambda system, kernel: False)
-        nullity = rational_nullity(system)
-        assert (nullity, nullity.method) == (15, BAREISS)
-    with monkeypatch.context() as patch:
-        patch.setattr(exact, "_lift_kernel", lambda reduced, pivots, p: None)
-        nullity = rational_nullity(system)
-        assert (nullity, nullity.method) == (15, BAREISS)
+    checked = []
+
+    def never_solves(system, kernel):
+        checked.append(kernel.shape)
+        return False
+
+    monkeypatch.setattr(exact, "_solves_full_system", never_solves)
+    with pytest.raises(CapExceededError) as refused:
+        rational_nullity(system)
+    primes = descending_primes(6, LIFT_PRIMES)
+    assert checked == [(36, 15)] * LIFT_PRIMES
+    assert f"primes {', '.join(map(str, primes))} solves" in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "name, wrong, message",
+    [
+        ("rational_nullity", lambda system: CertifiedNullity(16, MODULAR_LIFT, 2), "rational nullity 16 exceeds"),
+        ("exact_upper_bound", lambda system: 14, "exact upper bound 14 is below"),
+    ],
+    ids=["nullity-above", "bound-below"],
+)
+def test_sandwich_violation_is_a_defect_mismatch(monkeypatch, capsys, name, wrong, message):
+    monkeypatch.setattr(exact, name, wrong)
+    with pytest.raises(DefectMismatchError, match=message):
+        conjecture_check(fourier_matrix(make_group([6])))
+    assert run(["conjecture", "fourier:6"]) == 1
+    assert capsys.readouterr().err == f"error: {message} certified defect 15; one of the two pipelines is wrong\n"
 
 
 def test_lifted_kernel_is_checked_exactly():
     system = build_exact_system(haagerup_matrix(Fraction(1, 8)))
     p = modular_prime(system.root_order)
-    half = system.pairs[:, 0] < system.pairs[:, 1]
-    blocks = power_reduction_table(8)[system.exponents[half]].transpose(0, 2, 1)
-    reduced = pair_rows(system.pairs[half], blocks, system.n) % p
+    reduced = half_rows_mod(system, p)
     pivots = exact._row_reduce_mod(reduced, p)
     kernel = exact._lift_kernel(reduced[: len(pivots)], pivots, p)
     assert kernel.shape == (36, 12)
