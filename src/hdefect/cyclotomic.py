@@ -5,18 +5,24 @@ Phi_d over proper divisors d, entirely in integer coefficient lists
 (low degree first). The reduction table expresses x^m mod Phi_q in the power
 basis 1, x, ..., x^(phi(q)-1); sums of q-th roots of unity are exactly zero
 iff their reduced coefficient vector vanishes. A table above
-`MAX_SYSTEM_BYTES` is refused before Phi_q is built.
+`MAX_SYSTEM_BYTES` is refused before Phi_q is built, and the tables kept
+between calls are bounded by `TABLE_CACHE_BYTES`.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from .errors import MAX_SYSTEM_BYTES, CapExceededError
 from .groups import factorize
+
+# Bytes of reduction tables kept. A scan meets every order of its grid per chunk: a lower bound rebuilds tables.
+TABLE_CACHE_BYTES = MAX_SYSTEM_BYTES
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -81,7 +87,25 @@ def euler_phi(q: int) -> int:
     return q // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
-@lru_cache(maxsize=None)
+def _cached_within_table_bytes(build):
+    """Cache build(q) as lru_cache does, but drop the least recently used tables, never the newest, while
+    they hold more than TABLE_CACHE_BYTES; cache_info() counts maxsize and currsize in bytes."""
+    tables, counts = {}, {"hits": 0, "misses": 0}  # tables from least to most recently used
+
+    @wraps(build)
+    def cached(q: int) -> np.ndarray:
+        counts["hits" if q in tables else "misses"] += 1
+        tables[q] = tables.pop(q) if q in tables else build(q)
+        while len(tables) > 1 and sum(t.nbytes for t in tables.values()) > TABLE_CACHE_BYTES:
+            del tables[next(iter(tables))]
+        return tables[q]
+
+    cached.cache_info = lambda: CacheInfo(*counts.values(), TABLE_CACHE_BYTES, sum(t.nbytes for t in tables.values()))
+    cached.cache_clear = lambda: tables.clear() or counts.update(hits=0, misses=0)
+    return cached
+
+
+@_cached_within_table_bytes
 def power_reduction_table(q: int) -> np.ndarray:
     """Rows m = 0..q-1: coefficient vector of x^m mod Phi_q (int64, shape q x phi)."""
     deg = euler_phi(q)

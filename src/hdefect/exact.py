@@ -7,27 +7,29 @@ the stacked system is the dimension of the rational part of the tangent space.
 Comparing it with the certified numeric defect d tests whether the tangent
 space has a rational basis at this instance.
 
-The rational nullity is computed modulo a prime p < 2^31, so that products of
-two residues fit in int64, and then proved exactly:
+Both bounds come from one elimination over F_p, for a prime p < 2^31 with
+p = 1 (mod q) so that products of two residues fit in int64. Its rows are those
+of the pairs i < j under zeta -> w^u, w of order q in F_p, for each unit u mod
+q. Phi_q splits mod p into the distinct factors x - w^u, so each pair's phi(q)
+rows are its power-basis rows times an invertible Vandermonde matrix: the stack
+has the row space mod p, and so the echelon form, of the power-basis half system.
 
-- Upper bound. Gauss-Jordan elimination over F_p of the rows of the pairs
-  i < j gives k = N^2 - rank_p. Reduction mod p can only lower a rank, and
-  those rows are a subset of the full system, so the nullity is at most k.
+- Upper bound. Elimination gives k = N^2 - rank_p. Reduction mod p can only
+  lower a rank, and the half system is part of the full one: nullity <= k.
 - Lower bound. The k free-column kernel vectors mod p are lifted by rational
   reconstruction, scaled to integers and checked exactly against the full
-  ordered-pair system. Each is nonzero on its own free column only, so they
-  are independent and the nullity is at least k.
+  system. Each is nonzero on its own free column only, so nullity >= k.
+- Bound on d. The rows of (j, i) are minus the u = -1 rows of (i, j), so the
+  u = 1 and u = -1 rows span the complex ordered-pair system under zeta -> w.
+  The elimination pivots on them first and so counts their rank mod p; N^2
+  minus it is the float-free `exact_upper_bound`, read off the first prime.
 
-The rows of (j, i) are minus the complex conjugates of those of (i, j), so a
-rational A solves the one exactly when it solves the other: the half system
-always has the full rational rank. A lift then fails only at one of finitely
-many unlucky primes, cured by the next prime p = 1 (mod q), or when a kernel
-entry's numerator or denominator exceeds sqrt(p/2), cured by none; after
-`LIFT_PRIMES` primes the nullity is refused.
-
-The first prime, the largest p < 2^31 with p = 1 (mod q), also gives the
-float-free upper bound d <= `exact_upper_bound`. Hence rational nullity <= d
-<= exact_upper_bound, and when the two ends meet, d is proved without floats.
+The rows of (j, i) are also minus the complex conjugates of those of (i, j),
+so the half system always has the full rational rank. A lift then fails only
+at one of finitely many unlucky primes, cured by the next prime p = 1 (mod q),
+or when a kernel entry's numerator or denominator exceeds sqrt(p/2), cured by
+none; after `LIFT_PRIMES` primes the nullity is refused. Hence rational nullity
+<= d <= exact_upper_bound, and when the two ends meet, d is proved without floats.
 """
 
 from __future__ import annotations
@@ -119,34 +121,46 @@ def _root_of_order(q: int, p: int) -> int:
     raise ValueError(f"no element of order {q} modulo {p}")
 
 
-def _row_reduce_mod(a: np.ndarray, p: int) -> list[int]:
-    """Reduce a (residues in [0, p)) in place to reduced row echelon form over F_p.
+def _conjugate_rows(system: ExactSystem, p: int, count: int, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
+    """Rows mod p of the pairs i < j under zeta -> w^u, a block per unit u: the first `count`, 1 and -1 first."""
+    q, pairs = system.root_order, system.pairs
+    units = list(dict.fromkeys([1 % q, -1 % q, *(u for u in range(q) if math.gcd(u, q) == 1)]))[:count]
+    half = pairs[:, 0] < pairs[:, 1]
+    w = _root_of_order(q, p)
+    powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
+    blocks = powers[np.multiply.outer(units, system.exponents[half]) % q][:, :, None, :]
+    rows = pair_rows(pairs[half], blocks, system.n, byte_cap).reshape(-1, system.n**2)
+    rows %= p
+    return rows
 
-    Returns the pivot columns; the first len(pivots) rows of a are then the
-    nonzero rows of the echelon form.
+
+def _echelon_mod(a: np.ndarray, p: int, lead: int) -> tuple[list[int], int]:
+    """Reduce a (residues in [0, p)) in place to reduced row echelon form over F_p, pivoting on a[:lead] first.
+
+    Returns the pivot columns, whose rows are then the first len(pivots) rows of a, and the rank of a[:lead].
+    A column takes its pivot from the unused lead rows whenever one is nonzero there, so an unused lead row
+    is changed only by pivots that were unused lead rows: they go through the elimination of a[:lead] alone,
+    and the lead pivots count its rank.
     """
-    nrows, ncols = a.shape
-    pivots = []
-    for c in range(ncols):
+    pivots, rest = [], lead  # rows [len(pivots), rest) are the unused lead rows
+    for c in range(a.shape[1]):
         r = len(pivots)
-        if r == nrows:
-            break
-        candidates = np.flatnonzero(a[r:, c])
-        if candidates.size == 0:
+        nonzero = r + np.flatnonzero(a[r:, c])
+        if nonzero.size == 0:
             continue
-        k = r + int(candidates[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
+        k = int(nonzero[0])  # rows r..k-1 are zero in column c, so the swaps move no row of nonzero[1:]
+        if k >= rest:  # a row below the lead block: it moves to the front of the rows below it
+            a[[rest, k]] = a[[k, rest]]
+            k, rest = rest, rest + 1
+        a[[r, k]] = a[[k, r]]
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        if others.size:
-            block = a[others, c:]
-            block -= np.multiply.outer(block[:, 0], a[r, c:])
-            block %= p
-            a[others, c:] = block
+        others = np.concatenate([np.flatnonzero(a[:r, c]), nonzero[1:]])
+        block = a[others, c:]
+        block -= np.multiply.outer(block[:, 0], a[r, c:])
+        block %= p
+        a[others, c:] = block
         pivots.append(c)
-    return pivots
+    return pivots, len(pivots) - (rest - lead)
 
 
 def _rational_reconstruction(residues: np.ndarray, p: int):
@@ -216,38 +230,36 @@ def _solves_full_system(system: ExactSystem, kernel: np.ndarray) -> bool:
 
 
 class CertifiedNullity(int):
-    """A rational nullity that records how it was proved: `method` and the `prime` it was proved at.
+    """A rational nullity that records how it was proved, `method` and `prime`, and the `upper_bound` on d.
 
     It compares, computes and serialises as the plain int, so callers that
     need only the number are unaffected.
     """
 
-    def __new__(cls, value: int, method: str, prime: int):
+    def __new__(cls, value: int, method: str, prime: int, upper_bound: int):
         self = super().__new__(cls, value)
-        self.method = method
-        self.prime = prime
+        self.method, self.prime, self.upper_bound = method, prime, upper_bound
         return self
 
 
 def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> CertifiedNullity:
     """Dimension over Q of the rational solutions of the exact system, proved as the module docstring says.
 
-    Tries the primes of `_lift_primes(q)` in turn; CapExceededError when none of them lifts.
+    One elimination per prime of `_lift_primes(q)` in turn; CapExceededError when none of them lifts.
     """
-    n = system.n
+    n, q = system.n, system.root_order
     check_system_size(n * (n - 1) // 2 * system.degree, n, byte_cap)
-    pairs = system.pairs
-    half = pairs[:, 0] < pairs[:, 1]
-    blocks = power_reduction_table(system.root_order)[system.exponents[half]].transpose(0, 2, 1)
+    lead = min(2, system.degree) * n * (n - 1) // 2  # the rows of u = 1 and u = -1, one block when q <= 2
     tried = []
-    for p in _lift_primes(system.root_order):
+    for p in _lift_primes(q):
         tried.append(p)
-        reduced = pair_rows(pairs[half], blocks, n, byte_cap)
-        reduced %= p
-        pivots = _row_reduce_mod(reduced, p)
+        reduced = _conjugate_rows(system, p, system.degree, byte_cap)
+        pivots, lead_rank = _echelon_mod(reduced, p, lead)
+        if len(tried) == 1:  # the bound on d is read off the first prime, `modular_prime(q)`
+            upper = n * n - lead_rank
         kernel = _lift_kernel(reduced[: len(pivots)], pivots, p)
         if kernel is not None and _solves_full_system(system, kernel):
-            return CertifiedNullity(kernel.shape[1], MODULAR_LIFT, p)
+            return CertifiedNullity(kernel.shape[1], MODULAR_LIFT, p, upper)
     raise CapExceededError(
         f"rational nullity not proved: no kernel lifted modulo the primes {', '.join(map(str, tried))} solves "
         f"the full system (rational reconstruction bound sqrt(p/2) <= {math.isqrt(max(tried) // 2)})"
@@ -257,21 +269,13 @@ def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> C
 def exact_upper_bound(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> int:
     """Float-free upper bound on the undephased defect, N^2 - rank_p of the complex pair system.
 
-    The complex ordered-pair system has entries zeta_q^e; with p =
-    `modular_prime(q)` they are sent to w^e for an element w of order q in
-    F_p. This ring map can only lower the rank, and the real solution space
-    of the complex system has dimension N^2 minus its complex rank, which is
-    the defect.
+    Its real solution space has dimension N^2 minus its complex rank, the defect; sending zeta_q to w mod
+    p = `modular_prime(q)` can only lower the rank. `rational_nullity` reads the same bound off its elimination.
     """
-    q = system.root_order
-    n = system.n
-    check_system_size(len(system.pairs), n, byte_cap)
-    p = modular_prime(q)
-    w = _root_of_order(q, p)
-    powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
-    rows = pair_rows(system.pairs, powers[system.exponents][:, None, :], n, byte_cap)
-    rows %= p
-    return n * n - len(_row_reduce_mod(rows, p))
+    check_system_size(len(system.pairs), system.n, byte_cap)
+    p = modular_prime(system.root_order)
+    rows = _conjugate_rows(system, p, 2, byte_cap)
+    return system.n**2 - _echelon_mod(rows, p, len(rows))[1]
 
 
 @dataclass(frozen=True)
@@ -299,20 +303,20 @@ def conjecture_check(
     The rational solution space embeds in the real one, so the nullity can
     never exceed the defect; a strict gap is a genuine counterexample at this
     instance, while equality supports the rational-basis conjecture. The
-    modular upper bound must in turn be at least the defect.
+    modular upper bound, read off the same elimination, must in turn be at
+    least the defect.
     """
     system = build_exact_system(h, degree_cap)
     nullity = rational_nullity(system)
-    upper = exact_upper_bound(system)
     report = undephased_defect(h, rel_tol, gap_threshold)
     if nullity > report.undephased_defect:
         raise DefectMismatchError(
             f"rational nullity {nullity} exceeds certified defect {report.undephased_defect}; "
             "one of the two pipelines is wrong"
         )
-    if upper < report.undephased_defect:
+    if nullity.upper_bound < report.undephased_defect:
         raise DefectMismatchError(
-            f"exact upper bound {upper} is below certified defect {report.undephased_defect}; "
+            f"exact upper bound {nullity.upper_bound} is below certified defect {report.undephased_defect}; "
             "one of the two pipelines is wrong"
         )
     verdict = SUPPORTED if nullity == report.undephased_defect else REFUTED_AT_INSTANCE
@@ -324,7 +328,7 @@ def conjecture_check(
         numeric_defect=report.undephased_defect,
         gap_ratio=report.gap_ratio,
         verdict=verdict,
-        exact_upper_bound=upper,
+        exact_upper_bound=nullity.upper_bound,
         method=nullity.method,
         prime=nullity.prime,
     )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdefect
-from hdefect import charstats
+from hdefect import charstats, cli
 from hdefect.cli import (
     CirculantSpec,
     DeformedSpec,
@@ -406,13 +406,39 @@ def test_ds_group_cap_before_the_sweep(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: ds_defect_estimate needs 2000 elements, cap is 1000"]
 
 
-def test_python_m_runs_the_cli():
+def run_python(*args):
+    # A fresh interpreter that imports this checkout's hdefect.
     src = str(Path(hdefect.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "hdefect", "formula", "--group", "2x2"], env=env, capture_output=True, text=True
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "10\n", "")
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_python_m_runs_the_cli():
+    assert run_python("-m", "hdefect", "formula", "--group", "2x2") == (0, "10\n", "")
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # A scan imports concurrent.futures itself; scipy and hypothesis are never needed.
+    heavy = "('concurrent', 'scipy', 'hypothesis')"
+    code = f"import sys, hdefect.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] in {heavy}))"
+    assert run_python("-c", code) == (0, "\n", "")
+
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_arg_parser
+    monkeypatch.setattr(cli, "build_arg_parser", lambda: built.append(1) or build())
+    cli._arg_parser.cache_clear()
+    try:
+        calls = (["defect", "fourier:2", "--dephased"], ["defect", "fourier:2"], ["nope"])
+        assert [run(argv) for argv in calls] == [0, 0, 2]
+    finally:
+        cli._arg_parser.cache_clear()
+    assert len(built) == 1
+    first, second, _ = capsys.readouterr().out.split("}\n")
+    # Options do not carry over from one call to the next.
+    assert "dephased_defect" in first and "dephased_defect" not in second
 
 
 def test_exit_codes(tmp_path, capsys):

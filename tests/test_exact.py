@@ -1,6 +1,7 @@
 """Exact rational systems: construction, modular and integer rank, the proof sandwich and the equality check."""
 
 from fractions import Fraction
+import json
 import random
 
 import numpy as np
@@ -83,6 +84,32 @@ def integer_matrix_rank(rows, ncols):
         if r == nrows:
             break
     return rank
+
+
+def gauss_jordan_mod(a, p):
+    # Rank oracle mod p: plain Gauss-Jordan elimination in place, pivot on the first nonzero row.
+    nrows, ncols = a.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        candidates = np.flatnonzero(a[r:, c])
+        if candidates.size == 0:
+            continue
+        k = r + int(candidates[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        if others.size:
+            block = a[others, c:]
+            block -= np.multiply.outer(block[:, 0], a[r, c:])
+            block %= p
+            a[others, c:] = block
+        pivots.append(c)
+    return pivots
 
 
 def test_f2_system_shape_and_rows():
@@ -272,12 +299,75 @@ def half_rows_mod(system, p):
     return pair_rows(system.pairs[half], blocks, system.n) % p
 
 
+def complex_rows_mod(system, p):
+    # The complex ordered-pair system under zeta -> w, for w of order q in F_p.
+    w = exact._root_of_order(system.root_order, p)
+    powers = np.array([pow(w, m, p) for m in range(system.root_order)], dtype=np.int64)
+    return pair_rows(system.pairs, powers[system.exponents][:, None, :], system.n) % p
+
+
+def assert_engine_matches_oracles(system):
+    q, n = system.root_order, system.n
+    p = modular_prime(q)
+    stack = exact._conjugate_rows(system, p, system.degree)
+    reference = half_rows_mod(system, p)
+    assert stack.shape == reference.shape
+    pivots, lead_rank = exact._echelon_mod(stack, p, len({1 % q, -1 % q}) * n * (n - 1) // 2)
+    assert pivots == gauss_jordan_mod(reference, p)
+    assert np.array_equal(stack[: len(pivots)], reference[: len(pivots)])
+    upper = n * n - len(gauss_jordan_mod(complex_rows_mod(system, p), p))
+    assert n * n - lead_rank == upper == exact_upper_bound(system)
+    assert rational_nullity(system).upper_bound == upper
+
+
+@pytest.mark.parametrize("spec", SANDWICH_SPECS)
+def test_engine_matches_the_separate_eliminations(spec):
+    assert_engine_matches_oracles(build_exact_system(_spec_matrix(spec)))
+
+
+def test_engine_matches_the_separate_eliminations_on_seeded_equivalents():
+    rng = random.Random(20261019)
+    for spec in EQUIVALENCE_BASES:
+        h = _spec_matrix(spec)
+        q = h.phase_order()
+        for _ in range(2):
+            rows, cols = list(range(h.n)), list(range(h.n))
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            phases = [[Fraction(rng.randrange(q), q) for _ in range(h.n)] for _ in range(2)]
+            assert_engine_matches_oracles(build_exact_system(apply_equivalence(h, rows, cols, *phases)))
+
+
+@st.composite
+def low_rank_matrices_mod_101(draw):
+    # Products of random factors: rank deficient, so rows below the split often depend on rows above it.
+    nrows, ncols, rank = draw(st.integers(0, 9)), draw(st.integers(1, 9)), draw(st.integers(0, 5))
+    entries = st.integers(0, 100)
+    left = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
+    a = np.array(left, dtype=np.int64).reshape(nrows, rank) @ np.array(right, dtype=np.int64).reshape(rank, ncols)
+    return a % 101, draw(st.integers(0, nrows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(low_rank_matrices_mod_101())
+def test_engine_lead_pivots_are_the_lead_rank(case):
+    a, split = case
+    reduced = a.copy()
+    pivots, lead_rank = exact._echelon_mod(reduced, 101, split)
+    assert lead_rank == len(gauss_jordan_mod(a[:split].copy(), 101))
+    reference = a.copy()
+    assert pivots == gauss_jordan_mod(reference, 101)
+    assert np.array_equal(reduced[: len(pivots)], reference[: len(pivots)])
+    assert not reduced[len(pivots) :].any()
+
+
 @pytest.mark.parametrize("spec", SANDWICH_SPECS)
 def test_half_system_mod_p_has_the_full_rational_rank(spec):
     # The premise of the retry: the rows of (j, i) add nothing over Q, and the first prime is lucky.
     system = build_exact_system(_spec_matrix(spec))
     p = modular_prime(system.root_order)
-    rank_p = len(exact._row_reduce_mod(half_rows_mod(system, p), p))
+    rank_p = len(gauss_jordan_mod(half_rows_mod(system, p), p))
     assert rank_p == integer_matrix_rank(system.integer_rows(), system.n * system.n)
 
 
@@ -286,26 +376,42 @@ def test_lift_primes_descend_from_the_modular_prime():
         assert list(exact._lift_primes(q)) == descending_primes(q, LIFT_PRIMES)
 
 
+UNLIFTABLE_AT_17 = "tensor:(fourier:2,haagerup:1/8)"  # a kernel entry of height 19 > sqrt(17/2); 17 = 1 (mod 8)
+
+
 def test_unlucky_first_prime_retries_the_next(monkeypatch):
-    # Modulo 2 the lifted kernel fails the exact check: the half system loses rank, or -1 lifts as 1.
     lift_primes = exact._lift_primes
-    monkeypatch.setattr(exact, "_lift_primes", lambda q: iter([2, *lift_primes(q)]))
+    monkeypatch.setattr(exact, "_lift_primes", lambda q: iter([17, *lift_primes(q)]))
+    system = build_exact_system(_spec_matrix(UNLIFTABLE_AT_17))
+    nullity = rational_nullity(system)
+    assert (nullity.method, nullity.prime, int(nullity)) == (MODULAR_LIFT, modular_prime(8), 38)
+    monkeypatch.setattr(exact, "_lift_primes", lift_primes)
+    # A first failed exact check moves the lift to the second prime; the bound stays the first prime's.
+    solves = exact._solves_full_system
     for spec in ("fourier:2", "fourier:4", "fourier:6", "tao"):
+        checks = []
+
+        def fails_first(system, kernel, checks=checks):
+            checks.append(kernel.shape)
+            return len(checks) > 1 and solves(system, kernel)
+
+        monkeypatch.setattr(exact, "_solves_full_system", fails_first)
         system = build_exact_system(_spec_matrix(spec))
         nullity = rational_nullity(system)
-        assert (nullity.method, nullity.prime) == (MODULAR_LIFT, modular_prime(system.root_order))
+        assert (nullity.method, nullity.prime) == (MODULAR_LIFT, descending_primes(system.root_order, 2)[1])
+        assert len(checks) == 2
         assert nullity == bareiss_nullity(system)
+        assert nullity.upper_bound == exact_upper_bound(system)
 
 
 def test_no_lifting_prime_refuses(monkeypatch, capsys):
-    # Modulo 7 the kernel entries of haagerup:1/8 have no small rational preimage.
-    monkeypatch.setattr(exact, "_lift_primes", lambda q: iter([7]))
-    with pytest.raises(CapExceededError, match="primes 7 solves"):
-        rational_nullity(build_exact_system(haagerup_matrix(Fraction(1, 8))))
-    assert run(["conjecture", "haagerup:1/8"]) == 1
+    monkeypatch.setattr(exact, "_lift_primes", lambda q: iter([17]))
+    with pytest.raises(CapExceededError, match="primes 17 solves"):
+        rational_nullity(build_exact_system(_spec_matrix(UNLIFTABLE_AT_17)))
+    assert run(["conjecture", UNLIFTABLE_AT_17]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: rational nullity not proved" in captured.err and "primes 7 " in captured.err
+    assert "error: rational nullity not proved" in captured.err and "primes 17 " in captured.err
 
 
 def test_failed_check_refuses_after_lift_primes(monkeypatch):
@@ -326,26 +432,41 @@ def test_failed_check_refuses_after_lift_primes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, wrong, message",
+    "nullity, message",
     [
-        ("rational_nullity", lambda system: CertifiedNullity(16, MODULAR_LIFT, 2), "rational nullity 16 exceeds"),
-        ("exact_upper_bound", lambda system: 14, "exact upper bound 14 is below"),
+        (CertifiedNullity(16, MODULAR_LIFT, 2, 36), "rational nullity 16 exceeds"),
+        (CertifiedNullity(15, MODULAR_LIFT, 2, 14), "exact upper bound 14 is below"),
     ],
     ids=["nullity-above", "bound-below"],
 )
-def test_sandwich_violation_is_a_defect_mismatch(monkeypatch, capsys, name, wrong, message):
-    monkeypatch.setattr(exact, name, wrong)
+def test_sandwich_violation_is_a_defect_mismatch(monkeypatch, capsys, nullity, message):
+    monkeypatch.setattr(exact, "rational_nullity", lambda system: nullity)
     with pytest.raises(DefectMismatchError, match=message):
         conjecture_check(fourier_matrix(make_group([6])))
     assert run(["conjecture", "fourier:6"]) == 1
     assert capsys.readouterr().err == f"error: {message} certified defect 15; one of the two pipelines is wrong\n"
 
 
+def test_one_elimination_per_conjecture_call(monkeypatch, capsys):
+    counts = dict.fromkeys(("_echelon_mod", "exact_upper_bound"), 0)
+    for name in counts:
+
+        def counted(*args, _name=name, _original=getattr(exact, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exact, name, counted)
+    assert run(["conjecture", "haagerup:1/8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rational_nullity"], report["numeric_defect"], report["exact_upper_bound"]) == (12, 15, 15)
+    assert counts == {"_echelon_mod": 1, "exact_upper_bound": 0}
+
+
 def test_lifted_kernel_is_checked_exactly():
     system = build_exact_system(haagerup_matrix(Fraction(1, 8)))
     p = modular_prime(system.root_order)
     reduced = half_rows_mod(system, p)
-    pivots = exact._row_reduce_mod(reduced, p)
+    pivots = gauss_jordan_mod(reduced, p)
     kernel = exact._lift_kernel(reduced[: len(pivots)], pivots, p)
     assert kernel.shape == (36, 12)
     full = np.array(system.integer_rows(), dtype=object)
