@@ -72,11 +72,6 @@ class ExactSystem:
     exponents: np.ndarray
     provenance: str
 
-    def integer_rows(self) -> list[list[int]]:
-        """The phi(q) * len(pairs) integer rows over the N^2 unknowns."""
-        blocks = power_reduction_table(self.root_order)[self.exponents].transpose(0, 2, 1)
-        return pair_rows(self.pairs, blocks, self.n).tolist()
-
 
 def build_exact_system(h: HadamardMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> ExactSystem:
     """Exact pair system of an exact-phase matrix; q is the common phase order."""
@@ -129,7 +124,7 @@ def _conjugate_rows(system: ExactSystem, p: int, count: int, byte_cap: int = MAX
     w = _root_of_order(q, p)
     powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
     blocks = powers[np.multiply.outer(units, system.exponents[half]) % q][:, :, None, :]
-    rows = pair_rows(pairs[half], blocks, system.n, byte_cap).reshape(-1, system.n**2)
+    rows = pair_rows(pairs[half], blocks, np.eye(system.n, dtype=np.int64), byte_cap).reshape(-1, system.n**2)
     rows %= p
     return rows
 
@@ -248,7 +243,7 @@ def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> C
     One elimination per prime of `_lift_primes(q)` in turn; CapExceededError when none of them lifts.
     """
     n, q = system.n, system.root_order
-    check_system_size(n * (n - 1) // 2 * system.degree, n, byte_cap)
+    check_system_size(n * (n - 1) // 2 * system.degree, n * n, byte_cap)
     lead = min(2, system.degree) * n * (n - 1) // 2  # the rows of u = 1 and u = -1, one block when q <= 2
     tried = []
     for p in _lift_primes(q):
@@ -272,7 +267,7 @@ def exact_upper_bound(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> 
     Its real solution space has dimension N^2 minus its complex rank, the defect; sending zeta_q to w mod
     p = `modular_prime(q)` can only lower the rank. `rational_nullity` reads the same bound off its elimination.
     """
-    check_system_size(len(system.pairs), system.n, byte_cap)
+    check_system_size(len(system.pairs), system.n**2, byte_cap)
     p = modular_prime(system.root_order)
     rows = _conjugate_rows(system, p, 2, byte_cap)
     return system.n**2 - _echelon_mod(rows, p, len(rows))[1]

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise, product
+from itertools import product
 
 import numpy as np
 
@@ -122,16 +122,21 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+# Miller-Rabin over the first 12 primes as bases is exact below the limit (Sorenson and Webster, 2015).
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial division, exact for every p."""
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin, exact for every p below PRIME_TEST_LIMIT; ValueError above it."""
+    if p >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality of {p} is not decided below {PRIME_TEST_LIMIT}")
+    if p < 2 or any(p % b == 0 for b in PRIME_TEST_BASES):
+        return p in PRIME_TEST_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d with d odd
+    # Per base, b^(d 2^t) for t = 0, ..., s: a prime p has b^d = 1 or b^(d 2^t) = -1 for some t < s.
+    chains = ([pow(b, (p - 1) >> (s - t), p) for t in range(s + 1)] for b in PRIME_TEST_BASES)
+    return all(c[0] == 1 or p - 1 in c[:-1] for c in chains)
 
 
 def isotypic_decomposition(group: FiniteAbelianGroup) -> dict[int, tuple[int, ...]]:
@@ -220,7 +225,7 @@ def _p_space_keys(group: FiniteAbelianGroup, cap: int | None):
     that column translation runs along, and the column pair that conjugation
     ties.
     """
-    _check_cap(group.order, cap, "p_space_components")
+    _check_cap(group.order, cap, "parameter space")
     n = group.order
     shift, neg = group.index_tables()
     cols = np.arange(n)
@@ -230,26 +235,6 @@ def _p_space_keys(group: FiniteAbelianGroup, cap: int | None):
         least = np.minimum(least, least[shift, cols])
         shift = shift[shift, cols]
     return (least * n + np.minimum(cols, neg)).ravel(), neg
-
-
-def p_space_components(group: FiniteAbelianGroup, cap: int | None = None):
-    """Constraint classes of the group-indexed parameter space.
-
-    Entries P[i][j] are tied by column translation (P[i][j] = P[i+j][j]), which
-    runs along the coset i + <j>, and column conjugation (P[i][j] = conj(P[i][-j])),
-    which keeps the row; so a class is one coset in the columns j and -j, forced
-    real exactly when j = -j (2j = 0). Returns a list of (members, forced_real)
-    where members holds (row_index, col_index, parity) triples, parity 1 meaning
-    the entry is the conjugate of the class value (the larger of the two columns).
-    """
-    n = group.order
-    key, neg = _p_space_keys(group, cap)
-    order = np.argsort(key, kind="stable")
-    rows, columns = np.divmod(order, n)
-    members = list(zip(rows.tolist(), columns.tolist(), (columns > neg[columns]).astype(int).tolist()))
-    real = (columns == neg[columns]).tolist()
-    starts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), n * n]
-    return [(members[a:b], real[a]) for a, b in pairwise(starts)]
 
 
 def p_space_dimension(group: FiniteAbelianGroup, cap: int | None = None) -> int:

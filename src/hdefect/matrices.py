@@ -152,10 +152,6 @@ class DeformationParameters(UnimodularMatrix):
     def from_turns(cls, rows) -> "DeformationParameters":
         return cls(turns=rows)
 
-    @classmethod
-    def flat(cls, rows: int, cols: int) -> "DeformationParameters":
-        return cls(phases=(np.zeros((rows, cols), dtype=np.int64), 1))
-
 
 class HadamardMatrix(UnimodularMatrix):
     """Square candidate matrix with a provenance label; validity is a separate check."""

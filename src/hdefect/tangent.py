@@ -2,15 +2,21 @@
 
 The enveloping tangent space at a Hadamard matrix H is the real solution set
 of, for all i != j, sum_k H_ik conj(H_jk) (A_ik - A_jk) = 0. It is encoded as
-one real row per ordered pair (real part for i < j, imaginary part for i > j)
-over the N^2 unknowns A_ab laid out row-major. Ranks come from singular
-values only, and every reported rank must clear a spectral-gap certificate.
+one real row per ordered pair (real part for i < j, imaginary part for i > j).
+Ranks come from singular values only, and every reported rank must clear a
+spectral-gap certificate.
 
 Every pair system in the package, floating or exact, single or stacked, is
-built by one scatter, `pair_rows`, from per-pair coefficient blocks;
+built by one assembly, `pair_rows`, from per-pair coefficient blocks over the
+unknowns X of A = B X B^T for a column basis B; B = I gives the entries A_ab.
+Ranks are taken over the orthogonal `helmert_matrix` W: its unknowns X_0b and
+X_a0 span the 2N - 1 rephasings a 1^T + 1 b^T, which solve the system exactly
+for every Hadamard H, and are dropped. The SVD ranks the other (N-1)^2, which
+span their orthogonal complement, so the rank and every nonzero singular
+value are those of the full system, and d = N^2 - rank.
 `check_system_size` refuses any system above `MAX_SYSTEM_BYTES` before it or
 its blocks are allocated. A deformation scan takes one stack of cells, one
-scatter and one stacked SVD per chunk of cells, verified as stacks: exact
+assembly and one stacked SVD per chunk of cells, verified as stacks: exact
 cells grouped by their own root orders, as a single defect call checks them.
 One background thread per scan runs each chunk's SVD, a LAPACK call that
 releases the GIL, while the next chunk is built; at most two chunks are held.
@@ -34,20 +40,20 @@ from .errors import (
     NonHadamardError,
     ResidualError,
 )
-from .groups import FiniteAbelianGroup, enumeration_cap, fourier_defect, p_space_components
+from .groups import FiniteAbelianGroup, _p_space_keys, enumeration_cap, fourier_defect
 from .matrices import MAX_PHASE_ORDER, DeformationParameters, HadamardMatrix, _common_order, _roots
 from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_errors, turn_to_complex, verify_hadamard
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
-# Bytes of the stacked pair systems of one scan chunk: 18 cells of F2 (x) F4.
+# Bytes of the stacked ranked pair systems of one scan chunk: 23 cells of F2 (x) F4, 56 x 49 each.
 SCAN_CHUNK_BYTES = 2**19
 SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
 
 
 @dataclass(frozen=True)
 class TangentSystem:
-    """Real N(N-1) x N^2 coefficient matrix of the pair equations."""
+    """Real N(N-1) x k^2 coefficient matrix of the pair equations over A = B X B^T, B an N x k basis."""
 
     matrix: np.ndarray
     n: int
@@ -59,9 +65,20 @@ def ordered_pairs(n: int) -> np.ndarray:
     return np.argwhere(~np.eye(n, dtype=bool))
 
 
-def check_system_size(nrows: int, n: int, byte_cap: int = MAX_SYSTEM_BYTES) -> None:
-    """Raise CapExceededError when nrows pair rows over N^2 unknowns need more than byte_cap bytes."""
-    ncols = n * n
+def helmert_matrix(n: int) -> np.ndarray:
+    """Orthogonal N x N Helmert matrix: column 0 is 1/sqrt(N), column k > 0 is (1^k, -k, 0, ...)/sqrt(k(k+1))."""
+    k, rows = np.arange(n), np.arange(n)[:, None]
+    entries = np.where((rows < k) | (k == 0), 1.0, np.where(rows == k, -k, 0.0))
+    return entries / np.sqrt(np.where(k > 0, k * (k + 1.0), n))
+
+
+def _ranked_columns(n: int) -> np.ndarray:
+    """Columns of the unknowns X_ab, a, b >= 1, over `helmert_matrix(n)`; the other 2N - 1 are the rephasings."""
+    return (np.arange(1, n)[:, None] * n + np.arange(1, n)).ravel()
+
+
+def check_system_size(nrows: int, ncols: int, byte_cap: int = MAX_SYSTEM_BYTES) -> None:
+    """Raise CapExceededError when an nrows x ncols pair system needs more than byte_cap bytes."""
     nbytes = nrows * ncols * 8
     if nbytes > byte_cap:
         raise CapExceededError(
@@ -69,25 +86,25 @@ def check_system_size(nrows: int, n: int, byte_cap: int = MAX_SYSTEM_BYTES) -> N
         )
 
 
-def pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
-    """Rows of the pair equations over the N^2 unknowns A_ab, in the dtype of blocks.
+def pair_rows(pairs: np.ndarray, blocks: np.ndarray, basis: np.ndarray, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
+    """Rows of the pair equations over the k^2 unknowns X of A = B X B^T, row-major, for an N x k basis B.
 
-    blocks[..., p, :, :] (rows per pair x N) holds the coefficients of pair
-    (i, j) = pairs[p] on the unknowns A_ib; those on A_jb are their negatives.
-    Leading axes stack systems. The size of the whole stack is checked by
+    blocks[..., p, :, :] (rows per pair x N) holds the coefficient rows c of
+    pair (i, j) = pairs[p], whose equation is sum_b c_b (A_ib - A_jb) = 0; its
+    row over X is (B_i - B_j) (x) (B^T c). B = I gives the full system over the
+    N^2 entries A_ab, in integers for integer blocks and an integer I. Leading
+    axes stack systems. The size of the whole stack is checked by
     `check_system_size` before the rows are allocated; callers that build
     large blocks check it before building them.
     """
-    *stack, npairs, per_pair, _ = blocks.shape
-    nrows, ncols, count = npairs * per_pair, n * n, math.prod(stack)
-    check_system_size(count * nrows, n, byte_cap)
-    flat = blocks.reshape(count, npairs, per_pair, n).swapaxes(0, 1)
-    rows = np.zeros((count, npairs, per_pair, n, n), dtype=blocks.dtype)
-    # The two index arrays are split by a slice, so their pair axis comes first.
-    index = np.arange(npairs)
-    rows[:, index, :, pairs[:, 0], :] = flat
-    rows[:, index, :, pairs[:, 1], :] -= flat
-    return rows.reshape(*stack, nrows, ncols)
+    *stack, npairs, per_pair, n = blocks.shape
+    count, k = math.prod(stack), basis.shape[1]
+    check_system_size(count * npairs * per_pair, k * k, byte_cap)
+    ends = basis[pairs[:, 0]] - basis[pairs[:, 1]]
+    # One matrix product per system: its rounding depends on the product's shape, and a scan cell's rows must
+    # equal those of a single defect call bit for bit.
+    projected = (blocks.reshape(count, npairs * per_pair, n) @ basis).reshape(*stack, npairs, per_pair, 1, k)
+    return (ends[:, None, :, None] * projected).reshape(*stack, npairs * per_pair, k * k)
 
 
 def _pair_blocks(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -98,11 +115,12 @@ def _pair_blocks(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.where(upper, prods.real, prods.imag)[..., None, :]
 
 
-def tangent_system(h: HadamardMatrix) -> TangentSystem:
-    """Assemble the pair-equation system for any unimodular square matrix."""
-    check_system_size(h.n * (h.n - 1), h.n)
+def tangent_system(h: HadamardMatrix, basis: np.ndarray | None = None) -> TangentSystem:
+    """Assemble the pair-equation system of any unimodular square matrix over basis B; the full one by default."""
+    k = h.n if basis is None else basis.shape[1]
+    check_system_size(h.n * (h.n - 1), k * k)
     pairs = ordered_pairs(h.n)
-    matrix = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), h.n)
+    matrix = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), np.eye(h.n) if basis is None else basis)
     return TangentSystem(matrix=matrix, n=h.n, provenance=h.provenance)
 
 
@@ -169,8 +187,9 @@ def _require_hadamard(h: HadamardMatrix, verify_tol: float) -> None:
         )
 
 
-def _dephased_columns(n: int) -> list[int]:
-    return [a * n + b for a in range(1, n) for b in range(1, n)]
+def _dephased_basis(n: int) -> np.ndarray:
+    """Coordinate basis I[:, 1:] of the entries A_ab with a, b >= 1: first row and column pinned."""
+    return np.eye(n)[:, 1:]
 
 
 def _defect_pass(
@@ -179,32 +198,40 @@ def _defect_pass(
 ) -> tuple[DefectReport, int | None, list[np.ndarray] | None]:
     """Verify once, assemble once and certify the rank; optionally also the dephased defect and a tangent basis.
 
-    With `basis` the one SVD also gives the right singular vectors past the
-    rank: an orthonormal basis, each checked to solve the system within 10
-    rel_tol sigma_max. The dephased defect takes one more certified SVD, of
-    the columns A_ab with a, b >= 1 (first row and column pinned), checked
-    against d' = d - (2N - 1); the full matrix is released before that SVD.
+    The system is assembled over W = `helmert_matrix(N)` and ranked on its
+    `_ranked_columns`. With `basis` the one SVD also gives the right singular
+    vectors past the rank; these and the unit vectors of the 2N - 1 rephasings
+    map to W X W^T, an orthonormal basis of the tangent space, each checked to
+    solve the full system over the entries A_ab within 10 rel_tol sigma_max.
+    The dephased defect takes one more assembly and certified SVD, over
+    `_dephased_basis`, checked against d' = d - (2N - 1).
     """
     _require_hadamard(h, verify_tol)
     label = h.provenance or "matrix"
-    matrix = tangent_system(h).matrix
+    check_system_size(h.n * (h.n - 1), h.n**2)  # before the N x N Helmert matrix is built
+    n, w = h.n, helmert_matrix(h.n)
+    matrix = np.take(tangent_system(h, w).matrix, _ranked_columns(n), axis=1)
+    pairs = ordered_pairs(n)
     elements = None
     if basis:
         _, sigma, vh = np.linalg.svd(matrix)
         result = _certify(_rank_from_spectrum(sigma, rel_tol), gap_threshold, f"defect of {label}")
-        elements = [vh[r].reshape(h.n, h.n) for r in range(result.rank, len(vh))]
+        elements = [w[:, 1:] @ x.reshape(n - 1, n - 1) @ w[:, 1:].T for x in vh[result.rank:]]
+        elements += [np.outer(w[:, a], w[:, b]) for a, b in product(range(n), repeat=2) if a * b == 0]
+        full = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), np.eye(n))
         bound = 10 * rel_tol * sigma.max(initial=0.0)
         for b in elements:
-            residual = float(np.abs(matrix @ b.ravel()).max(initial=0.0))
+            residual = float(np.abs(full @ b.ravel()).max(initial=0.0))
             if residual > bound:
                 raise ResidualError(f"basis residual {residual:.3e} above bound {bound:.3e}")
     else:
         result = _certify(numeric_rank(matrix, rel_tol), gap_threshold, f"defect of {label}")
-    d = h.n * h.n - result.rank
+    del matrix
+    d = n * n - result.rank
     report = DefectReport(
-        n=h.n,
+        n=n,
         undephased_defect=d,
-        dephased_defect=d - (2 * h.n - 1),
+        dephased_defect=d - (2 * n - 1),
         rank=result.rank,
         gap_ratio=result.gap_ratio,
         singular_values=result.singular_values,
@@ -215,10 +242,9 @@ def _defect_pass(
     )
     if not dephased:
         return report, None, elements
-    restricted = matrix[:, _dephased_columns(h.n)]
-    del matrix
+    restricted = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), _dephased_basis(n))
     result = _certify(numeric_rank(restricted, rel_tol), gap_threshold, f"dephased defect of {label}")
-    direct = (h.n - 1) * (h.n - 1) - result.rank
+    direct = (n - 1) * (n - 1) - result.rank
     if direct != report.dephased_defect:
         raise DefectMismatchError(
             f"dephased defect paths disagree: restricted system gives {direct}, "
@@ -270,16 +296,16 @@ class PCheckReport:
     residual_tol: float
 
 
-def _p_space_basis(group: FiniteAbelianGroup) -> list[np.ndarray]:
+def _p_space_basis(group: FiniteAbelianGroup) -> np.ndarray:
+    """Parameter-space class elements: 1 on the class and, unless it is forced real, i on column j and -i on -j > j."""
     n = group.order
-    basis = []
-    for members, forced in p_space_components(group):
-        rows, cols, parities = np.array(members, dtype=int).T
-        for entries in [1.0] if forced else [1.0, np.where(parities, -1j, 1j)]:  # real, then imaginary
-            element = np.zeros((n, n), dtype=complex)
-            element[rows, cols] = entries
-            basis.append(element)
-    return basis
+    key, neg = _p_space_keys(group, None)
+    classes, label = np.unique(key, return_inverse=True)
+    members = label == np.arange(len(classes))[:, None]
+    cols = np.tile(np.arange(n), n)
+    forced = neg[classes % n] == classes % n
+    imaginary = members[~forced] * np.where(cols > neg[cols], -1j, 1j)
+    return np.concatenate([members, imaginary]).reshape(-1, n, n)
 
 
 def fourier_P_check(
@@ -306,13 +332,10 @@ def fourier_P_check(
         shifted, conjugated = p[add_index, np.arange(n)], np.conj(p[:, neg_index])
         violation = max(violation, float(np.abs(p - shifted).max()), float(np.abs(p - conjugated).max()))
 
-    system = tangent_system(f).matrix
-    membership = 0.0
     combinatorial = _p_space_basis(group)
-    for p in combinatorial:
-        a = p @ np.conj(fv.T) / n
-        residual = np.abs(system @ a.real.ravel()).max(initial=0.0)
-        membership = max(membership, float(np.max(np.abs(a.imag))), float(residual))
+    a = combinatorial @ np.conj(fv.T) / n
+    residual = tangent_system(f).matrix @ a.real.reshape(len(a), -1).T
+    membership = max(float(np.abs(a.imag).max(initial=0.0)), float(np.abs(residual).max(initial=0.0)))
 
     report = PCheckReport(
         dimension_numeric=len(basis),
@@ -391,8 +414,8 @@ def deformation_scan(
     labels = [str(t) for t in turns]
     turn_objects = np.array(turns, dtype=object)
     assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
-    rows = size * (size - 1)  # of a cell's pair system, and so its singular values
-    per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * size * size * 8), -(-SCAN_CHUNK_VALUES // max(1, rows)))
+    rows, cols, w, ranked = size * (size - 1), (size - 1) ** 2, helmert_matrix(size), _ranked_columns(size)
+    per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * cols * 8), -(-SCAN_CHUNK_VALUES // max(1, min(rows, cols))))
     exact = h.is_exact and k.is_exact
     if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
         (hn, kn), hk = _common_order(h, k)
@@ -430,7 +453,7 @@ def deformation_scan(
             values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
             modulus, ortho = gram_errors(values)
             failed = ~((modulus <= 1e-9) & (ortho <= 1e-9))
-        systems = pair_rows(pairs, _pair_blocks(values[~failed], pairs), size)
+        systems = np.take(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w), ranked, axis=-1)
         return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
 
     def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVD and single calls

@@ -1,0 +1,23 @@
+"""Test oracle for the full pair system: the scatter that assembled it before the basis-aware `pair_rows`."""
+
+import math
+
+import numpy as np
+
+
+def scatter_pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
+    """Rows of the pair equations over the N^2 unknowns A_ab, in the dtype of blocks.
+
+    blocks[..., p, :, :] (rows per pair x N) holds the coefficients of pair
+    (i, j) = pairs[p] on the unknowns A_ib; those on A_jb are their negatives.
+    Leading axes stack systems.
+    """
+    *stack, npairs, per_pair, _ = blocks.shape
+    count = math.prod(stack)
+    flat = blocks.reshape(count, npairs, per_pair, n).swapaxes(0, 1)
+    rows = np.zeros((count, npairs, per_pair, n, n), dtype=blocks.dtype)
+    # The two index arrays are split by a slice, so their pair axis comes first.
+    index = np.arange(npairs)
+    rows[:, index, :, pairs[:, 0], :] = flat
+    rows[:, index, :, pairs[:, 1], :] -= flat
+    return rows.reshape(*stack, npairs * per_pair, n * n)

@@ -254,8 +254,9 @@ def test_scan_summary_explains_itself(tmp_path, capsys):
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "4", "--gap", "1e300", "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["errors_by_type"] == {"AmbiguousRankError": summary["errors"]}
-    # Only the flat cell, whose gap is infinite, is certified.
-    assert (summary["min_gap_ratio"], summary["worst_cell"]) == (float("inf"), "0")
+    # Over the ranked columns no cell of F2 (x) F2 has d' = 0, so no gap is infinite and none is certified.
+    assert summary["errors"] == summary["cells"] == 4
+    assert (summary["min_gap_ratio"], summary["worst_cell"]) == (None, None)
 
     bad = tmp_path / "bad.json"
     save_matrix(HadamardMatrix.from_turns([[0, 0], [0, 0]]), str(bad))

@@ -33,7 +33,8 @@ from hdefect.matrices import (
     tao_matrix,
     tensor_product,
 )
-from hdefect.tangent import pair_rows, undephased_defect
+from hdefect.tangent import undephased_defect
+from pair_oracles import scatter_pair_rows
 
 
 def fraction_gauss_rank(rows, ncols):
@@ -86,6 +87,12 @@ def integer_matrix_rank(rows, ncols):
     return rank
 
 
+def integer_rows(system):
+    # The phi(q) * len(pairs) integer rows of an exact system over the N^2 unknowns, by the scatter oracle.
+    blocks = power_reduction_table(system.root_order)[system.exponents].transpose(0, 2, 1)
+    return scatter_pair_rows(system.pairs, blocks, system.n).tolist()
+
+
 def gauss_jordan_mod(a, p):
     # Rank oracle mod p: plain Gauss-Jordan elimination in place, pivot on the first nonzero row.
     nrows, ncols = a.shape
@@ -119,7 +126,7 @@ def test_f2_system_shape_and_rows():
     assert system.pairs.tolist() == [[0, 1], [1, 0]]
     for array in (system.pairs, system.exponents):
         assert array.dtype == np.int64 and not array.flags.writeable
-    assert system.integer_rows() == [[1, -1, -1, 1], [-1, 1, 1, -1]]
+    assert integer_rows(system) == [[1, -1, -1, 1], [-1, 1, 1, -1]]
 
 
 def test_f3_rows_split_per_pair():
@@ -127,7 +134,7 @@ def test_f3_rows_split_per_pair():
     assert system.root_order == 3
     assert system.degree == 2
     assert len(system.pairs) == 6
-    assert len(system.integer_rows()) == 12
+    assert len(integer_rows(system)) == 12
 
 
 def test_integer_rank_matches_fraction_gauss_on_random_matrices():
@@ -232,7 +239,7 @@ def _spec_matrix(spec):
 
 
 def bareiss_nullity(system):
-    return system.n * system.n - integer_matrix_rank(system.integer_rows(), system.n * system.n)
+    return system.n * system.n - integer_matrix_rank(integer_rows(system), system.n * system.n)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -296,14 +303,14 @@ def descending_primes(q, count):
 def half_rows_mod(system, p):
     half = system.pairs[:, 0] < system.pairs[:, 1]
     blocks = power_reduction_table(system.root_order)[system.exponents[half]].transpose(0, 2, 1)
-    return pair_rows(system.pairs[half], blocks, system.n) % p
+    return scatter_pair_rows(system.pairs[half], blocks, system.n) % p
 
 
 def complex_rows_mod(system, p):
     # The complex ordered-pair system under zeta -> w, for w of order q in F_p.
     w = exact._root_of_order(system.root_order, p)
     powers = np.array([pow(w, m, p) for m in range(system.root_order)], dtype=np.int64)
-    return pair_rows(system.pairs, powers[system.exponents][:, None, :], system.n) % p
+    return scatter_pair_rows(system.pairs, powers[system.exponents][:, None, :], system.n) % p
 
 
 def assert_engine_matches_oracles(system):
@@ -368,7 +375,7 @@ def test_half_system_mod_p_has_the_full_rational_rank(spec):
     system = build_exact_system(_spec_matrix(spec))
     p = modular_prime(system.root_order)
     rank_p = len(gauss_jordan_mod(half_rows_mod(system, p), p))
-    assert rank_p == integer_matrix_rank(system.integer_rows(), system.n * system.n)
+    assert rank_p == integer_matrix_rank(integer_rows(system), system.n * system.n)
 
 
 def test_lift_primes_descend_from_the_modular_prime():
@@ -469,7 +476,7 @@ def test_lifted_kernel_is_checked_exactly():
     pivots = gauss_jordan_mod(reduced, p)
     kernel = exact._lift_kernel(reduced[: len(pivots)], pivots, p)
     assert kernel.shape == (36, 12)
-    full = np.array(system.integer_rows(), dtype=object)
+    full = np.array(integer_rows(system), dtype=object)
     assert not (full @ kernel).any()
     assert exact._solves_full_system(system, kernel)
     # Large entries take the Python-int path and are still checked exactly.
@@ -512,7 +519,7 @@ def test_sandwich_on_corpus(spec):
 
 def assert_rows_evaluate_to_entry_products(h):
     system = build_exact_system(h)
-    rows = np.array(system.integer_rows()).reshape(len(system.pairs), system.degree, -1)
+    rows = np.array(integer_rows(system)).reshape(len(system.pairs), system.degree, -1)
     basis = np.exp(2j * np.pi * np.arange(system.degree) / system.root_order)
     values = h.to_values()
     for (i, j), row in zip(system.pairs, np.einsum("ptc,t->pc", rows, basis)):

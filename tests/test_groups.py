@@ -20,10 +20,13 @@ from hdefect.groups import (
     fourier_defect,
     fourier_defect_cyclic,
     isotypic_decomposition,
+    _p_space_keys,
+    is_prime,
     make_group,
-    p_space_components,
     p_space_dimension,
 )
+from hdefect.exact import _lift_primes
+from hdefect.tangent import _p_space_basis
 
 
 def order_by_repeated_addition(group, g):
@@ -71,6 +74,43 @@ def p_space_classes_by_search(group):
     return classes
 
 
+def p_space_components(group, cap=None):
+    """Oracle: constraint classes of the group-indexed parameter space, from `_p_space_keys`.
+
+    Entries P[i][j] are tied by column translation (P[i][j] = P[i+j][j]), which
+    runs along the coset i + <j>, and column conjugation (P[i][j] = conj(P[i][-j])),
+    which keeps the row; so a class is one coset in the columns j and -j, forced
+    real exactly when j = -j (2j = 0). Returns a list of (members, forced_real)
+    where members holds (row_index, col_index, parity) triples, parity 1 meaning
+    the entry is the conjugate of the class value (the larger of the two columns).
+    """
+    n = group.order
+    key, neg = _p_space_keys(group, cap)
+    order = np.argsort(key, kind="stable")
+    rows, columns = np.divmod(order, n)
+    members = list(zip(rows.tolist(), columns.tolist(), (columns > neg[columns]).astype(int).tolist()))
+    real = (columns == neg[columns]).tolist()
+    starts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), n * n]
+    return [(members[a:b], real[a]) for a, b in zip(starts, starts[1:])]
+
+
+def is_prime_by_trial_division(p):
+    """Oracle: no divisor d with d^2 <= p."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(10**5) if is_prime(p)] == [p for p in range(10**5) if is_prime_by_trial_division(p)]
+    assert not is_prime(25326001)  # strong pseudoprime to the bases 2, 3 and 5
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+    for q in (2, 8, 12, 16):
+        for p in _lift_primes(q):
+            assert is_prime(p) and is_prime_by_trial_division(p)
+            assert not is_prime(p * p) and not is_prime(p * 4294967311)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+
+
 def test_make_group_validates():
     with pytest.raises(ValueError):
         make_group([0, 3])
@@ -111,9 +151,9 @@ def test_delta_bruteforce_examples():
     assert delta_by_enumeration(make_group([1])) == 1
 
 
-def test_p_space_components_cap():
+def test_p_space_keys_cap():
     with pytest.raises(CapExceededError):
-        p_space_components(make_group([12]), cap=11)
+        _p_space_keys(make_group([12]), cap=11)
     assert p_space_dimension(make_group([12]), cap=12) == fourier_defect(make_group([12]))
 
 
@@ -132,6 +172,20 @@ def test_p_space_components_match_search_up_to_64():
                 for (i, j), p in parity.items():
                     assert parity[add[i, j], j] == p  # translation keeps the parity
                     assert parity[i, neg[j]] == 1 - p  # conjugation flips it
+
+
+def test_p_space_basis_matches_the_classes():
+    for orders in ([1], [2], [3], [4], [2, 2], [6], [8], [2, 4]):
+        group = make_group(orders)
+        n = group.order
+        expected = []
+        for members, forced in p_space_components(group):
+            rows, cols, parities = np.array(members).T
+            for entries in [1.0] if forced else [1.0, np.where(parities, -1j, 1j)]:
+                element = np.zeros((n, n), dtype=complex)
+                element[rows, cols] = entries
+                expected.append(element.view(float).ravel().tolist())
+        assert sorted(e.view(float).ravel().tolist() for e in _p_space_basis(group)) == sorted(expected), group
 
 
 def test_index_tables_match_group_addition():

@@ -109,10 +109,15 @@ def test_deformed_tensor_display():
     assert brute_force_verify(h)
 
 
+def flat_parameters(rows, cols):
+    """The all-ones parameter matrix, whose deformed tensor product is the plain one."""
+    return DeformationParameters(phases=(np.zeros((rows, cols), dtype=np.int64), 1))
+
+
 def test_deformed_flat_is_tensor():
     f2 = fourier_matrix(make_group([2]))
     f3 = fourier_matrix(make_group([3]))
-    flat = DeformationParameters.flat(3, 2)
+    flat = flat_parameters(3, 2)
     assert deformed_tensor(f2, flat, f3).turns == tensor_product(f2, f3).turns
 
 
@@ -120,7 +125,7 @@ def test_deformed_shape_and_unimodularity_errors():
     f2 = fourier_matrix(make_group([2]))
     f3 = fourier_matrix(make_group([3]))
     with pytest.raises(ValueError):
-        deformed_tensor(f2, DeformationParameters.flat(2, 2), f3)
+        deformed_tensor(f2, flat_parameters(2, 2), f3)
     with pytest.raises(NonHadamardError):
         DeformationParameters(values=np.array([[1.0, 2.0], [1.0, 1.0]]))
 

@@ -233,7 +233,10 @@ def test_float_tangent_system_refused_before_products():
     def refused():
         with pytest.raises(CapExceededError):
             tangent_system(h)
+        with pytest.raises(CapExceededError):  # also before the rank path's Helmert matrix
+            undephased_defect(h)
 
+    power_reduction_table(128)
     # The products H_ik conj(H_jk) alone would take 16256 x 128 x 16 bytes, about 33 MB.
     assert 128 * 127 * 128**2 * 8 > MAX_SYSTEM_BYTES
     assert _peak_bytes(refused) < 2**20

@@ -47,6 +47,7 @@ from hdefect.tangent import (
     deformation_scan,
     dephased_defect,
     fourier_P_check,
+    helmert_matrix,
     numeric_rank,
     ordered_pairs,
     pair_rows,
@@ -54,6 +55,7 @@ from hdefect.tangent import (
     tangent_system,
     undephased_defect,
 )
+from pair_oracles import scatter_pair_rows
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -76,7 +78,7 @@ def circulant_tangent_system(eigenvalues) -> np.ndarray:
     k = np.arange(n)
     prods = d[(k - pairs[:, :1]) % n] * np.conj(d[(k - pairs[:, 1:]) % n]) / n
     upper = (pairs[:, 0] < pairs[:, 1])[:, None]
-    return pair_rows(pairs, np.where(upper, prods.real, prods.imag)[:, None, :], n)
+    return scatter_pair_rows(pairs, np.where(upper, prods.real, prods.imag)[:, None, :], n)
 
 
 def design_array(h: HadamardMatrix) -> np.ndarray:
@@ -94,7 +96,7 @@ def real_design_system(h: HadamardMatrix) -> np.ndarray:
     """Oracle: unordered-pair system for a matrix with +-1 entries, whose imaginary rows vanish."""
     eps = design_array(h)
     i, j = np.triu_indices(h.n, 1)
-    return pair_rows(np.stack([i, j], axis=1), eps[i, j][:, None, :].astype(float), h.n)
+    return scatter_pair_rows(np.stack([i, j], axis=1), eps[i, j][:, None, :].astype(float), h.n)
 
 
 def f22(q):
@@ -122,9 +124,11 @@ def test_numeric_rank_basics():
 
 
 def test_certification_failure_raises():
+    # F4 has d' = 1, so a rounding-level singular value sits below its rank; a rigid F3 now has an infinite gap.
     with pytest.raises(AmbiguousRankError) as info:
-        undephased_defect(fourier_matrix(make_group([3])), gap_threshold=1e300)
+        undephased_defect(fourier_matrix(make_group([4])), gap_threshold=1e300)
     assert info.value.singular_values
+    assert undephased_defect(fourier_matrix(make_group([3])), gap_threshold=1e300).gap_ratio == math.inf
 
 
 def test_undephased_defect_examples():
@@ -215,8 +219,8 @@ def test_one_tangent_pass_per_defect_call(monkeypatch, capsys):
     f6 = fourier_matrix(make_group([6]))
     assert calls(lambda: dephased_defect(f6)) == (1, 1, 2)
     assert calls(lambda: undephased_defect(f6)) == (1, 1, 1)
-    # The dephased columns are a check of their own: a wrong set must not pass.
-    monkeypatch.setattr(tangent, "_dephased_columns", lambda n: [])
+    # The dephased basis is a check of its own: a wrong one must not pass.
+    monkeypatch.setattr(tangent, "_dephased_basis", lambda n: np.eye(n)[:, :0])
     with pytest.raises(DefectMismatchError):
         dephased_defect(f6)
     assert run(["defect", "fourier:6", "--dephased"]) == 1
@@ -277,7 +281,7 @@ def test_tangent_basis_runs_one_svd(monkeypatch):
     assert len(tangent_basis(fourier_matrix(make_group([2, 2])))) == 10
     assert calls == [True]
     with pytest.raises(AmbiguousRankError):
-        tangent_basis(fourier_matrix(make_group([3])), gap_threshold=1e300)
+        tangent_basis(fourier_matrix(make_group([4])), gap_threshold=1e300)
 
 
 def test_tangent_basis_trivial_matrix():
@@ -495,13 +499,14 @@ def test_batched_scan_chunk_boundaries(monkeypatch, per_chunk):
     expected = [deformation_scan(h, k, grid) for h, k, grid in cases]
     for (h, k, grid), cells in zip(cases, expected):
         size = h.n * k.n
-        monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", per_chunk * size * (size - 1) * size * size * 8)
+        monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", per_chunk * size * (size - 1) * (size - 1) ** 2 * 8)
         monkeypatch.setattr(tangent, "SCAN_CHUNK_VALUES", 1)
         assert deformation_scan(h, k, grid) == cells
 
 
 def test_scan_chunks_hold_enough_singular_values_to_release_the_gil(monkeypatch):
-    # numpy runs a stacked SVD without the GIL only above 500 singular values; 0.5 MiB holds 3 cells of size 12.
+    # numpy runs a stacked SVD without the GIL only above 500 singular values; 0.5 MiB holds 4 ranked cells of
+    # size 12, 132 x 121 each, and 121 singular values a cell take 5 cells past 500.
     f2, f6 = fourier_matrix(make_group([2])), fourier_matrix(make_group([6]))
     stacks, svd = [], np.linalg.svd
 
@@ -511,7 +516,7 @@ def test_scan_chunks_hold_enough_singular_values_to_release_the_gil(monkeypatch)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert len(deformation_scan(f2, f6, ScanGrid(2))) == 32
-    assert stacks == [(4, 132, 144)] * 8
+    assert stacks == [(5, 132, 121)] * 6 + [(2, 132, 121)]
 
 
 def test_scan_svd_error_propagates_unchanged_and_the_thread_is_joined(monkeypatch):
@@ -527,7 +532,7 @@ def test_scan_svd_error_propagates_unchanged_and_the_thread_is_joined(monkeypatc
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError) as raised:
-        deformation_scan(f2, f4, ScanGrid(4))  # 64 cells in chunks of 18
+        deformation_scan(f2, f4, ScanGrid(4))  # 64 cells in chunks of 23
     assert raised.value is injected
     assert threading.main_thread() not in threads
     assert threading.active_count() == before
@@ -556,14 +561,15 @@ def test_scan_refuses_a_cell_above_the_order_cap_while_a_chunk_is_in_flight(monk
 
 
 def test_scan_csv_digest_with_gap_ratios(tmp_path):
-    # Recorded on x86-64 with OpenBLAS 0.3.31 (Haswell kernels) at 1 thread.
+    # Recorded on x86-64 with OpenBLAS 0.3.31 (Haswell kernels) at 1 thread; the CSV without its gap_ratio
+    # column has the digest 6040ba6d... that perfbench checks (SCAN_DIGEST).
     out = tmp_path / "scan.csv"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
     code = "import sys; from hdefect.cli import run; raise SystemExit(run(sys.argv[1:]))"
     argv = ["scan", "fourier:2", "fourier:4", "--grid", "16", "--out", str(out)]
     subprocess.run([sys.executable, "-c", code, *argv], check=True, env=env, capture_output=True)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "e6cb77d6670662dd482f93a34de5adcaf58b87fa5c26b1cc35b8b052ae47faf4"
+    assert digest == "8ad3243264eec5e9202300997b1e8a7febbd0e32c3bf98e7b0c243afc85b6b97"
 
 
 def _scalar_rank_rule(sigma, rel_tol):
@@ -592,10 +598,37 @@ def test_stacked_pair_rows_equal_single_systems():
     rng = np.random.default_rng(11)
     pairs = ordered_pairs(5)
     blocks = rng.standard_normal((3, len(pairs), 2, 5))
-    stacked = pair_rows(pairs, blocks, 5)
-    assert stacked.shape == (3, 2 * len(pairs), 25)
-    for system, block in zip(stacked, blocks):
-        assert np.array_equal(system, pair_rows(pairs, block, 5))
+    for basis in (np.eye(5), helmert_matrix(5), helmert_matrix(5)[:, 1:]):
+        stacked = pair_rows(pairs, blocks, basis)
+        k = basis.shape[1]
+        assert stacked.shape == (3, 2 * len(pairs), k * k)
+        for system, block in zip(stacked, blocks):
+            assert np.array_equal(system, pair_rows(pairs, block, basis))
+
+
+def test_identity_basis_rows_equal_the_scatter():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 8):
+        pairs = ordered_pairs(n)
+        floats = rng.standard_normal((3, len(pairs), 2, n))
+        integers = rng.integers(-2**30, 2**30, (len(pairs), 4, n))
+        assert np.array_equal(pair_rows(pairs, floats, np.eye(n)), scatter_pair_rows(pairs, floats, n))
+        exact = pair_rows(pairs, integers, np.eye(n, dtype=np.int64))
+        assert exact.dtype == np.int64 and np.array_equal(exact, scatter_pair_rows(pairs, integers, n))
+        # Any basis B gives the full system times B (x) B.
+        basis = rng.standard_normal((n, 3))
+        expected = scatter_pair_rows(pairs, floats, n) @ np.kron(basis, basis)
+        assert np.allclose(pair_rows(pairs, floats, basis), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_helmert_matrix_is_orthogonal_with_zero_sum_columns():
+    assert helmert_matrix(0).shape == (0, 0)
+    for n in range(1, 40):
+        w = helmert_matrix(n)
+        assert w.shape == (n, n)
+        assert np.allclose(w.T @ w, np.eye(n), atol=1e-14)
+        assert np.allclose(w[:, 1:].sum(axis=0), 0, atol=1e-14)
+        assert np.allclose(w[:, :1], n ** -0.5)
 
 
 def test_stacked_exact_verify_matches_single_verify():
@@ -645,3 +678,49 @@ def test_failing_pairs_work_in_blocks_of_bounded_size():
     assert np.array_equal(flags[:50], expected)
     # All 12000 (matrix, pair) rows of phi(1024) = 512 sums at once would take 49 MB.
     assert peak < 2 * matrices.CHECK_BLOCK_BYTES
+
+
+RANK_BASES = [
+    "fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "fourier:7", "fourier:8", "fourier:9",
+    "fourier:10", "fourier:11", "fourier:12", "fourier:2x2", "fourier:2x4", "fourier:3x3", "fourier:2x6",
+    "tao", "haagerup:1/8", "haagerup:1/12", "fourier:2x2x2", "tensor:(fourier:2,tao)",
+    "deformed:(fourier:2,[[0,0],[0,1/8]],fourier:2)", "deformed:(fourier:2,[[0,0],[0,0],[0,1/16]],fourier:3)",
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(RANK_BASES), st.integers(0, 2**32 - 1), st.booleans())
+def test_ranked_columns_keep_the_rank_and_the_nonzero_spectrum(spec, seed, floating):
+    h, rng = _spec(spec), np.random.default_rng(seed)
+    n, q = h.n, h.phase_order()
+    h = apply_equivalence(
+        h, tuple(rng.permutation(n).tolist()), tuple(rng.permutation(n).tolist()),
+        [F(int(e), q) for e in rng.integers(0, q, n)], [F(int(e), q) for e in rng.integers(0, q, n)],
+    )
+    if floating:
+        h = HadamardMatrix.from_values(h.to_values())
+    full = numeric_rank(tangent_system(h).matrix)
+    report = undephased_defect(h)
+    assert report.rank == full.rank
+    assert len(report.singular_values) == (n - 1) ** 2
+    top = np.array(full.singular_values[: full.rank])
+    assert np.allclose(report.singular_values[: full.rank], top, rtol=0, atol=1e-12 * top[0])
+
+
+def test_defect_svds_run_on_the_ranked_columns(monkeypatch, capsys):
+    systems, svd = [], np.linalg.svd
+
+    def recording_svd(a, **kwargs):
+        systems.append(np.array(a))
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert run(["defect", "fourier:6"]) == 0
+    assert [a.shape for a in systems] == [(30, 25)]
+    systems.clear()
+    assert run(["defect", "fourier:6", "--dephased"]) == 0
+    assert [a.shape for a in systems] == [(30, 25), (30, 25)]
+    # The second is the full system's columns A_ab with a, b >= 1: the coordinate basis I[:, 1:].
+    full = tangent_system(fourier_matrix(make_group([6]))).matrix
+    assert np.array_equal(systems[1], full.reshape(30, 6, 6)[:, 1:, 1:].reshape(30, 25))
+    capsys.readouterr()
