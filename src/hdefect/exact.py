@@ -7,29 +7,30 @@ the stacked system is the dimension of the rational part of the tangent space.
 Comparing it with the certified numeric defect d tests whether the tangent
 space has a rational basis at this instance.
 
-Both bounds come from one elimination over F_p, for a prime p < 2^31 with
-p = 1 (mod q) so that products of two residues fit in int64. Its rows are those
-of the pairs i < j under zeta -> w^u, w of order q in F_p, for each unit u mod
-q. Phi_q splits mod p into the distinct factors x - w^u, so each pair's phi(q)
-rows are its power-basis rows times an invertible Vandermonde matrix: the stack
-has the row space mod p, and so the echelon form, of the power-basis half system.
+Both bounds come from eliminations over F_p, for a prime p < 2^31 with
+p = 1 (mod q) so that products of two residues fit in int64. The rows are those
+of the pairs i < j under zeta -> w^u, w of order q in F_p, a block per unit u
+mod q. Phi_q splits mod p into the distinct factors x - w^u, so the blocks
+together have the row space mod p of the power-basis half system.
 
-- Upper bound. Elimination gives k = N^2 - rank_p. Reduction mod p can only
-  lower a rank, and the half system is part of the full one: nullity <= k.
-- Lower bound. The k free-column kernel vectors mod p are lifted by rational
-  reconstruction, scaled to integers and checked exactly against the full
-  system. Each is nonzero on its own free column only, so nullity >= k.
-- Bound on d. The rows of (j, i) are minus the u = -1 rows of (i, j), so the
-  u = 1 and u = -1 rows span the complex ordered-pair system under zeta -> w.
-  The elimination pivots on them first and so counts their rank mod p; N^2
-  minus it is the float-free `exact_upper_bound`, read off the first prime.
+- Lead rows. The u = 1 and u = -1 rows alone span the complex ordered-pair
+  system under zeta -> w, the rows of (j, i) being minus the u = -1 rows of
+  (i, j). Their elimination gives k = N^2 - rank_p; reduction mod p can only
+  lower a rank, so d <= k and nullity <= k. Their k free-column kernel vectors
+  are lifted by rational reconstruction, scaled to integers and checked exactly
+  against the full system. Each is nonzero on its own free column only, so a
+  passing check proves nullity = d = k.
+- Continuation. When the lift fails and phi(q) > 2, the other units' rows are
+  reduced against the lead echelon form by one exact modular product, the rest
+  eliminated and its pivots cleared from the lead rows; the echelon form of the
+  whole stack has its kernel lifted and checked in the same way.
 
 The rows of (j, i) are also minus the complex conjugates of those of (i, j),
 so the half system always has the full rational rank. A lift then fails only
 at one of finitely many unlucky primes, cured by the next prime p = 1 (mod q),
 or when a kernel entry's numerator or denominator exceeds sqrt(p/2), cured by
-none; after `LIFT_PRIMES` primes the nullity is refused. Hence rational nullity
-<= d <= exact_upper_bound, and when the two ends meet, d is proved without floats.
+none; after `LIFT_PRIMES` primes the nullity is refused. Hence nullity <= d <= k
+of the first prime, and when the two ends meet d is proved without floats.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .tangent import check_system_size, ordered_pairs, pair_rows
 DEFAULT_DEGREE_CAP = 64
 # Moduli stay below this, so the product of two residues fits in int64.
 MODULUS_LIMIT = 2**31
+# Sums of this many products of an 11-bit limb and a residue stay below 2^53, so float64 holds them exactly.
+MATMUL_CHUNK = 2**53 // 2**11 // MODULUS_LIMIT
 
 SUPPORTED = "SUPPORTED"
 REFUTED_AT_INSTANCE = "REFUTED-at-this-instance"
@@ -107,6 +110,7 @@ def _lift_primes(q: int):
         p = next(c for c in range(p - q, 1, -q) if is_prime(c))
 
 
+@lru_cache(maxsize=None)
 def _root_of_order(q: int, p: int) -> int:
     """An element of multiplicative order exactly q in F_p, for p = 1 (mod q)."""
     for g in range(2, p):
@@ -116,46 +120,62 @@ def _root_of_order(q: int, p: int) -> int:
     raise ValueError(f"no element of order {q} modulo {p}")
 
 
-def _conjugate_rows(system: ExactSystem, p: int, count: int, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
-    """Rows mod p of the pairs i < j under zeta -> w^u, a block per unit u: the first `count`, 1 and -1 first."""
+def _conjugate_rows(system: ExactSystem, p: int, start: int, stop: int, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
+    """Rows mod p of the pairs i < j under zeta -> w^u, a block per unit u: units start..stop-1, 1 and -1 first."""
     q, pairs = system.root_order, system.pairs
-    units = list(dict.fromkeys([1 % q, -1 % q, *(u for u in range(q) if math.gcd(u, q) == 1)]))[:count]
+    units = list(dict.fromkeys([1 % q, -1 % q, *(u for u in range(q) if math.gcd(u, q) == 1)]))[start:stop]
     half = pairs[:, 0] < pairs[:, 1]
     w = _root_of_order(q, p)
     powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
-    blocks = powers[np.multiply.outer(units, system.exponents[half]) % q][:, :, None, :]
+    blocks = powers[np.multiply.outer(np.array(units, dtype=np.int64), system.exponents[half]) % q][:, :, None, :]
     rows = pair_rows(pairs[half], blocks, np.eye(system.n, dtype=np.int64), byte_cap).reshape(-1, system.n**2)
     rows %= p
     return rows
 
 
-def _echelon_mod(a: np.ndarray, p: int, lead: int) -> tuple[list[int], int]:
-    """Reduce a (residues in [0, p)) in place to reduced row echelon form over F_p, pivoting on a[:lead] first.
-
-    Returns the pivot columns, whose rows are then the first len(pivots) rows of a, and the rank of a[:lead].
-    A column takes its pivot from the unused lead rows whenever one is nonzero there, so an unused lead row
-    is changed only by pivots that were unused lead rows: they go through the elimination of a[:lead] alone,
-    and the lead pivots count its rank.
-    """
-    pivots, rest = [], lead  # rows [len(pivots), rest) are the unused lead rows
+def _echelon_mod(a: np.ndarray, p: int) -> list[int]:
+    """Reduce a (residues in [0, p)) in place to reduced row echelon form over F_p by Gauss-Jordan elimination;
+    returns the pivot columns, whose rows are then the first len(pivots) rows of a."""
+    pivots, order = [], np.full(len(a), len(a))  # order: each pivot row's place in the result, len(a) if unused
     for c in range(a.shape[1]):
-        r = len(pivots)
-        nonzero = r + np.flatnonzero(a[r:, c])
-        if nonzero.size == 0:
+        nonzero = a[:, c].nonzero()[0]
+        candidates = nonzero[order[nonzero] == len(a)]
+        if candidates.size == 0:
             continue
-        k = int(nonzero[0])  # rows r..k-1 are zero in column c, so the swaps move no row of nonzero[1:]
-        if k >= rest:  # a row below the lead block: it moves to the front of the rows below it
-            a[[rest, k]] = a[[k, rest]]
-            k, rest = rest, rest + 1
-        a[[r, k]] = a[[k, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        others = np.concatenate([np.flatnonzero(a[:r, c]), nonzero[1:]])
+        k = int(candidates[0])
+        a[k, c:] = a[k, c:] * pow(int(a[k, c]), -1, p) % p
+        others = nonzero[nonzero != k]
         block = a[others, c:]
-        block -= np.multiply.outer(block[:, 0], a[r, c:])
-        block %= p
+        block -= np.multiply.outer(block[:, 0], a[k, c:])
+        block -= block // p * p  # block %= p, faster for int64
         a[others, c:] = block
+        order[k] = len(pivots)
         pivots.append(c)
-    return pivots, len(pivots) - (rest - lead)
+    a[:] = a[np.argsort(order)]
+    return pivots
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue matrices, exactly: float64 products of the 11-bit limbs of a with b, over inner
+    chunks of MATMUL_CHUNK, so every partial sum is an integer below 2^53 whatever order BLAS sums in."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], MATMUL_CHUNK):
+        limbs = np.stack([a[:, s : s + MATMUL_CHUNK] >> t & 2047 for t in (0, 11, 22)]).astype(np.float64)
+        low, mid, high = (limbs @ b[s : s + MATMUL_CHUNK].astype(np.float64)).astype(np.int64) % p
+        out = (out + low + mid * pow(2, 11, p) + high * pow(2, 22, p)) % p  # each term below 2^31 * 2^22
+    return out
+
+
+def _extend_echelon(reduced: np.ndarray, pivots: list[int], rest: np.ndarray, p: int):
+    """Reduced row echelon form mod p, and its pivots, of the echelon form `reduced` (pivot columns `pivots`) on top
+    of `rest`: rest is reduced against it by one product, eliminated on the free columns and substituted back."""
+    free = np.setdiff1d(np.arange(reduced.shape[1]), pivots)
+    remainder = (rest[:, free] - _matmul_mod(rest[:, pivots], reduced[:, free], p)) % p
+    new = free[_echelon_mod(remainder, p)].tolist()
+    extra = np.zeros((len(new), reduced.shape[1]), dtype=np.int64)
+    extra[:, free] = remainder[: len(new)]
+    stack = np.concatenate([(reduced - _matmul_mod(reduced[:, new], extra, p)) % p, extra])
+    return stack[np.argsort(pivots + new)], sorted(pivots + new)
 
 
 def _rational_reconstruction(residues: np.ndarray, p: int):
@@ -174,9 +194,9 @@ def _rational_reconstruction(residues: np.ndarray, p: int):
         quot = r0[active] // r1[active]
         r0[active], r1[active] = r1[active], r0[active] - quot * r1[active]
         s0[active], s1[active] = s1[active], s0[active] - quot * s1[active]
+        if np.abs(s1[active]).max() > bound:  # |s1| never falls along the sequence, so this entry has no n/d
+            return None
         active = active[r1[active] > bound]
-    if np.any(np.abs(s1) > bound):
-        return None
     sign = np.where(s1 < 0, -1, 1)
     return (r1 * sign).reshape(residues.shape), (s1 * sign).reshape(residues.shape)
 
@@ -195,7 +215,7 @@ def _lift_kernel(reduced: np.ndarray, pivots: list[int], p: int):
     if fractions is None:
         return None
     num, den = fractions
-    scale = np.array([math.lcm(*np.unique(den[:, f]).tolist()) for f in range(len(free))], dtype=object)
+    scale = np.lcm.reduce(den.astype(object), axis=0, initial=1)
     kernel = np.zeros((ncols, len(free)), dtype=object)
     kernel[free, np.arange(len(free))] = scale
     kernel[pivots, :] = num.astype(object) * (scale // den.astype(object))
@@ -240,37 +260,32 @@ class CertifiedNullity(int):
 def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> CertifiedNullity:
     """Dimension over Q of the rational solutions of the exact system, proved as the module docstring says.
 
-    One elimination per prime of `_lift_primes(q)` in turn; CapExceededError when none of them lifts.
+    One lead elimination per prime of `_lift_primes(q)`, extended when its lift fails; CapExceededError if none lifts.
     """
     n, q = system.n, system.root_order
     check_system_size(n * (n - 1) // 2 * system.degree, n * n, byte_cap)
-    lead = min(2, system.degree) * n * (n - 1) // 2  # the rows of u = 1 and u = -1, one block when q <= 2
+    lead = min(2, system.degree)  # the units 1 and -1, one unit when q <= 2
     tried = []
     for p in _lift_primes(q):
         tried.append(p)
-        reduced = _conjugate_rows(system, p, system.degree, byte_cap)
-        pivots, lead_rank = _echelon_mod(reduced, p, lead)
+        reduced = _conjugate_rows(system, p, 0, lead, byte_cap)
+        pivots = _echelon_mod(reduced, p)
+        reduced = reduced[: len(pivots)]
         if len(tried) == 1:  # the bound on d is read off the first prime, `modular_prime(q)`
-            upper = n * n - lead_rank
-        kernel = _lift_kernel(reduced[: len(pivots)], pivots, p)
-        if kernel is not None and _solves_full_system(system, kernel):
+            upper = n * n - len(pivots)
+        kernel = _lift_kernel(reduced, pivots, p)
+        proved = kernel is not None and _solves_full_system(system, kernel)
+        if not proved and system.degree > lead:
+            rest = _conjugate_rows(system, p, lead, system.degree, byte_cap)
+            reduced, more = _extend_echelon(reduced, pivots, rest, p)
+            kernel = _lift_kernel(reduced, more, p) if len(more) > len(pivots) else None  # else lifted already
+            proved = kernel is not None and _solves_full_system(system, kernel)
+        if proved:
             return CertifiedNullity(kernel.shape[1], MODULAR_LIFT, p, upper)
     raise CapExceededError(
         f"rational nullity not proved: no kernel lifted modulo the primes {', '.join(map(str, tried))} solves "
         f"the full system (rational reconstruction bound sqrt(p/2) <= {math.isqrt(max(tried) // 2)})"
     )
-
-
-def exact_upper_bound(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> int:
-    """Float-free upper bound on the undephased defect, N^2 - rank_p of the complex pair system.
-
-    Its real solution space has dimension N^2 minus its complex rank, the defect; sending zeta_q to w mod
-    p = `modular_prime(q)` can only lower the rank. `rational_nullity` reads the same bound off its elimination.
-    """
-    check_system_size(len(system.pairs), system.n**2, byte_cap)
-    p = modular_prime(system.root_order)
-    rows = _conjugate_rows(system, p, 2, byte_cap)
-    return system.n**2 - _echelon_mod(rows, p, len(rows))[1]
 
 
 @dataclass(frozen=True)

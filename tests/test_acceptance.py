@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from hdefect.charstats import ds_defect_estimate, ds_delta_exact, regular_dihedral_group
-from hdefect.exact import SUPPORTED, conjecture_check
+from hdefect.exact import SUPPORTED, build_exact_system, conjecture_check, rational_nullity
 from hdefect.groups import (
     abelian_group_types,
     delta_closed,
@@ -171,3 +171,13 @@ def test_acceptance_10_isolation():
     for turn in (Fraction(1, 7), Fraction(1, 5)):
         assert dephased_defect(haagerup_matrix(turn)) >= 1
     print("ACCEPTANCE 10 (isolated point and free directions): PASS")
+
+
+def test_acceptance_11_fourier_defects_proved_without_floats():
+    # rational nullity <= d <= upper bound, so where both ends equal the closed form d(F_G) is proved exactly.
+    groups = [g for order in range(1, 17) for g in abelian_group_types(order)]
+    assert len(groups) == 25
+    for group in groups:
+        nullity = rational_nullity(build_exact_system(fourier_matrix(group)))
+        assert nullity == nullity.upper_bound == fourier_defect(group)
+    print("ACCEPTANCE 11 (Fourier defects of the abelian groups of order <= 16, without floats): PASS")

@@ -20,7 +20,6 @@ from hdefect.exact import (
     CertifiedNullity,
     build_exact_system,
     conjecture_check,
-    exact_upper_bound,
     modular_prime,
     rational_nullity,
 )
@@ -313,18 +312,29 @@ def complex_rows_mod(system, p):
     return scatter_pair_rows(system.pairs, powers[system.exponents][:, None, :], system.n) % p
 
 
+def oracle_upper_bound(system):
+    # N^2 minus the rank mod modular_prime(q) of the complex ordered-pair system.
+    p = modular_prime(system.root_order)
+    return system.n**2 - len(gauss_jordan_mod(complex_rows_mod(system, p), p))
+
+
 def assert_engine_matches_oracles(system):
-    q, n = system.root_order, system.n
-    p = modular_prime(q)
-    stack = exact._conjugate_rows(system, p, system.degree)
-    reference = half_rows_mod(system, p)
-    assert stack.shape == reference.shape
-    pivots, lead_rank = exact._echelon_mod(stack, p, len({1 % q, -1 % q}) * n * (n - 1) // 2)
-    assert pivots == gauss_jordan_mod(reference, p)
-    assert np.array_equal(stack[: len(pivots)], reference[: len(pivots)])
-    upper = n * n - len(gauss_jordan_mod(complex_rows_mod(system, p), p))
-    assert n * n - lead_rank == upper == exact_upper_bound(system)
-    assert rational_nullity(system).upper_bound == upper
+    p, lead = modular_prime(system.root_order), min(2, system.degree)
+    rows = exact._conjugate_rows(system, p, 0, lead)
+    rest = exact._conjugate_rows(system, p, lead, system.degree)
+    half = half_rows_mod(system, p)
+    assert len(rows) + len(rest) == len(half)
+    # The lead rows span the complex system, so they share its echelon form.
+    pivots = exact._echelon_mod(rows, p)
+    complex_rows = complex_rows_mod(system, p)
+    assert pivots == gauss_jordan_mod(complex_rows, p)
+    assert np.array_equal(rows[: len(pivots)], complex_rows[: len(pivots)])
+    assert not rows[len(pivots) :].any()
+    # Extended by the other units' rows, it is the echelon form of the half system.
+    stack, extended = exact._extend_echelon(rows[: len(pivots)], pivots, rest, p)
+    assert extended == gauss_jordan_mod(half, p)
+    assert np.array_equal(stack, half[: len(extended)])
+    assert rational_nullity(system).upper_bound == system.n**2 - len(pivots) == oracle_upper_bound(system)
 
 
 @pytest.mark.parametrize("spec", SANDWICH_SPECS)
@@ -346,27 +356,41 @@ def test_engine_matches_the_separate_eliminations_on_seeded_equivalents():
 
 
 @st.composite
-def low_rank_matrices_mod_101(draw):
+def low_rank_matrices_mod(draw, p):
     # Products of random factors: rank deficient, so rows below the split often depend on rows above it.
     nrows, ncols, rank = draw(st.integers(0, 9)), draw(st.integers(1, 9)), draw(st.integers(0, 5))
     entries = st.integers(0, 100)
     left = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), min_size=nrows, max_size=nrows))
     right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
     a = np.array(left, dtype=np.int64).reshape(nrows, rank) @ np.array(right, dtype=np.int64).reshape(rank, ncols)
-    return a % 101, draw(st.integers(0, nrows))
+    return a % p, draw(st.integers(0, nrows))
 
 
+@pytest.mark.parametrize("p", [101, modular_prime(16)])
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(low_rank_matrices_mod_101())
-def test_engine_lead_pivots_are_the_lead_rank(case):
-    a, split = case
-    reduced = a.copy()
-    pivots, lead_rank = exact._echelon_mod(reduced, 101, split)
-    assert lead_rank == len(gauss_jordan_mod(a[:split].copy(), 101))
+@given(data=st.data())
+def test_extending_an_echelon_form_gives_that_of_the_stack(p, data):
+    a, split = data.draw(low_rank_matrices_mod(p))
+    lead = a[:split].copy()
+    pivots = exact._echelon_mod(lead, p)
+    assert not lead[len(pivots) :].any()
+    stack, extended = exact._extend_echelon(lead[: len(pivots)], pivots, a[split:].copy(), p)
     reference = a.copy()
-    assert pivots == gauss_jordan_mod(reference, 101)
-    assert np.array_equal(reduced[: len(pivots)], reference[: len(pivots)])
-    assert not reduced[len(pivots) :].any()
+    assert extended == gauss_jordan_mod(reference, p)
+    assert np.array_equal(stack, reference[: len(extended)])
+
+
+@pytest.mark.parametrize("p", [101, modular_prime(16), 2**31 - 1])
+def test_matmul_mod_is_exact_at_the_bound(p):
+    # Every entry p - 1 gives the largest partial sums; MATMUL_CHUNK + 1 inner terms would need a second chunk.
+    assert exact.MATMUL_CHUNK * (2**11 - 1) * (exact.MODULUS_LIMIT - 1) < 2**53
+    for inner in (1, exact.MATMUL_CHUNK, exact.MATMUL_CHUNK + 1, 2 * exact.MATMUL_CHUNK + 5):
+        a = np.full((3, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 2), p - 1, dtype=np.int64)
+        assert np.array_equal(exact._matmul_mod(a, b, p), (a.astype(object) @ b.astype(object)) % p)
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, (5, 2 * exact.MATMUL_CHUNK + 7)), rng.integers(0, p, (2 * exact.MATMUL_CHUNK + 7, 4))
+    assert np.array_equal(exact._matmul_mod(a, b, p), (a.astype(object) @ b.astype(object)) % p)
 
 
 @pytest.mark.parametrize("spec", SANDWICH_SPECS)
@@ -408,7 +432,7 @@ def test_unlucky_first_prime_retries_the_next(monkeypatch):
         assert (nullity.method, nullity.prime) == (MODULAR_LIFT, descending_primes(system.root_order, 2)[1])
         assert len(checks) == 2
         assert nullity == bareiss_nullity(system)
-        assert nullity.upper_bound == exact_upper_bound(system)
+        assert nullity.upper_bound == oracle_upper_bound(system)
 
 
 def test_no_lifting_prime_refuses(monkeypatch, capsys):
@@ -455,18 +479,46 @@ def test_sandwich_violation_is_a_defect_mismatch(monkeypatch, capsys, nullity, m
 
 
 def test_one_elimination_per_conjecture_call(monkeypatch, capsys):
-    counts = dict.fromkeys(("_echelon_mod", "exact_upper_bound"), 0)
-    for name in counts:
+    eliminated, units = [], []
+    echelon_mod, conjugate_rows = exact._echelon_mod, exact._conjugate_rows
 
-        def counted(*args, _name=name, _original=getattr(exact, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_echelon(a, p):
+        eliminated.append(a.shape)
+        return echelon_mod(a, p)
 
-        monkeypatch.setattr(exact, name, counted)
+    def counted_rows(system, p, start, stop, *args):
+        units.append((start, stop))
+        return conjugate_rows(system, p, start, stop, *args)
+
+    monkeypatch.setattr(exact, "_echelon_mod", counted_echelon)
+    monkeypatch.setattr(exact, "_conjugate_rows", counted_rows)
+    # A closed bracket: the 240 lead rows of F16 alone have the full rank 208.
+    assert run(["conjecture", "fourier:16"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rational_nullity"], report["numeric_defect"], report["exact_upper_bound"]) == (48, 48, 48)
+    assert (units, eliminated) == ([(0, 2)], [(240, 256)])
+    units.clear()
+    eliminated.clear()
+    # An open bracket: the lead rows (rank 21 of 36), then the other two units' rows reduced against them,
+    # on the 15 free columns, and never the lead rows again.
     assert run(["conjecture", "haagerup:1/8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["rational_nullity"], report["numeric_defect"], report["exact_upper_bound"]) == (12, 15, 15)
-    assert counts == {"_echelon_mod": 1, "exact_upper_bound": 0}
+    assert (units, eliminated) == ([(0, 2), (2, 4)], [(30, 36), (30, 15)])
+
+
+CONTINUATION_CASES = [
+    ("deformed:(fourier:2,[[0,0],[0,0],[0,1/16],[0,1/16]],fourier:4)", 20, 24, 2147483489),
+    ("deformed:(fourier:2,[[0,0],[0,0],[0,1/8],[0,1/8]],fourier:4)", 20, 24, 2147483497),
+    (UNLIFTABLE_AT_17, 38, 50, 2147483497),
+]
+
+
+@pytest.mark.parametrize("spec, nullity, upper, prime", CONTINUATION_CASES)
+def test_open_brackets_are_proved_by_the_continuation(spec, nullity, upper, prime):
+    # Values of the elimination of all units at once; the bracket is open, so the lead lift failed.
+    result = rational_nullity(build_exact_system(_spec_matrix(spec)))
+    assert (int(result), result.upper_bound, result.prime, result.method) == (nullity, upper, prime, MODULAR_LIFT)
 
 
 def test_lifted_kernel_is_checked_exactly():
@@ -548,10 +600,6 @@ def test_size_guard_raises_before_allocating():
     assert rational_nullity(system, byte_cap=1536) == 8
     with pytest.raises(CapExceededError):
         rational_nullity(system, byte_cap=1535)
-    # Complex system: 12 ordered pairs by 16 columns.
-    assert exact_upper_bound(system, byte_cap=1536) == 8
-    with pytest.raises(CapExceededError):
-        exact_upper_bound(system, byte_cap=1535)
 
 
 def test_size_guard_runs_before_the_blocks(monkeypatch):
@@ -564,8 +612,6 @@ def test_size_guard_runs_before_the_blocks(monkeypatch):
     monkeypatch.setattr(exact, "modular_prime", unexpected)
     with pytest.raises(CapExceededError):
         rational_nullity(system, byte_cap=1535)
-    with pytest.raises(CapExceededError):
-        exact_upper_bound(system, byte_cap=1535)
 
 
 def test_cli_size_guard_exit_code(capsys):
