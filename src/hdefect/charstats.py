@@ -123,7 +123,7 @@ def ds_defect_estimate(group: FiniteAbelianGroup, k: int, window: int) -> Fracti
         raise ValueError("window length must be >= 1")
     if k < 1:
         raise ValueError("moment index must be >= 1")
-    _check_cap(group.order, None, "ds_defect_estimate")
+    _check_cap(group.order, "ds_defect_estimate")
     hits = sum(window // element_order(group, g) for g in group.elements())
     return Fraction(group.order * hits, window)
 

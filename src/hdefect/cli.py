@@ -50,6 +50,7 @@ from .matrices import (
 from .tangent import (
     DEFAULT_GAP_THRESHOLD,
     DEFAULT_REL_TOL,
+    VERIFY_TOL,
     ScanGrid,
     _defect_pass,
     deformation_scan,
@@ -461,7 +462,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check unimodularity and row orthogonality")
     p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
+    p.add_argument("--tol", type=float, default=VERIFY_TOL)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("defect", help="undephased defect with rank certification")

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import euler_phi, power_reduction_table
-from .errors import MAX_SYSTEM_BYTES, CapExceededError, DefectMismatchError, NonExactError
+from .errors import CapExceededError, DefectMismatchError, NonExactError
 from .groups import factorize, is_prime
 from .matrices import HadamardMatrix
 from .tangent import DEFAULT_GAP_THRESHOLD, DEFAULT_REL_TOL, undephased_defect
@@ -76,14 +76,14 @@ class ExactSystem:
     provenance: str
 
 
-def build_exact_system(h: HadamardMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> ExactSystem:
-    """Exact pair system of an exact-phase matrix; q is the common phase order."""
+def build_exact_system(h: HadamardMatrix) -> ExactSystem:
+    """Exact pair system of an exact-phase matrix; q is the common phase order, phi(q) at most DEFAULT_DEGREE_CAP."""
     if not h.is_exact:
         raise NonExactError("exact system needs exact phases")
     q = h.phase_order()
     degree = euler_phi(q)
-    if degree > degree_cap:
-        raise CapExceededError(f"cyclotomic degree {degree} exceeds cap {degree_cap} (q = {q})")
+    if degree > DEFAULT_DEGREE_CAP:
+        raise CapExceededError(f"cyclotomic degree {degree} exceeds cap {DEFAULT_DEGREE_CAP} (q = {q})")
     pairs = ordered_pairs(h.n)
     exponents = (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % q
     pairs.flags.writeable = False
@@ -120,7 +120,7 @@ def _root_of_order(q: int, p: int) -> int:
     raise ValueError(f"no element of order {q} modulo {p}")
 
 
-def _conjugate_rows(system: ExactSystem, p: int, start: int, stop: int, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
+def _conjugate_rows(system: ExactSystem, p: int, start: int, stop: int) -> np.ndarray:
     """Rows mod p of the pairs i < j under zeta -> w^u, a block per unit u: units start..stop-1, 1 and -1 first."""
     q, pairs = system.root_order, system.pairs
     units = list(dict.fromkeys([1 % q, -1 % q, *(u for u in range(q) if math.gcd(u, q) == 1)]))[start:stop]
@@ -128,7 +128,7 @@ def _conjugate_rows(system: ExactSystem, p: int, start: int, stop: int, byte_cap
     w = _root_of_order(q, p)
     powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
     blocks = powers[np.multiply.outer(np.array(units, dtype=np.int64), system.exponents[half]) % q][:, :, None, :]
-    rows = pair_rows(pairs[half], blocks, np.eye(system.n, dtype=np.int64), byte_cap).reshape(-1, system.n**2)
+    rows = pair_rows(pairs[half], blocks, np.eye(system.n, dtype=np.int64)).reshape(-1, system.n**2)
     rows %= p
     return rows
 
@@ -257,18 +257,18 @@ class CertifiedNullity(int):
         return self
 
 
-def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> CertifiedNullity:
+def rational_nullity(system: ExactSystem) -> CertifiedNullity:
     """Dimension over Q of the rational solutions of the exact system, proved as the module docstring says.
 
     One lead elimination per prime of `_lift_primes(q)`, extended when its lift fails; CapExceededError if none lifts.
     """
     n, q = system.n, system.root_order
-    check_system_size(n * (n - 1) // 2 * system.degree, n * n, byte_cap)
+    check_system_size(n * (n - 1) // 2 * system.degree, n * n)
     lead = min(2, system.degree)  # the units 1 and -1, one unit when q <= 2
     tried = []
     for p in _lift_primes(q):
         tried.append(p)
-        reduced = _conjugate_rows(system, p, 0, lead, byte_cap)
+        reduced = _conjugate_rows(system, p, 0, lead)
         pivots = _echelon_mod(reduced, p)
         reduced = reduced[: len(pivots)]
         if len(tried) == 1:  # the bound on d is read off the first prime, `modular_prime(q)`
@@ -276,7 +276,7 @@ def rational_nullity(system: ExactSystem, byte_cap: int = MAX_SYSTEM_BYTES) -> C
         kernel = _lift_kernel(reduced, pivots, p)
         proved = kernel is not None and _solves_full_system(system, kernel)
         if not proved and system.degree > lead:
-            rest = _conjugate_rows(system, p, lead, system.degree, byte_cap)
+            rest = _conjugate_rows(system, p, lead, system.degree)
             reduced, more = _extend_echelon(reduced, pivots, rest, p)
             kernel = _lift_kernel(reduced, more, p) if len(more) > len(pivots) else None  # else lifted already
             proved = kernel is not None and _solves_full_system(system, kernel)
@@ -306,7 +306,6 @@ def conjecture_check(
     h: HadamardMatrix,
     rel_tol: float = DEFAULT_REL_TOL,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> ConjectureReport:
     """Compare the rational nullity with the certified numeric defect.
 
@@ -316,7 +315,7 @@ def conjecture_check(
     modular upper bound, read off the same elimination, must in turn be at
     least the defect.
     """
-    system = build_exact_system(h, degree_cap)
+    system = build_exact_system(h)
     nullity = rational_nullity(system)
     report = undephased_defect(h, rel_tol, gap_threshold)
     if nullity > report.undephased_defect:

@@ -37,9 +37,8 @@ def enumeration_cap() -> int:
     return cap
 
 
-def _check_cap(size: int, cap: int | None, what: str) -> None:
-    limit = enumeration_cap() if cap is None else cap
-    if size > limit:
+def _check_cap(size: int, what: str) -> None:
+    if size > (limit := enumeration_cap()):
         raise CapExceededError(f"{what} needs {size} elements, cap is {limit}")
 
 
@@ -218,14 +217,14 @@ def delta_dihedral(n: int) -> Fraction:
     return Fraction(n, 2) + delta_closed(make_group([n]))
 
 
-def _p_space_keys(group: FiniteAbelianGroup, cap: int | None):
+def _p_space_keys(group: FiniteAbelianGroup):
     """Class key of each entry P[i][j], row-major, and the index vector of -g.
 
     The key is least(i + <j>) * |G| + min(j, -j): the least row of the coset
     that column translation runs along, and the column pair that conjugation
     ties.
     """
-    _check_cap(group.order, cap, "parameter space")
+    _check_cap(group.order, "parameter space")
     n = group.order
     shift, neg = group.index_tables()
     cols = np.arange(n)
@@ -237,9 +236,9 @@ def _p_space_keys(group: FiniteAbelianGroup, cap: int | None):
     return (least * n + np.minimum(cols, neg)).ravel(), neg
 
 
-def p_space_dimension(group: FiniteAbelianGroup, cap: int | None = None) -> int:
+def p_space_dimension(group: FiniteAbelianGroup) -> int:
     """Real dimension of the constrained parameter space (2 per free class, 1 per real one)."""
-    key, neg = _p_space_keys(group, cap)
+    key, neg = _p_space_keys(group)
     columns = np.unique(key) % group.order
     return 2 * columns.size - int(np.count_nonzero(neg[columns] == columns))
 

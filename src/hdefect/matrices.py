@@ -34,18 +34,15 @@ CHECK_BLOCK_BYTES = 2**19
 
 
 def turn_to_complex(turn: Fraction) -> complex:
-    """e^(2 pi i turn); quarter turns map to exact literals."""
-    turn = turn % 1
-    exact = _QUARTER_TURNS.get(turn)
-    if exact is not None:
-        return exact
-    return cmath.exp(2j * cmath.pi * float(turn))
+    """e^(2 pi i turn) by `_roots`; quarter turns map to exact literals."""
+    turn = Fraction(turn) % 1
+    return complex(_roots(np.array([turn.numerator]), turn.denominator)[0])
 
 
 def _roots(nums: np.ndarray, q: int) -> np.ndarray:
-    """e^(2 pi i m / q) for each numerator m in [0, q), once per distinct m: turn_to_complex(Fraction(m, q))."""
+    """e^(2 pi i m / q) for each numerator m in [0, q), once per distinct m; quarter turns map to exact literals."""
     unique, inverse = np.unique(nums, return_inverse=True)
-    # Bit for bit: m / q is correctly rounded, as float(Fraction(m, q)) is.
+    # m / q is correctly rounded, as float(Fraction(m, q)) is, also for ints beyond int64 in an object array.
     roots = [cmath.exp(2j * cmath.pi * (m / q)) if 4 * m % q else _QUARTER_TURNS[Fraction(m, q)]
              for m in unique.tolist()]
     return np.array(roots, dtype=complex)[inverse].reshape(nums.shape)

@@ -46,6 +46,7 @@ from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_error
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
+VERIFY_TOL = 1e-9  # modulus and orthogonality tolerance of the Hadamard check, single calls and scan cells alike
 # Bytes of the stacked ranked pair systems of one scan chunk: 23 cells of F2 (x) F4, 56 x 49 each.
 SCAN_CHUNK_BYTES = 2**19
 SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
@@ -77,16 +78,16 @@ def _ranked_columns(n: int) -> np.ndarray:
     return (np.arange(1, n)[:, None] * n + np.arange(1, n)).ravel()
 
 
-def check_system_size(nrows: int, ncols: int, byte_cap: int = MAX_SYSTEM_BYTES) -> None:
-    """Raise CapExceededError when an nrows x ncols pair system needs more than byte_cap bytes."""
+def check_system_size(nrows: int, ncols: int) -> None:
+    """Raise CapExceededError when an nrows x ncols pair system needs more than MAX_SYSTEM_BYTES bytes."""
     nbytes = nrows * ncols * 8
-    if nbytes > byte_cap:
+    if nbytes > MAX_SYSTEM_BYTES:
         raise CapExceededError(
-            f"pair system of {nrows} x {ncols} entries needs {nbytes} bytes, above the cap {byte_cap}"
+            f"pair system of {nrows} x {ncols} entries needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
         )
 
 
-def pair_rows(pairs: np.ndarray, blocks: np.ndarray, basis: np.ndarray, byte_cap: int = MAX_SYSTEM_BYTES) -> np.ndarray:
+def pair_rows(pairs: np.ndarray, blocks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows of the pair equations over the k^2 unknowns X of A = B X B^T, row-major, for an N x k basis B.
 
     blocks[..., p, :, :] (rows per pair x N) holds the coefficient rows c of
@@ -99,7 +100,7 @@ def pair_rows(pairs: np.ndarray, blocks: np.ndarray, basis: np.ndarray, byte_cap
     """
     *stack, npairs, per_pair, n = blocks.shape
     count, k = math.prod(stack), basis.shape[1]
-    check_system_size(count * npairs * per_pair, k * k, byte_cap)
+    check_system_size(count * npairs * per_pair, k * k)
     ends = basis[pairs[:, 0]] - basis[pairs[:, 1]]
     # One matrix product per system: its rounding depends on the product's shape, and a scan cell's rows must
     # equal those of a single defect call bit for bit.
@@ -177,11 +178,11 @@ class DefectReport:
     provenance: str
 
 
-def _require_hadamard(h: HadamardMatrix, verify_tol: float) -> None:
-    report = verify_hadamard(h, tol=verify_tol)
+def _require_hadamard(h: HadamardMatrix) -> None:
+    report = verify_hadamard(h, tol=VERIFY_TOL)
     if not report.passed:
         raise NonHadamardError(
-            f"matrix is not Hadamard within {verify_tol:.1e} "
+            f"matrix is not Hadamard within {VERIFY_TOL:.1e} "
             f"(modulus error {report.max_modulus_error:.3e}, "
             f"orthogonality error {report.max_orthogonality_error:.3e})"
         )
@@ -193,8 +194,7 @@ def _dephased_basis(n: int) -> np.ndarray:
 
 
 def _defect_pass(
-    h: HadamardMatrix, rel_tol: float, gap_threshold: float, verify_tol: float = 1e-9,
-    dephased: bool = False, basis: bool = False,
+    h: HadamardMatrix, rel_tol: float, gap_threshold: float, dephased: bool = False, basis: bool = False
 ) -> tuple[DefectReport, int | None, list[np.ndarray] | None]:
     """Verify once, assemble once and certify the rank; optionally also the dephased defect and a tangent basis.
 
@@ -206,7 +206,7 @@ def _defect_pass(
     The dephased defect takes one more assembly and certified SVD, over
     `_dephased_basis`, checked against d' = d - (2N - 1).
     """
-    _require_hadamard(h, verify_tol)
+    _require_hadamard(h)
     label = h.provenance or "matrix"
     check_system_size(h.n * (h.n - 1), h.n**2)  # before the N x N Helmert matrix is built
     n, w = h.n, helmert_matrix(h.n)
@@ -257,24 +257,22 @@ def undephased_defect(
     h: HadamardMatrix,
     rel_tol: float = DEFAULT_REL_TOL,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    verify_tol: float = 1e-9,
 ) -> DefectReport:
     """Dimension of the enveloping tangent space: N^2 minus the certified rank."""
-    return _defect_pass(h, rel_tol, gap_threshold, verify_tol)[0]
+    return _defect_pass(h, rel_tol, gap_threshold)[0]
 
 
 def dephased_defect(
     h: HadamardMatrix,
     rel_tol: float = DEFAULT_REL_TOL,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    verify_tol: float = 1e-9,
 ) -> int:
     """Defect with the first row and column pinned, from the certified rank of the restricted system.
 
     It is an independent check of the undephased defect d: the two SVDs
     must give d - (2N - 1), else DefectMismatchError.
     """
-    return _defect_pass(h, rel_tol, gap_threshold, verify_tol, dephased=True)[1]
+    return _defect_pass(h, rel_tol, gap_threshold, dephased=True)[1]
 
 
 def tangent_basis(
@@ -299,7 +297,7 @@ class PCheckReport:
 def _p_space_basis(group: FiniteAbelianGroup) -> np.ndarray:
     """Parameter-space class elements: 1 on the class and, unless it is forced real, i on column j and -i on -j > j."""
     n = group.order
-    key, neg = _p_space_keys(group, None)
+    key, neg = _p_space_keys(group)
     classes, label = np.unique(key, return_inverse=True)
     members = label == np.arange(len(classes))[:, None]
     cols = np.tile(np.arange(n), n)
@@ -452,7 +450,7 @@ def deformation_scan(
         else:  # checked within the verify tolerance of a single defect call
             values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
             modulus, ortho = gram_errors(values)
-            failed = ~((modulus <= 1e-9) & (ortho <= 1e-9))
+            failed = ~((modulus <= VERIFY_TOL) & (ortho <= VERIFY_TOL))
         systems = np.take(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w), ranked, axis=-1)
         return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
 

@@ -6,13 +6,22 @@ import numpy as np
 import pytest
 
 from hdefect import cyclotomic
-from hdefect.cyclotomic import (
-    cyclotomic_polynomial,
-    divisors,
-    euler_phi,
-    power_reduction_table,
-)
+from hdefect.cyclotomic import cyclotomic_polynomial, euler_phi, power_reduction_table
 from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def remainder_mod(poly, modulus):
+    """Oracle: remainder of an integer polynomial by a monic one, by long division; both low degree first."""
+    rest, deg = list(poly), len(modulus) - 1
+    for top in range(len(rest) - 1, deg - 1, -1):
+        lead = rest[top]
+        for i, c in enumerate(modulus):
+            rest[top - deg + i] -= lead * c
+    return (rest + [0] * deg)[:deg]
 
 
 def test_small_cyclotomics():
@@ -31,7 +40,7 @@ def test_cyclotomic_coefficients_can_exceed_one():
 
 
 def test_product_over_divisors_is_x_pow_n_minus_one():
-    for n in range(1, 31):
+    for n in range(1, 301):
         prod = np.array([1], dtype=object)
         for d in divisors(n):
             prod = np.polymul(prod[::-1], np.array(cyclotomic_polynomial(d), dtype=object)[::-1])[::-1]
@@ -81,11 +90,19 @@ def test_reduction_tables_kept_within_the_byte_bound(monkeypatch):
 
 
 def test_reduction_table_matches_numeric_roots():
-    for q in (2, 3, 4, 6, 8, 12, 16):
+    for q in (2, 3, 4, 6, 8, 12, 16, 997, 2310, 4096):
         table = power_reduction_table(q)
         basis = np.exp(2j * np.pi * np.arange(euler_phi(q)) / q)
         roots = np.exp(2j * np.pi * np.arange(q) / q)
         assert np.allclose(table @ basis, roots, atol=1e-12)
+
+
+def test_reduction_table_rows_are_powers_of_x_mod_phi():
+    for q in range(1, 121):
+        phi = cyclotomic_polynomial(q)
+        table = power_reduction_table(q)
+        for m in range(q):
+            assert table[m].tolist() == remainder_mod([0] * m + [1], phi), (q, m)
 
 
 def _root_power_sum_is_zero(q, counts):

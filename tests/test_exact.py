@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdefect import exact
+from hdefect import exact, tangent
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
 from hdefect.errors import CapExceededError, DefectMismatchError, NonExactError
@@ -195,11 +195,12 @@ def test_conjecture_soundness_on_eighth_root_deformations():
         assert report.verdict in (SUPPORTED, REFUTED_AT_INSTANCE)
 
 
-def test_degree_cap_enforced():
+def test_degree_cap_enforced(monkeypatch):
     with pytest.raises(CapExceededError):
         build_exact_system(haagerup_matrix(Fraction(1, 97)))
+    monkeypatch.setattr(exact, "DEFAULT_DEGREE_CAP", 1)
     with pytest.raises(CapExceededError):
-        build_exact_system(fourier_matrix(make_group([8])), degree_cap=1)
+        build_exact_system(fourier_matrix(make_group([8])))
 
 
 def test_float_matrix_rejected():
@@ -593,13 +594,15 @@ def test_integer_rows_evaluate_to_entry_products():
         assert_rows_evaluate_to_entry_products(h)
 
 
-def test_size_guard_raises_before_allocating():
+def test_size_guard_raises_before_allocating(monkeypatch):
     h = fourier_matrix(make_group([4]))
     system = build_exact_system(h)
     # Half system 6 pairs x phi(4) = 2 rows by 16 columns of int64: 1536 bytes.
-    assert rational_nullity(system, byte_cap=1536) == 8
+    monkeypatch.setattr(tangent, "MAX_SYSTEM_BYTES", 1536)
+    assert rational_nullity(system) == 8
+    monkeypatch.setattr(tangent, "MAX_SYSTEM_BYTES", 1535)
     with pytest.raises(CapExceededError):
-        rational_nullity(system, byte_cap=1535)
+        rational_nullity(system)
 
 
 def test_size_guard_runs_before_the_blocks(monkeypatch):
@@ -610,8 +613,9 @@ def test_size_guard_runs_before_the_blocks(monkeypatch):
 
     monkeypatch.setattr(exact, "power_reduction_table", unexpected)
     monkeypatch.setattr(exact, "modular_prime", unexpected)
+    monkeypatch.setattr(tangent, "MAX_SYSTEM_BYTES", 1535)
     with pytest.raises(CapExceededError):
-        rational_nullity(system, byte_cap=1535)
+        rational_nullity(system)
 
 
 def test_cli_size_guard_exit_code(capsys):

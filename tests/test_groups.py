@@ -41,11 +41,18 @@ def order_by_repeated_addition(group, g):
 
 
 def delta_by_enumeration(group):
-    """Oracle: sum 1/ord(g) using the repeated-addition order."""
-    return sum(
-        (Fraction(1, order_by_repeated_addition(group, g)) for g in group.elements()),
-        Fraction(0),
-    )
+    """Oracle: sum 1/ord(g), each order found by adding g to itself until the identity comes back.
+
+    All elements step at once: row g of `multiple` holds k g after k steps.
+    """
+    moduli = np.array(group.cycle_orders, dtype=np.int64)
+    elements = np.array(group.element_list(), dtype=np.int64).reshape(group.order, len(moduli))
+    orders, multiple, k = np.zeros(group.order, dtype=np.int64), elements, 1
+    while not orders.all():
+        orders[(orders == 0) & ~multiple.any(axis=1)] = k
+        multiple, k = (multiple + elements) % moduli, k + 1
+    values, counts = np.unique(orders, return_counts=True)
+    return sum((Fraction(int(c), int(o)) for o, c in zip(values, counts)), Fraction(0))
 
 
 def p_space_classes_by_search(group):
@@ -74,7 +81,7 @@ def p_space_classes_by_search(group):
     return classes
 
 
-def p_space_components(group, cap=None):
+def p_space_components(group):
     """Oracle: constraint classes of the group-indexed parameter space, from `_p_space_keys`.
 
     Entries P[i][j] are tied by column translation (P[i][j] = P[i+j][j]), which
@@ -85,7 +92,7 @@ def p_space_components(group, cap=None):
     the entry is the conjugate of the class value (the larger of the two columns).
     """
     n = group.order
-    key, neg = _p_space_keys(group, cap)
+    key, neg = _p_space_keys(group)
     order = np.argsort(key, kind="stable")
     rows, columns = np.divmod(order, n)
     members = list(zip(rows.tolist(), columns.tolist(), (columns > neg[columns]).astype(int).tolist()))
@@ -151,10 +158,12 @@ def test_delta_bruteforce_examples():
     assert delta_by_enumeration(make_group([1])) == 1
 
 
-def test_p_space_keys_cap():
+def test_p_space_keys_cap(monkeypatch):
+    monkeypatch.setenv("HD_CAP", "11")
     with pytest.raises(CapExceededError):
-        _p_space_keys(make_group([12]), cap=11)
-    assert p_space_dimension(make_group([12]), cap=12) == fourier_defect(make_group([12]))
+        _p_space_keys(make_group([12]))
+    monkeypatch.setenv("HD_CAP", "12")
+    assert p_space_dimension(make_group([12])) == fourier_defect(make_group([12]))
 
 
 def test_p_space_components_match_search_up_to_64():

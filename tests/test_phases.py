@@ -1,5 +1,6 @@
 """Exact phases as integer numerators over one root order: round trips, order, and agreement with the floating path."""
 
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -170,9 +171,24 @@ def test_large_phase_orders():
         HadamardMatrix.from_turns([[Fraction(1, 2**31)]])
 
 
+def root_by_float(turn):
+    """Oracle: e^(2 pi i turn) from the correctly rounded float of the turn; quarter turns as exact literals."""
+    turn = turn % 1
+    quarters = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j, Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
+    return quarters[turn] if turn in quarters else cmath.exp(2j * cmath.pi * float(turn))
+
+
 def _same_bits(roots, q, nums):
-    expected = np.array([turn_to_complex(Fraction(m, q)) for m in nums], dtype=complex)
-    return np.array_equal(roots.view(np.uint64), expected.view(np.uint64))
+    """Both `_roots` and `turn_to_complex` give the oracle's bits."""
+    expected = np.array([root_by_float(Fraction(m, q)) for m in nums], dtype=complex)
+    single = np.array([turn_to_complex(Fraction(m, q)) for m in nums], dtype=complex)
+    return all(np.array_equal(v.view(np.uint64), expected.view(np.uint64)) for v in (roots, single))
+
+
+def test_turn_to_complex_beyond_int64():
+    for turn in (Fraction(2**70 + 1, 2**71), Fraction(-(2**65) - 3, 2**66 + 1), Fraction(2**64 + 1, 2**66)):
+        expected = np.array([root_by_float(turn)])
+        assert np.array_equal(np.array([turn_to_complex(turn)]).view(np.uint64), expected.view(np.uint64)), turn
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 2**30, 2**31 - 4, 2**31 - 1])
