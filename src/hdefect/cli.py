@@ -34,6 +34,7 @@ from .errors import DomainError, SpecParseError
 from .exact import conjecture_check
 from .groups import fourier_defect, make_group
 from .matrices import (
+    VERIFY_TOL,
     DeformationParameters,
     HadamardMatrix,
     circulant_from_eigenvalues,
@@ -50,7 +51,6 @@ from .matrices import (
 from .tangent import (
     DEFAULT_GAP_THRESHOLD,
     DEFAULT_REL_TOL,
-    VERIFY_TOL,
     ScanGrid,
     _defect_pass,
     deformation_scan,

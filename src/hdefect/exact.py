@@ -206,8 +206,10 @@ def _lift_kernel(reduced: np.ndarray, pivots: list[int], p: int):
 
     Column f of the basis is 1 on free column f, 0 on the other free columns
     and -reduced[i, f] on pivot column i; each lifted column is scaled by the
-    lcm of its denominators. Entries are Python ints (object dtype). Returns
-    None when reconstruction fails.
+    lcm of its denominators. Every such lcm divides the lcm L of all the
+    denominators, so no entry exceeds max(1, max|numerator|) L: the entries
+    are int64 when that is below 2^63 and Python ints (object dtype) when it
+    is not. Returns None when reconstruction fails.
     """
     ncols = reduced.shape[1]
     free = np.setdiff1d(np.arange(ncols), pivots)
@@ -215,10 +217,12 @@ def _lift_kernel(reduced: np.ndarray, pivots: list[int], p: int):
     if fractions is None:
         return None
     num, den = fractions
-    scale = np.lcm.reduce(den.astype(object), axis=0, initial=1)
-    kernel = np.zeros((ncols, len(free)), dtype=object)
+    if int(np.abs(num).max(initial=1)) * math.lcm(*np.unique(den).tolist()) >= 2**63:
+        num, den = num.astype(object), den.astype(object)
+    scale = np.lcm.reduce(den, axis=0, initial=1)
+    kernel = np.zeros((ncols, len(free)), dtype=num.dtype)
     kernel[free, np.arange(len(free))] = scale
-    kernel[pivots, :] = num.astype(object) * (scale // den.astype(object))
+    kernel[pivots, :] = num * (scale // den)
     return kernel
 
 
@@ -235,8 +239,8 @@ def _solves_full_system(system: ExactSystem, kernel: np.ndarray) -> bool:
     table = power_reduction_table(system.root_order)
     biggest = int(np.abs(table).max()) * int(np.abs(kernel).max(initial=0))
     dtype = np.int64 if biggest * n * n < 2**63 else object
-    blocks = table[system.exponents].astype(dtype).transpose(0, 2, 1)
-    v = kernel.astype(dtype).reshape(n, n, kernel.shape[1])
+    blocks = table[system.exponents].astype(dtype, copy=False).transpose(0, 2, 1)
+    v = kernel.astype(dtype, copy=False).reshape(n, n, kernel.shape[1])
     for i in range(n):
         mine = pairs[:, 0] == i
         if (blocks[mine] @ (v[i] - v[pairs[mine, 1]])).any():

@@ -21,30 +21,31 @@ from .cyclotomic import power_reduction_table
 from .errors import MAX_SYSTEM_BYTES, CapExceededError, NonExactError, NonHadamardError
 from .groups import FiniteAbelianGroup
 
-_QUARTER_TURNS = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(3, 4): -1j,
-}
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)  # e^(2 pi i k / 4) for k = 0..3, as exact literals
 # Root orders stay below this, so sums of a few numerators fit in int64.
 MAX_PHASE_ORDER = 2**31
 # Bytes of the working arrays that the exact orthogonality check holds at once.
 CHECK_BLOCK_BYTES = 2**19
+# Modulus and orthogonality tolerance of the floating Hadamard check, single calls and scan cells alike.
+VERIFY_TOL = 1e-9
+
+
+def _root(m: int, q: int) -> complex:
+    """e^(2 pi i m / q) for an int m in [0, q); quarter turns map to exact literals."""
+    # m / q is correctly rounded, as float(Fraction(m, q)) is, also for ints beyond int64.
+    return cmath.exp(2j * cmath.pi * (m / q)) if 4 * m % q else _QUARTER_TURNS[4 * m // q]
 
 
 def turn_to_complex(turn: Fraction) -> complex:
-    """e^(2 pi i turn) by `_roots`; quarter turns map to exact literals."""
-    turn = Fraction(turn) % 1
-    return complex(_roots(np.array([turn.numerator]), turn.denominator)[0])
+    """e^(2 pi i turn) by `_root`; quarter turns map to exact literals."""
+    turn = turn if isinstance(turn, Fraction) else Fraction(turn)
+    return _root(turn.numerator % turn.denominator, turn.denominator)  # turn % 1, still in lowest terms
 
 
 def _roots(nums: np.ndarray, q: int) -> np.ndarray:
-    """e^(2 pi i m / q) for each numerator m in [0, q), once per distinct m; quarter turns map to exact literals."""
+    """`_root` of each numerator m in [0, q), once per distinct m; object arrays of ints beyond int64 too."""
     unique, inverse = np.unique(nums, return_inverse=True)
-    # m / q is correctly rounded, as float(Fraction(m, q)) is, also for ints beyond int64 in an object array.
-    roots = [cmath.exp(2j * cmath.pi * (m / q)) if 4 * m % q else _QUARTER_TURNS[Fraction(m, q)]
-             for m in unique.tolist()]
+    roots = [_root(m, q) for m in unique.tolist()]
     return np.array(roots, dtype=complex)[inverse].reshape(nums.shape)
 
 
@@ -400,7 +401,7 @@ def gram_errors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return modulus, np.abs(gram).max(axis=(1, 2), initial=0.0) / max(n, 1)
 
 
-def verify_hadamard(h: HadamardMatrix, tol: float = 1e-9) -> ValidationReport:
+def verify_hadamard(h: HadamardMatrix, tol: float = VERIFY_TOL) -> ValidationReport:
     """Unimodularity plus pairwise row orthogonality; exact matrices are checked exactly."""
     if h.is_exact:
         return _verify_exact(h)

@@ -14,6 +14,8 @@ X_a0 span the 2N - 1 rephasings a 1^T + 1 b^T, which solve the system exactly
 for every Hadamard H, and are dropped. The SVD ranks the other (N-1)^2, which
 span their orthogonal complement, so the rank and every nonzero singular
 value are those of the full system, and d = N^2 - rank.
+The ranked columns are moved to the front of the buffer the system was
+assembled in, so no second system-sized array is made before the SVD.
 `check_system_size` refuses any system above `MAX_SYSTEM_BYTES` before it or
 its blocks are allocated. A deformation scan takes one stack of cells, one
 assembly and one stacked SVD per chunk of cells, verified as stacks: exact
@@ -41,15 +43,15 @@ from .errors import (
     ResidualError,
 )
 from .groups import FiniteAbelianGroup, _p_space_keys, enumeration_cap, fourier_defect
-from .matrices import MAX_PHASE_ORDER, DeformationParameters, HadamardMatrix, _common_order, _roots
+from .matrices import MAX_PHASE_ORDER, VERIFY_TOL, DeformationParameters, HadamardMatrix, _common_order, _roots
 from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_errors, turn_to_complex, verify_hadamard
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
-VERIFY_TOL = 1e-9  # modulus and orthogonality tolerance of the Hadamard check, single calls and scan cells alike
 # Bytes of the stacked ranked pair systems of one scan chunk: 23 cells of F2 (x) F4, 56 x 49 each.
 SCAN_CHUNK_BYTES = 2**19
 SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
+RANK_BLOCK_BYTES = 2**16  # source bytes that `_rank_in_place` moves at once, and the most it buffers
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,27 @@ def helmert_matrix(n: int) -> np.ndarray:
     return entries / np.sqrt(np.where(k > 0, k * (k + 1.0), n))
 
 
-def _ranked_columns(n: int) -> np.ndarray:
-    """Columns of the unknowns X_ab, a, b >= 1, over `helmert_matrix(n)`; the other 2N - 1 are the rephasings."""
-    return (np.arange(1, n)[:, None] * n + np.arange(1, n)).ravel()
+def _rank_in_place(system: np.ndarray) -> np.ndarray:
+    """The ranked columns of a C-contiguous (..., rows, N^2) system, moved to the front of its own buffer.
+
+    Over `helmert_matrix(N)` the ranked columns are those of the unknowns
+    X_ab with a, b >= 1, in row-major order; the other 2N - 1 are the
+    rephasings. Rows are moved one block at a time, in order. A block's
+    destination ends before the first row not yet read, so no source is
+    overwritten; numpy buffers a block whose source and destination overlap.
+    Returns a C-contiguous (..., rows, (N-1)^2) view of the same buffer,
+    equal to those columns bit for bit; the system itself is spent.
+    """
+    if not system.flags.c_contiguous:
+        raise ValueError("the system to rank in place must be C-contiguous")
+    *stack, nrows, width = system.shape
+    n = math.isqrt(width)
+    square = system.reshape(-1, n, n)  # row r of the stack as the N x N matrix of its unknowns X_ab
+    ranked = system.reshape(-1)[: len(square) * (n - 1) ** 2].reshape(len(square), n - 1, n - 1)
+    step = max(1, RANK_BLOCK_BYTES // (8 * width))
+    for start in range(0, len(square), step):
+        ranked[start : start + step] = square[start : start + step, 1:, 1:]
+    return ranked.reshape(*stack, nrows, (n - 1) ** 2)
 
 
 def check_system_size(nrows: int, ncols: int) -> None:
@@ -198,11 +218,12 @@ def _defect_pass(
 ) -> tuple[DefectReport, int | None, list[np.ndarray] | None]:
     """Verify once, assemble once and certify the rank; optionally also the dephased defect and a tangent basis.
 
-    The system is assembled over W = `helmert_matrix(N)` and ranked on its
-    `_ranked_columns`. With `basis` the one SVD also gives the right singular
-    vectors past the rank; these and the unit vectors of the 2N - 1 rephasings
-    map to W X W^T, an orthonormal basis of the tangent space, each checked to
-    solve the full system over the entries A_ab within 10 rel_tol sigma_max.
+    The system is assembled over W = `helmert_matrix(N)` and ranked on the
+    columns that `_rank_in_place` keeps. With `basis` the one SVD also gives
+    the right singular vectors past the rank; these and the unit vectors of
+    the 2N - 1 rephasings map to W X W^T, an orthonormal basis of the tangent
+    space, each checked to solve the full system over the entries A_ab within
+    10 rel_tol sigma_max.
     The dephased defect takes one more assembly and certified SVD, over
     `_dephased_basis`, checked against d' = d - (2N - 1).
     """
@@ -210,7 +231,7 @@ def _defect_pass(
     label = h.provenance or "matrix"
     check_system_size(h.n * (h.n - 1), h.n**2)  # before the N x N Helmert matrix is built
     n, w = h.n, helmert_matrix(h.n)
-    matrix = np.take(tangent_system(h, w).matrix, _ranked_columns(n), axis=1)
+    matrix = _rank_in_place(tangent_system(h, w).matrix)
     pairs = ordered_pairs(n)
     elements = None
     if basis:
@@ -412,7 +433,7 @@ def deformation_scan(
     labels = [str(t) for t in turns]
     turn_objects = np.array(turns, dtype=object)
     assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
-    rows, cols, w, ranked = size * (size - 1), (size - 1) ** 2, helmert_matrix(size), _ranked_columns(size)
+    rows, cols, w = size * (size - 1), (size - 1) ** 2, helmert_matrix(size)
     per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * cols * 8), -(-SCAN_CHUNK_VALUES // max(1, min(rows, cols))))
     exact = h.is_exact and k.is_exact
     if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
@@ -451,7 +472,7 @@ def deformation_scan(
             values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
             modulus, ortho = gram_errors(values)
             failed = ~((modulus <= VERIFY_TOL) & (ortho <= VERIFY_TOL))
-        systems = np.take(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w), ranked, axis=-1)
+        systems = _rank_in_place(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w))
         return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
 
     def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVD and single calls

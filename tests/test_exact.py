@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import json
+import math
 import random
 
 import numpy as np
@@ -528,16 +529,32 @@ def test_lifted_kernel_is_checked_exactly():
     reduced = half_rows_mod(system, p)
     pivots = gauss_jordan_mod(reduced, p)
     kernel = exact._lift_kernel(reduced[: len(pivots)], pivots, p)
-    assert kernel.shape == (36, 12)
+    assert kernel.shape == (36, 12) and kernel.dtype == np.int64
     full = np.array(integer_rows(system), dtype=object)
-    assert not (full @ kernel).any()
+    assert not (full @ kernel.astype(object)).any()
     assert exact._solves_full_system(system, kernel)
     # Large entries take the Python-int path and are still checked exactly.
-    assert exact._solves_full_system(system, kernel * 2**62)
+    assert exact._solves_full_system(system, kernel.astype(object) * 2**62)
     broken = kernel.copy()
     broken[pivots[0], 0] += 1
     assert not exact._solves_full_system(system, broken)
-    assert not exact._solves_full_system(system, broken * 2**62)
+    assert not exact._solves_full_system(system, broken.astype(object) * 2**62)
+
+
+@pytest.mark.parametrize(
+    "denominators, dtype", [((1, 3, 5, 3, 9), np.int64), ((32749, 32719, 32717, 32713, 32707), object)]
+)
+def test_lifted_kernel_leaves_int64_only_when_it_could_overflow(denominators, dtype):
+    p = modular_prime(1)
+    fractions = [Fraction((-1) ** i * (i + 1), d) for i, d in enumerate(denominators)]
+    # One free column, 5, whose kernel vector is f_i on pivot column i and 1 on column 5.
+    reduced = np.zeros((5, 6), dtype=np.int64)
+    reduced[:, 5] = [-f.numerator * pow(f.denominator, -1, p) % p for f in fractions]
+    reduced[:, :5] = np.eye(5, dtype=np.int64)
+    kernel = exact._lift_kernel(reduced, list(range(5)), p)
+    scale = math.lcm(*denominators)  # above 2^63 for the five primes
+    assert kernel.dtype == dtype and (scale < 2**63) == (dtype is np.int64)
+    assert kernel[:, 0].tolist() == [int(f * scale) for f in fractions] + [scale]
 
 
 def test_rational_reconstruction():

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +29,8 @@ from hdefect.matrices import (
     verify_hadamard,
 )
 from hdefect.tangent import MAX_SYSTEM_BYTES, tangent_system, undephased_defect
+
+from conftest import traced_peak
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 HADAMARD_SPECS = [
@@ -226,20 +227,11 @@ def test_exact_verify_matches_pairwise_check(drawn):
     assert report.passed == (report.max_orthogonality_error == 0.0)
 
 
-def _peak_bytes(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_exact_verify_memory_is_per_row():
     h = build_matrix(parse_matrix_spec("fourier:128"))
     power_reduction_table(128)
     # Counts for all 8128 pairs at once would take 8128 x 128 x 8 bytes, about 8.3 MB.
-    assert _peak_bytes(lambda: verify_hadamard(h)) < 2**20
+    assert traced_peak(lambda: verify_hadamard(h))[1] < 2**20
 
 
 def test_float_tangent_system_refused_before_products():
@@ -255,7 +247,7 @@ def test_float_tangent_system_refused_before_products():
     power_reduction_table(128)
     # The products H_ik conj(H_jk) alone would take 16256 x 128 x 16 bytes, about 33 MB.
     assert 128 * 127 * 128**2 * 8 > MAX_SYSTEM_BYTES
-    assert _peak_bytes(refused) < 2**20
+    assert traced_peak(refused)[1] < 2**20
 
 
 def test_fourier_matrix_refused_before_its_elements(monkeypatch, capsys):

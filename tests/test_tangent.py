@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -55,6 +54,7 @@ from hdefect.tangent import (
     tangent_system,
     undephased_defect,
 )
+from conftest import traced_peak
 from pair_oracles import scatter_pair_rows
 
 F = Fraction
@@ -669,12 +669,7 @@ def test_failing_pairs_match_floating_inner_products(monkeypatch, q):
 def test_failing_pairs_work_in_blocks_of_bounded_size():
     q, stack = 1024, np.random.default_rng(2).integers(0, 1024, (2000, 4, 4))
     expected = failing_pairs(stack[:50], q)  # also builds the cached reduction table before tracing
-    tracemalloc.start()
-    try:
-        flags = failing_pairs(stack, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    flags, peak = traced_peak(lambda: failing_pairs(stack, q))
     assert np.array_equal(flags[:50], expected)
     # All 12000 (matrix, pair) rows of phi(1024) = 512 sums at once would take 49 MB.
     assert peak < 2 * matrices.CHECK_BLOCK_BYTES
@@ -724,3 +719,43 @@ def test_defect_svds_run_on_the_ranked_columns(monkeypatch, capsys):
     full = tangent_system(fourier_matrix(make_group([6]))).matrix
     assert np.array_equal(systems[1], full.reshape(30, 6, 6)[:, 1:, 1:].reshape(30, 25))
     capsys.readouterr()
+
+
+def _ranked_by_take(system: np.ndarray) -> np.ndarray:
+    """Oracle: the columns of X_ab, a, b >= 1, of an N^2-column system, copied out by np.take."""
+    n = math.isqrt(system.shape[-1])
+    return np.take(system, (np.arange(1, n)[:, None] * n + np.arange(1, n)).ravel(), axis=-1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.lists(st.integers(0, 4), max_size=2), st.integers(0, 2**32 - 1), st.booleans())
+def test_rank_in_place_equals_take_bit_for_bit(n, stack, seed, small_blocks):
+    rng = np.random.default_rng(seed)
+    system = rng.standard_normal((*stack, n * (n - 1), n * n)) * 10.0 ** rng.integers(-300, 300, n * n)
+    expected = _ranked_by_take(system)
+    with pytest.MonkeyPatch.context() as patch:
+        if small_blocks:  # one row a block, so the most blocks; the early ones overlap their own source rows
+            patch.setattr(tangent, "RANK_BLOCK_BYTES", 1)
+        ranked = tangent._rank_in_place(system)
+    assert ranked.shape == expected.shape == (*stack, n * (n - 1), (n - 1) ** 2)
+    assert ranked.flags.c_contiguous and (ranked.size == 0 or np.shares_memory(ranked, system))
+    assert np.array_equal(ranked.view(np.uint64), expected.view(np.uint64))
+
+
+def test_rank_in_place_of_assembled_systems():
+    for n in (1, 2, 5, 12):
+        h = fourier_matrix(make_group([n]))
+        system = tangent_system(h, helmert_matrix(n)).matrix
+        expected = _ranked_by_take(system)
+        assert np.array_equal(tangent._rank_in_place(system).view(np.uint64), expected.view(np.uint64))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        tangent._rank_in_place(np.zeros((6, 9, 2)).transpose(0, 2, 1)[..., :4])
+
+
+@pytest.mark.parametrize("defect_of", [undephased_defect, dephased_defect])
+def test_defect_holds_one_system_sized_array(defect_of):
+    h = fourier_matrix(make_group([16]))
+    defect_of(h)  # values and LAPACK set-up before tracing
+    full, ranked = 240 * 256 * 8, 240 * 225 * 8
+    # A copy of the ranked columns next to the full system would take full + ranked bytes.
+    assert traced_peak(lambda: defect_of(h))[1] < full + ranked
