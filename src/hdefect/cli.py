@@ -448,6 +448,27 @@ def _cmd_ds(args) -> int:
     return 0
 
 
+def _rel_tol(text: str) -> float:
+    """A --tol: below machine epsilon rounding noise counts toward the rank, and from 1 no singular value does."""
+    value = float(text)
+    if not sys.float_info.epsilon <= value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in [{sys.float_info.epsilon:.4g}, 1), got {text}")
+    return value
+
+
+def _gap_threshold(text: str) -> float:
+    """A --gap: at least 1, the least gap ratio there is; inf is allowed and NaN, which no ratio is below, is not."""
+    value = float(text)
+    if not value >= 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _add_rank_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=_rel_tol, default=DEFAULT_REL_TOL, help="relative singular value cutoff, in [eps, 1)")
+    p.add_argument("--gap", type=_gap_threshold, default=DEFAULT_GAP_THRESHOLD, help="gap ratio that certifies, >= 1")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdefect",
@@ -467,8 +488,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defect", help="undephased defect with rank certification")
     p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
-    p.add_argument("--gap", type=float, default=DEFAULT_GAP_THRESHOLD)
+    _add_rank_options(p)
     p.add_argument("--dephased", action="store_true", help="also run the cross-checked dephased path")
     p.add_argument("--basis", default=None, help="write an orthonormal tangent basis to this file")
     p.set_defaults(handler=_cmd_defect)
@@ -482,14 +502,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("k_spec", metavar="k-spec")
     p.add_argument("--grid", required=True, help="denominator, optionally m:n1,n2,...")
     p.add_argument("--out", default=None, help="CSV file (default: stdout)")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
-    p.add_argument("--gap", type=float, default=DEFAULT_GAP_THRESHOLD)
+    _add_rank_options(p)
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("conjecture", help="rational nullity versus numeric defect")
     p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
-    p.add_argument("--gap", type=float, default=DEFAULT_GAP_THRESHOLD)
+    _add_rank_options(p)
     p.add_argument("--report", default=None, help="also write the JSON report here")
     p.set_defaults(handler=_cmd_conjecture)
 

@@ -20,10 +20,12 @@ together have the row space mod p of the power-basis half system.
   are lifted by rational reconstruction, scaled to integers and checked exactly
   against the full system. Each is nonzero on its own free column only, so a
   passing check proves nullity = d = k.
-- Continuation. When the lift fails and phi(q) > 2, the other units' rows are
-  reduced against the lead echelon form by one exact modular product, the rest
-  eliminated and its pivots cleared from the lead rows; the echelon form of the
-  whole stack has its kernel lifted and checked in the same way.
+- Continuation. When the lift fails and phi(q) > 2, the lead echelon form is
+  stacked on the other units' rows and the stack eliminated by the same
+  Gauss-Jordan engine: each lead pivot row, first in its column, clears that
+  column below, and the new pivots are cleared from the lead rows. This is the
+  reduced echelon form of the whole stack, whose kernel is lifted and checked
+  in the same way.
 
 The rows of (j, i) are also minus the complex conjugates of those of (i, j),
 so the half system always has the full rational rank. A lift then fails only
@@ -51,8 +53,6 @@ from .tangent import check_system_size, ordered_pairs, pair_rows
 DEFAULT_DEGREE_CAP = 64
 # Moduli stay below this, so the product of two residues fits in int64.
 MODULUS_LIMIT = 2**31
-# Sums of this many products of an 11-bit limb and a residue stay below 2^53, so float64 holds them exactly.
-MATMUL_CHUNK = 2**53 // 2**11 // MODULUS_LIMIT
 
 SUPPORTED = "SUPPORTED"
 REFUTED_AT_INSTANCE = "REFUTED-at-this-instance"
@@ -155,29 +155,6 @@ def _echelon_mod(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue matrices, exactly: float64 products of the 11-bit limbs of a with b, over inner
-    chunks of MATMUL_CHUNK, so every partial sum is an integer below 2^53 whatever order BLAS sums in."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], MATMUL_CHUNK):
-        limbs = np.stack([a[:, s : s + MATMUL_CHUNK] >> t & 2047 for t in (0, 11, 22)]).astype(np.float64)
-        low, mid, high = (limbs @ b[s : s + MATMUL_CHUNK].astype(np.float64)).astype(np.int64) % p
-        out = (out + low + mid * pow(2, 11, p) + high * pow(2, 22, p)) % p  # each term below 2^31 * 2^22
-    return out
-
-
-def _extend_echelon(reduced: np.ndarray, pivots: list[int], rest: np.ndarray, p: int):
-    """Reduced row echelon form mod p, and its pivots, of the echelon form `reduced` (pivot columns `pivots`) on top
-    of `rest`: rest is reduced against it by one product, eliminated on the free columns and substituted back."""
-    free = np.setdiff1d(np.arange(reduced.shape[1]), pivots)
-    remainder = (rest[:, free] - _matmul_mod(rest[:, pivots], reduced[:, free], p)) % p
-    new = free[_echelon_mod(remainder, p)].tolist()
-    extra = np.zeros((len(new), reduced.shape[1]), dtype=np.int64)
-    extra[:, free] = remainder[: len(new)]
-    stack = np.concatenate([(reduced - _matmul_mod(reduced[:, new], extra, p)) % p, extra])
-    return stack[np.argsort(pivots + new)], sorted(pivots + new)
-
-
 def _rational_reconstruction(residues: np.ndarray, p: int):
     """Entrywise n/d = residue (mod p) with |n|, d <= sqrt(p/2), as (n, d); None if one has none.
 
@@ -264,28 +241,28 @@ class CertifiedNullity(int):
 def rational_nullity(system: ExactSystem) -> CertifiedNullity:
     """Dimension over Q of the rational solutions of the exact system, proved as the module docstring says.
 
-    One lead elimination per prime of `_lift_primes(q)`, extended when its lift fails; CapExceededError if none lifts.
+    Per prime of `_lift_primes(q)`, the lead rows are eliminated and lifted; when that fails, the lead echelon form
+    on top of the other units' rows is. CapExceededError if no kernel lifts.
     """
     n, q = system.n, system.root_order
     check_system_size(n * (n - 1) // 2 * system.degree, n * n)
     lead = min(2, system.degree)  # the units 1 and -1, one unit when q <= 2
+    stages = [(0, lead), (lead, system.degree)][: 1 + (system.degree > lead)]
     tried = []
     for p in _lift_primes(q):
         tried.append(p)
-        reduced = _conjugate_rows(system, p, 0, lead)
-        pivots = _echelon_mod(reduced, p)
-        reduced = reduced[: len(pivots)]
-        if len(tried) == 1:  # the bound on d is read off the first prime, `modular_prime(q)`
-            upper = n * n - len(pivots)
-        kernel = _lift_kernel(reduced, pivots, p)
-        proved = kernel is not None and _solves_full_system(system, kernel)
-        if not proved and system.degree > lead:
-            rest = _conjugate_rows(system, p, lead, system.degree)
-            reduced, more = _extend_echelon(reduced, pivots, rest, p)
-            kernel = _lift_kernel(reduced, more, p) if len(more) > len(pivots) else None  # else lifted already
-            proved = kernel is not None and _solves_full_system(system, kernel)
-        if proved:
-            return CertifiedNullity(kernel.shape[1], MODULAR_LIFT, p, upper)
+        reduced, rank = np.empty((0, n * n), dtype=np.int64), -1
+        for start, stop in stages:
+            reduced = np.concatenate([reduced, _conjugate_rows(system, p, start, stop)])
+            pivots = _echelon_mod(reduced, p)
+            if len(pivots) == rank:  # the other units added no pivot, so this kernel was lifted already
+                break
+            reduced, rank = reduced[: len(pivots)], len(pivots)
+            if len(tried) == 1 and start == 0:  # the bound on d is the lead rank at `modular_prime(q)`
+                upper = n * n - rank
+            kernel = _lift_kernel(reduced, pivots, p)
+            if kernel is not None and _solves_full_system(system, kernel):
+                return CertifiedNullity(kernel.shape[1], MODULAR_LIFT, p, upper)
     raise CapExceededError(
         f"rational nullity not proved: no kernel lifted modulo the primes {', '.join(map(str, tried))} solves "
         f"the full system (rational reconstruction bound sqrt(p/2) <= {math.isqrt(max(tried) // 2)})"

@@ -28,6 +28,11 @@ MAX_PHASE_ORDER = 2**31
 CHECK_BLOCK_BYTES = 2**19
 # Modulus and orthogonality tolerance of the floating Hadamard check, single calls and scan cells alike.
 VERIFY_TOL = 1e-9
+# Largest | |z| - 1 | that floating deformation parameters, haagerup parameters and circulant eigenvalues may have.
+UNIMODULAR_TOL = 1e-10
+# `as_exact` rounds each phase to a turn with at most this denominator, which must reproduce the entry to AS_EXACT_TOL.
+AS_EXACT_MAX_DENOMINATOR = 64
+AS_EXACT_TOL = 1e-12
 
 
 def _root(m: int, q: int) -> complex:
@@ -139,9 +144,9 @@ def _common_order(*matrices: UnimodularMatrix) -> tuple[list[np.ndarray], int]:
 class DeformationParameters(UnimodularMatrix):
     """The M x N parameter matrix of a deformed tensor product."""
 
-    def __init__(self, *, turns=None, values=None, phases=None, unimodular_tol=1e-10):
+    def __init__(self, *, turns=None, values=None, phases=None):
         super().__init__(turns=turns, values=values, phases=phases)
-        if not self.is_exact and self.max_modulus_error() > unimodular_tol:
+        if not self.is_exact and self.max_modulus_error() > UNIMODULAR_TOL:
             raise NonHadamardError(
                 f"deformation parameters must be unimodular (error {self.max_modulus_error():.3e})"
             )
@@ -248,7 +253,7 @@ def haagerup_matrix(q) -> HadamardMatrix:
         rows = [[Fraction(base) + power * tq for base, power in row] for row in template]
         return HadamardMatrix.from_turns(rows, provenance=f"haagerup:{tq % 1}")
     qc = complex(q)
-    if abs(abs(qc) - 1.0) > 1e-10:
+    if abs(abs(qc) - 1.0) > UNIMODULAR_TOL:
         raise NonHadamardError(f"parameter must be unimodular, got |q| = {abs(qc)}")
     values = [
         [turn_to_complex(Fraction(base)) * qc**power for base, power in row] for row in template
@@ -280,7 +285,7 @@ def circulant_from_eigenvalues(eigenvalues) -> HadamardMatrix:
     if n < 1:
         raise ValueError("eigenvalue vector must be nonempty")
     qv = np.asarray(q)
-    if np.max(np.abs(np.abs(qv) - 1.0)) > 1e-10:
+    if np.max(np.abs(np.abs(qv) - 1.0)) > UNIMODULAR_TOL:
         raise NonHadamardError("eigenvalues must be unimodular")
     w = np.exp(2j * np.pi / n)
     c = np.array([np.sum(w ** (k * np.arange(n)) * qv) for k in range(n)]) / math.sqrt(n)
@@ -289,12 +294,13 @@ def circulant_from_eigenvalues(eigenvalues) -> HadamardMatrix:
     return HadamardMatrix.from_values(values, provenance=f"circulant:{label}")
 
 
-def as_exact(h: HadamardMatrix, max_denominator: int = 64, tol: float = 1e-12) -> HadamardMatrix:
+def as_exact(h: HadamardMatrix) -> HadamardMatrix:
     """Recover rational turn phases from a floating matrix, with verification.
 
     Each entry's angle is rounded to the nearest fraction with denominator at
-    most max_denominator; the rounded phase must reproduce the entry to within
-    tol or the recovery is refused. Exact inputs pass through unchanged.
+    most AS_EXACT_MAX_DENOMINATOR; the rounded phase must reproduce the entry
+    to within AS_EXACT_TOL or the recovery is refused. Exact inputs pass
+    through unchanged.
     """
     if h.is_exact:
         return h
@@ -303,11 +309,11 @@ def as_exact(h: HadamardMatrix, max_denominator: int = 64, tol: float = 1e-12) -
     for row in values:
         out = []
         for z in row:
-            turn = Fraction(float(np.angle(z)) / (2 * np.pi)).limit_denominator(max_denominator) % 1
-            if abs(z - turn_to_complex(turn)) > tol:
+            turn = Fraction(float(np.angle(z)) / (2 * np.pi)).limit_denominator(AS_EXACT_MAX_DENOMINATOR) % 1
+            if abs(z - turn_to_complex(turn)) > AS_EXACT_TOL:
                 raise NonExactError(
-                    f"entry {z} is not within {tol} of a root of unity with "
-                    f"denominator <= {max_denominator}"
+                    f"entry {z} is not within {AS_EXACT_TOL} of a root of unity with "
+                    f"denominator <= {AS_EXACT_MAX_DENOMINATOR}"
                 )
             out.append(turn)
         rows.append(out)

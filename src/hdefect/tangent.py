@@ -48,6 +48,7 @@ from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_error
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
+P_CHECK_RESIDUAL_TOL = 1e-8  # largest residual that `fourier_P_check` allows on either side
 # Bytes of the stacked ranked pair systems of one scan chunk: 23 cells of F2 (x) F4, 56 x 49 each.
 SCAN_CHUNK_BYTES = 2**19
 SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
@@ -327,11 +328,7 @@ def _p_space_basis(group: FiniteAbelianGroup) -> np.ndarray:
     return np.concatenate([members, imaginary]).reshape(-1, n, n)
 
 
-def fourier_P_check(
-    group: FiniteAbelianGroup,
-    rel_tol: float = DEFAULT_REL_TOL,
-    residual_tol: float = 1e-8,
-) -> PCheckReport:
+def fourier_P_check(group: FiniteAbelianGroup) -> PCheckReport:
     """Cross-check the tangent space against the group-indexed parameter space.
 
     Numeric direction: every tangent basis element A yields P = A F obeying the
@@ -344,7 +341,7 @@ def fourier_P_check(
     n = group.order
     add_index, neg_index = group.index_tables()
 
-    basis = tangent_basis(f, rel_tol)
+    basis = tangent_basis(f)
     violation = 0.0
     for a in basis:  # P[i, j] = P[i + j, j] = conj(P[i, -j])
         p = a @ fv
@@ -362,12 +359,12 @@ def fourier_P_check(
         closed_form=fourier_defect(group),
         max_constraint_violation=violation,
         max_membership_residual=membership,
-        residual_tol=residual_tol,
+        residual_tol=P_CHECK_RESIDUAL_TOL,
     )
-    if violation > residual_tol or membership > residual_tol:
+    if violation > P_CHECK_RESIDUAL_TOL or membership > P_CHECK_RESIDUAL_TOL:
         raise ResidualError(
             f"parameter-space correspondence residuals too large: "
-            f"constraint {violation:.3e}, membership {membership:.3e}, tol {residual_tol:.1e}"
+            f"constraint {violation:.3e}, membership {membership:.3e}, tol {P_CHECK_RESIDUAL_TOL:.1e}"
         )
     if not report.dimension_numeric == report.dimension_combinatorial == report.closed_form:
         raise DefectMismatchError(

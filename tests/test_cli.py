@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdefect
-from hdefect import charstats, cli
+from hdefect import charstats, cli, tangent
 from hdefect.cli import (
     CirculantSpec,
     DeformedSpec,
@@ -297,8 +297,6 @@ def test_scan_verifies_each_cell_at_its_own_order(tmp_path, capsys):
 
 
 def test_defect_basis_is_one_pass(monkeypatch, tmp_path, capsys):
-    from hdefect import tangent
-
     counts = {"verify_hadamard": 0, "tangent_system": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(tangent, name), **kwargs):
@@ -452,6 +450,39 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["defect"]) == 2
     assert run(["--seed", "7", "formula", "--group", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["defect", "fourier:4"], ["scan", "fourier:2", "fourier:2", "--grid", "2"], ["conjecture", "fourier:4"]],
+    ids=["defect", "scan", "conjecture"],
+)
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tol", "0"), ("--tol", "1e-17"), ("--tol", "1"), ("--tol", "nan"), ("--gap", "nan"), ("--gap", "0.99")],
+)
+def test_out_of_range_rank_options_are_usage_errors(capsys, command, option, value):
+    # Below machine epsilon rounding noise counts toward the rank (F4 would certify 7, not 8), and no gap ratio is
+    # below a NaN --gap, so every rank would be certified.
+    assert run([*command, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {option}: must " in captured.err
+
+
+def test_rank_options_in_range_are_accepted(capsys):
+    parse = cli._arg_parser().parse_args
+    for command in ("defect", "scan", "conjecture"):
+        spec = ["fourier:2", "fourier:2", "--grid", "2"] if command == "scan" else ["fourier:4"]
+        defaults = parse([command, *spec])
+        assert (defaults.tol, defaults.gap) == (tangent.DEFAULT_REL_TOL, tangent.DEFAULT_GAP_THRESHOLD)
+        given = parse([command, *spec, "--tol", "0.6", "--gap", "1.01"])
+        assert (given.tol, given.gap) == (0.6, 1.01)
+        edges = parse([command, *spec, "--tol", repr(sys.float_info.epsilon), "--gap", "inf"])
+        assert (edges.tol, edges.gap) == (sys.float_info.epsilon, float("inf"))
+    assert run(["defect", "fourier:4", "--tol", "0.6", "--gap", "1.01"]) == 0
+    assert json.loads(capsys.readouterr().out)["defect"] == 8
+    assert run(["conjecture", "fourier:4"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "SUPPORTED"
 
 
 def test_float_tangent_system_size_guard(capsys):

@@ -34,6 +34,7 @@ from hdefect.matrices import (
     tensor_product,
 )
 from hdefect.tangent import undephased_defect
+from conftest import traced_peak
 from pair_oracles import scatter_pair_rows
 
 
@@ -332,10 +333,11 @@ def assert_engine_matches_oracles(system):
     assert pivots == gauss_jordan_mod(complex_rows, p)
     assert np.array_equal(rows[: len(pivots)], complex_rows[: len(pivots)])
     assert not rows[len(pivots) :].any()
-    # Extended by the other units' rows, it is the echelon form of the half system.
-    stack, extended = exact._extend_echelon(rows[: len(pivots)], pivots, rest, p)
+    # Stacked on the other units' rows and eliminated again, it gives the echelon form of the half system.
+    stack = np.concatenate([rows[: len(pivots)], rest])
+    extended = exact._echelon_mod(stack, p)
     assert extended == gauss_jordan_mod(half, p)
-    assert np.array_equal(stack, half[: len(extended)])
+    assert np.array_equal(stack[: len(extended)], half[: len(extended)])
     assert rational_nullity(system).upper_bound == system.n**2 - len(pivots) == oracle_upper_bound(system)
 
 
@@ -376,23 +378,11 @@ def test_extending_an_echelon_form_gives_that_of_the_stack(p, data):
     lead = a[:split].copy()
     pivots = exact._echelon_mod(lead, p)
     assert not lead[len(pivots) :].any()
-    stack, extended = exact._extend_echelon(lead[: len(pivots)], pivots, a[split:].copy(), p)
+    stack = np.concatenate([lead[: len(pivots)], a[split:]])
+    extended = exact._echelon_mod(stack, p)
     reference = a.copy()
     assert extended == gauss_jordan_mod(reference, p)
-    assert np.array_equal(stack, reference[: len(extended)])
-
-
-@pytest.mark.parametrize("p", [101, modular_prime(16), 2**31 - 1])
-def test_matmul_mod_is_exact_at_the_bound(p):
-    # Every entry p - 1 gives the largest partial sums; MATMUL_CHUNK + 1 inner terms would need a second chunk.
-    assert exact.MATMUL_CHUNK * (2**11 - 1) * (exact.MODULUS_LIMIT - 1) < 2**53
-    for inner in (1, exact.MATMUL_CHUNK, exact.MATMUL_CHUNK + 1, 2 * exact.MATMUL_CHUNK + 5):
-        a = np.full((3, inner), p - 1, dtype=np.int64)
-        b = np.full((inner, 2), p - 1, dtype=np.int64)
-        assert np.array_equal(exact._matmul_mod(a, b, p), (a.astype(object) @ b.astype(object)) % p)
-    rng = np.random.default_rng(p)
-    a, b = rng.integers(0, p, (5, 2 * exact.MATMUL_CHUNK + 7)), rng.integers(0, p, (2 * exact.MATMUL_CHUNK + 7, 4))
-    assert np.array_equal(exact._matmul_mod(a, b, p), (a.astype(object) @ b.astype(object)) % p)
+    assert np.array_equal(stack[: len(extended)], reference[: len(extended)])
 
 
 @pytest.mark.parametrize("spec", SANDWICH_SPECS)
@@ -481,12 +471,14 @@ def test_sandwich_violation_is_a_defect_mismatch(monkeypatch, capsys, nullity, m
 
 
 def test_one_elimination_per_conjecture_call(monkeypatch, capsys):
-    eliminated, units = [], []
+    inputs, outputs, units = [], [], []
     echelon_mod, conjugate_rows = exact._echelon_mod, exact._conjugate_rows
 
     def counted_echelon(a, p):
-        eliminated.append(a.shape)
-        return echelon_mod(a, p)
+        inputs.append(a.copy())
+        pivots = echelon_mod(a, p)
+        outputs.append(a[: len(pivots)].copy())
+        return pivots
 
     def counted_rows(system, p, start, stop, *args):
         units.append((start, stop))
@@ -498,21 +490,26 @@ def test_one_elimination_per_conjecture_call(monkeypatch, capsys):
     assert run(["conjecture", "fourier:16"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["rational_nullity"], report["numeric_defect"], report["exact_upper_bound"]) == (48, 48, 48)
-    assert (units, eliminated) == ([(0, 2)], [(240, 256)])
-    units.clear()
-    eliminated.clear()
-    # An open bracket: the lead rows (rank 21 of 36), then the other two units' rows reduced against them,
-    # on the 15 free columns, and never the lead rows again.
+    assert (units, [a.shape for a in inputs]) == ([(0, 2)], [(240, 256)])
+    for seen in (inputs, outputs, units):
+        seen.clear()
+    # An open bracket: the lead rows (rank 21 of 36), then their echelon form on top of the other two units' rows;
+    # the lead rows are never built again.
     assert run(["conjecture", "haagerup:1/8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["rational_nullity"], report["numeric_defect"], report["exact_upper_bound"]) == (12, 15, 15)
-    assert (units, eliminated) == ([(0, 2), (2, 4)], [(30, 36), (30, 15)])
+    assert (units, [a.shape for a in inputs]) == ([(0, 2), (2, 4)], [(30, 36), (51, 36)])
+    assert outputs[0].shape == (21, 36) and np.array_equal(inputs[1][:21], outputs[0])
 
 
 CONTINUATION_CASES = [
     ("deformed:(fourier:2,[[0,0],[0,0],[0,1/16],[0,1/16]],fourier:4)", 20, 24, 2147483489),
     ("deformed:(fourier:2,[[0,0],[0,0],[0,1/8],[0,1/8]],fourier:4)", 20, 24, 2147483497),
     (UNLIFTABLE_AT_17, 38, 50, 2147483497),
+    ("haagerup:1/12", 12, 15, 2147483629),
+    ("haagerup:7/16", 12, 15, 2147483489),
+    ("tensor:(haagerup:3/16,fourier:2)", 38, 50, 2147483489),
+    ("deformed:(fourier:2,[[0,0],[0,9/16],[0,2/16],[0,1/16]],fourier:4)", 22, 26, 2147483489),
 ]
 
 
@@ -521,6 +518,15 @@ def test_open_brackets_are_proved_by_the_continuation(spec, nullity, upper, prim
     # Values of the elimination of all units at once; the bracket is open, so the lead lift failed.
     result = rational_nullity(build_exact_system(_spec_matrix(spec)))
     assert (int(result), result.upper_bound, result.prime, result.method) == (nullity, upper, prime, MODULAR_LIFT)
+
+
+def test_continuation_holds_no_float_copies():
+    # The continuation eliminates its int64 stack in place and holds no float copy of it; it needs about 1.1 MiB.
+    system = build_exact_system(_spec_matrix("tensor:(haagerup:3/16,fourier:2)"))
+    rational_nullity(system)  # the first call also imports what numpy loads lazily
+    result, peak = traced_peak(lambda: rational_nullity(system))
+    assert (int(result), result.upper_bound) == (38, 50)
+    assert peak < 2 * 2**20
 
 
 def test_lifted_kernel_is_checked_exactly():
