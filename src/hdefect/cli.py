@@ -21,6 +21,7 @@ and 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -249,21 +250,22 @@ class _SpecParser:
         return self.text[start : self.pos]
 
 
-def parse_matrix_spec(text: str) -> MatrixSpec:
+def _parse_whole(text: str, rule):
+    """`rule` of a parser over the stripped text, which must consume all of it."""
     parser = _SpecParser(text.strip())
-    spec = parser.parse_spec()
+    result = rule(parser)
     if parser.pos != len(parser.text):
         parser.fail("unexpected trailing text")
-    return spec
+    return result
+
+
+def parse_matrix_spec(text: str) -> MatrixSpec:
+    return _parse_whole(text, _SpecParser.parse_spec)
 
 
 def parse_parameter_turns(text: str) -> tuple:
     """Parse bracket syntax [[t,...],[t,...]] from a string or parameter file."""
-    parser = _SpecParser(text.strip())
-    rows = parser.parse_inline_turns()
-    if parser.pos != len(parser.text):
-        parser.fail("unexpected trailing text")
-    return rows
+    return _parse_whole(text, _SpecParser.parse_inline_turns)
 
 
 def build_matrix(spec: MatrixSpec) -> HadamardMatrix:
@@ -355,9 +357,7 @@ def _cmd_defect(args) -> int:
         payload["dephased_defect"] = dephased
     if args.basis:
         elements = [[float(x) for x in element.ravel()] for element in basis]
-        with open(args.basis, "w") as handle:
-            json.dump({"n": matrix.n, "dimension": len(basis), "basis": elements}, handle, indent=2)
-            handle.write("\n")
+        _emit({"n": matrix.n, "dimension": len(basis), "basis": elements}, args.basis)
     _emit(payload)
     return 0
 
@@ -371,26 +371,23 @@ def _cmd_scan(args) -> int:
     h = build_matrix(parse_matrix_spec(args.h_spec))
     k = build_matrix(parse_matrix_spec(args.k_spec))
     cells = deformation_scan(h, k, _parse_grid(args.grid), rel_tol=args.tol, gap_threshold=args.gap)
-    header = ["cell_id", "l_turns", "defect", "dephased_defect", "gap_ratio", "certified", "error"]
 
-    def rows():
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["cell_id", "l_turns", "defect", "dephased_defect", "gap_ratio", "certified", "error"])
         for cell in cells:
-            l_turns = ";".join([",".join(map(str, row)) for row in cell.parameter_turns])
-            yield [
-                cell.cell_id,
-                l_turns,
-                "" if cell.defect is None else cell.defect,
-                "" if cell.dephased_defect is None else cell.dephased_defect,
-                "" if cell.gap_ratio is None else repr(cell.gap_ratio),
-                "true" if cell.certified else "false",
-                cell.error or "",
-            ]
-
+            writer.writerow(
+                [
+                    cell.cell_id,
+                    ";".join([",".join(map(str, row)) for row in cell.parameter_turns]),
+                    "" if cell.defect is None else cell.defect,
+                    "" if cell.dephased_defect is None else cell.dephased_defect,
+                    "" if cell.gap_ratio is None else repr(cell.gap_ratio),
+                    "true" if cell.certified else "false",
+                    cell.error or "",
+                ]
+            )
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows())
         worst = min((cell for cell in cells if cell.certified), key=lambda cell: cell.gap_ratio, default=None)
         error_types = [cell.error_type for cell in cells if cell.error]
         _emit(
@@ -404,10 +401,6 @@ def _cmd_scan(args) -> int:
                 "errors_by_type": {name: error_types.count(name) for name in sorted(set(error_types))},
             }
         )
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows())
     return 0
 
 
@@ -456,6 +449,14 @@ def _rel_tol(text: str) -> float:
     return value
 
 
+def _verify_tol(text: str) -> float:
+    """A verify --tol: an error bound, so at least 0; inf is allowed and NaN, which no error is below, is not."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _gap_threshold(text: str) -> float:
     """A --gap: at least 1, the least gap ratio there is; inf is allowed and NaN, which no ratio is below, is not."""
     value = float(text)
@@ -483,7 +484,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check unimodularity and row orthogonality")
     p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=VERIFY_TOL)
+    p.add_argument("--tol", type=_verify_tol, default=VERIFY_TOL)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("defect", help="undephased defect with rank certification")
@@ -533,12 +534,9 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DomainError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SpecParseError) else 1
 
 
 def main() -> None:

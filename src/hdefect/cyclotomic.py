@@ -4,8 +4,8 @@ For q > 1, Phi_q is the product of (1 - x^(q/d))^mu(d) over the squarefree
 divisors d of q, taken as a power series of length phi(q) + 1 in Python ints
 (low degree first). The reduction table expresses x^m mod Phi_q in the power
 basis 1, x, ..., x^(phi(q)-1); sums of q-th roots of unity are exactly zero
-iff their reduced coefficient vector vanishes. A table above
-`MAX_SYSTEM_BYTES` is refused before Phi_q is built, and the tables kept
+iff their reduced coefficient vector vanishes. `errors.check_bytes` refuses
+a table above `MAX_SYSTEM_BYTES` before Phi_q is built, and the tables kept
 between calls are bounded by `TABLE_CACHE_BYTES`.
 """
 
@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import MAX_SYSTEM_BYTES, CapExceededError
+from .errors import MAX_SYSTEM_BYTES, check_bytes
 from .groups import factorize
 
 # Bytes of reduction tables kept. A scan meets every order of its grid per chunk: a lower bound rebuilds tables.
@@ -75,11 +75,7 @@ def _cached_within_table_bytes(build):
 def power_reduction_table(q: int) -> np.ndarray:
     """Rows m = 0..q-1: coefficient vector of x^m mod Phi_q (int64, shape q x phi)."""
     deg = euler_phi(q)
-    nbytes = q * deg * 8
-    if nbytes > MAX_SYSTEM_BYTES:
-        raise CapExceededError(
-            f"reduction table of {q} x {deg} entries needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
-        )
+    check_bytes(f"reduction table of {q} x {deg} entries", q * deg * 8)
     low = np.array(cyclotomic_polynomial(q)[:-1], dtype=np.int64)
     table = np.zeros((q, deg), dtype=np.int64)
     table[0, 0] = 1

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the size cap behind CapExceededError."""
 
-# Largest array, at 8 bytes an entry, that a pair system or a cyclotomic
-# reduction table may allocate; the temporaries of an SVD or of modular
-# elimination are of the same order.
+# Largest array, at 8 bytes an entry, that a pair system, a Fourier matrix, an
+# addition table or a cyclotomic reduction table may allocate; the temporaries
+# of an SVD or of modular elimination are of the same order.
 MAX_SYSTEM_BYTES = 2**29
 
 
@@ -12,6 +12,12 @@ class DomainError(Exception):
 
 class CapExceededError(DomainError):
     """An enumeration or size cap would be exceeded."""
+
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """Raise CapExceededError when `what` needs more than MAX_SYSTEM_BYTES bytes; the one guard of every array cap."""
+    if nbytes > MAX_SYSTEM_BYTES:
+        raise CapExceededError(f"{what} needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}")
 
 
 class NonHadamardError(DomainError):

@@ -189,12 +189,12 @@ def _lift_kernel(reduced: np.ndarray, pivots: list[int], p: int):
     is not. Returns None when reconstruction fails.
     """
     ncols = reduced.shape[1]
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.delete(np.arange(ncols), pivots)
     fractions = _rational_reconstruction((-reduced[:, free]) % p, p)
     if fractions is None:
         return None
     num, den = fractions
-    if int(np.abs(num).max(initial=1)) * math.lcm(*np.unique(den).tolist()) >= 2**63:
+    if int(np.abs(num).max(initial=1)) * math.lcm(*set(den.ravel().tolist())) >= 2**63:
         num, den = num.astype(object), den.astype(object)
     scale = np.lcm.reduce(den, axis=0, initial=1)
     kernel = np.zeros((ncols, len(free)), dtype=num.dtype)

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import MAX_SYSTEM_BYTES, CapExceededError
+from .errors import CapExceededError, check_bytes
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -82,10 +82,7 @@ class FiniteAbelianGroup:
 
     def index_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Odometer indices of g + h (a |G| x |G| table) and of -g, by mixed-radix digits."""
-        if (nbytes := self.order**2 * 8) > MAX_SYSTEM_BYTES:
-            raise CapExceededError(
-                f"addition table of order {self.order} needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
-            )
+        check_bytes(f"addition table of order {self.order}", self.order**2 * 8)
         digits = np.array(self.element_list(), dtype=np.int64).reshape(self.order, len(self.cycle_orders))
         add = np.zeros((self.order, self.order), dtype=np.int64)
         neg = np.zeros(self.order, dtype=np.int64)

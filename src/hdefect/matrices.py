@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import power_reduction_table
-from .errors import MAX_SYSTEM_BYTES, CapExceededError, NonExactError, NonHadamardError
+from .errors import CapExceededError, NonExactError, NonHadamardError, check_bytes
 from .groups import FiniteAbelianGroup
 
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)  # e^(2 pi i k / 4) for k = 0..3, as exact literals
@@ -73,18 +73,16 @@ def _phases_from_turns(rows) -> tuple[np.ndarray, int]:
 class UnimodularMatrix:
     """Rectangular matrix of unimodular entries, exact-phase or floating.
 
-    Built from exactly one of `turns` (rows of turn Fractions or ints),
-    `phases` (integer numerators and their root order q) or `values` (a
-    complex array). `numerators` is None for floating matrices.
+    Built from exactly one of `phases` (integer numerators and their root order
+    q) or `values` (a complex array); `from_turns(rows, **kwargs)` builds any
+    subclass from rows of turns. `numerators` is None for floating matrices.
     """
 
-    def __init__(self, *, turns=None, values=None, phases=None):
-        if sum(x is not None for x in (turns, values, phases)) != 1:
-            raise ValueError("exactly one of turns, phases or values must be given")
+    def __init__(self, *, phases=None, values=None):
+        if (phases is None) == (values is None):
+            raise ValueError("exactly one of phases or values must be given")
         self._values = None
         self.numerators = None
-        if turns is not None:
-            phases = _phases_from_turns(turns)
         if phases is not None:
             nums, q = phases
             _check_order(q)
@@ -103,6 +101,14 @@ class UnimodularMatrix:
                 raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
             self.rows, self.cols = arr.shape
             self._values = arr
+
+    @classmethod
+    def from_turns(cls, rows, **kwargs):
+        return cls(phases=_phases_from_turns(rows), **kwargs)
+
+    @classmethod
+    def from_values(cls, values, **kwargs):
+        return cls(values=values, **kwargs)
 
     @property
     def is_exact(self) -> bool:
@@ -144,35 +150,23 @@ def _common_order(*matrices: UnimodularMatrix) -> tuple[list[np.ndarray], int]:
 class DeformationParameters(UnimodularMatrix):
     """The M x N parameter matrix of a deformed tensor product."""
 
-    def __init__(self, *, turns=None, values=None, phases=None):
-        super().__init__(turns=turns, values=values, phases=phases)
+    def __init__(self, *, phases=None, values=None):
+        super().__init__(phases=phases, values=values)
         if not self.is_exact and self.max_modulus_error() > UNIMODULAR_TOL:
             raise NonHadamardError(
                 f"deformation parameters must be unimodular (error {self.max_modulus_error():.3e})"
             )
 
-    @classmethod
-    def from_turns(cls, rows) -> "DeformationParameters":
-        return cls(turns=rows)
-
 
 class HadamardMatrix(UnimodularMatrix):
     """Square candidate matrix with a provenance label; validity is a separate check."""
 
-    def __init__(self, *, turns=None, values=None, phases=None, provenance: str = ""):
-        super().__init__(turns=turns, values=values, phases=phases)
+    def __init__(self, *, phases=None, values=None, provenance: str = ""):
+        super().__init__(phases=phases, values=values)
         if self.rows != self.cols:
             raise ValueError(f"matrix must be square, got {self.rows} x {self.cols}")
         self.n = self.rows
         self.provenance = provenance
-
-    @classmethod
-    def from_turns(cls, rows, provenance: str = "") -> "HadamardMatrix":
-        return cls(turns=rows, provenance=provenance)
-
-    @classmethod
-    def from_values(cls, values, provenance: str = "") -> "HadamardMatrix":
-        return cls(values=values, provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -187,10 +181,7 @@ class ValidationReport:
 def fourier_matrix(group: FiniteAbelianGroup) -> HadamardMatrix:
     """Character table of the group: entry (g, h) has phase sum_t g_t h_t / N_t."""
     orders = group.cycle_orders
-    if (nbytes := group.order**2 * 8) > MAX_SYSTEM_BYTES:
-        raise CapExceededError(
-            f"Fourier matrix of order {group.order} needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
-        )
+    check_bytes(f"Fourier matrix of order {group.order}", group.order**2 * 8)
     q = group.exponent
     elems = np.array(group.element_list(), dtype=np.int64).reshape(group.order, len(orders))
     weights = np.array([q // n for n in orders], dtype=np.int64)
@@ -304,20 +295,16 @@ def as_exact(h: HadamardMatrix) -> HadamardMatrix:
     """
     if h.is_exact:
         return h
-    values = h.to_values()
-    rows = []
-    for row in values:
-        out = []
-        for z in row:
-            turn = Fraction(float(np.angle(z)) / (2 * np.pi)).limit_denominator(AS_EXACT_MAX_DENOMINATOR) % 1
-            if abs(z - turn_to_complex(turn)) > AS_EXACT_TOL:
-                raise NonExactError(
-                    f"entry {z} is not within {AS_EXACT_TOL} of a root of unity with "
-                    f"denominator <= {AS_EXACT_MAX_DENOMINATOR}"
-                )
-            out.append(turn)
-        rows.append(out)
-    return HadamardMatrix.from_turns(rows, provenance=h.provenance)
+    turns = []
+    for z in h.to_values().ravel():
+        turn = Fraction(float(np.angle(z)) / (2 * np.pi)).limit_denominator(AS_EXACT_MAX_DENOMINATOR) % 1
+        if abs(z - turn_to_complex(turn)) > AS_EXACT_TOL:
+            raise NonExactError(
+                f"entry {z} is not within {AS_EXACT_TOL} of a root of unity with "
+                f"denominator <= {AS_EXACT_MAX_DENOMINATOR}"
+            )
+        turns.append(turn)
+    return HadamardMatrix.from_turns([turns[i * h.n : (i + 1) * h.n] for i in range(h.n)], provenance=h.provenance)
 
 
 def dephase(h: HadamardMatrix) -> HadamardMatrix:
@@ -353,7 +340,7 @@ def apply_equivalence(
     all_exact = all(isinstance(p, (Fraction, int)) for p in row_phases + col_phases)
     prov = f"equivalent:({h.provenance})"
     if h.is_exact and all_exact:
-        (hn, (rn, cn)), q = _common_order(h, UnimodularMatrix(turns=[row_phases, col_phases]))
+        (hn, (rn, cn)), q = _common_order(h, UnimodularMatrix.from_turns([row_phases, col_phases]))
         return HadamardMatrix(phases=(rn[:, None] + cn[None, :] + hn[np.ix_(rp, cp)], q), provenance=prov)
     v = h.to_values()
     rvals = np.array([turn_to_complex(p) if isinstance(p, (Fraction, int)) else complex(p) for p in row_phases])
@@ -447,14 +434,12 @@ def matrix_from_dict(obj: dict) -> HadamardMatrix:
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(entries)}")
     if repr_tag == "phase":
-        turns = []
         for pair in entries:
             num, den = pair
             if not isinstance(num, int) or not isinstance(den, int) or den < 1:
                 raise ValueError(f"phase entries are [numerator, denominator] ints, got {pair}")
-            turns.append(Fraction(num, den))
-        rows = [turns[i * n : (i + 1) * n] for i in range(n)]
-        return HadamardMatrix.from_turns(rows, provenance=provenance)
+        turns = [Fraction(num, den) for num, den in entries]
+        return HadamardMatrix.from_turns([turns[i * n : (i + 1) * n] for i in range(n)], provenance=provenance)
     if repr_tag == "complex":
         vals = [complex(re, im) for re, im in entries]
         arr = np.array(vals, dtype=complex).reshape(n, n)

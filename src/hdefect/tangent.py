@@ -9,6 +9,7 @@ spectral-gap certificate.
 Every pair system in the package, floating or exact, single or stacked, is
 built by one assembly, `pair_rows`, from per-pair coefficient blocks over the
 unknowns X of A = B X B^T for a column basis B; B = I gives the entries A_ab.
+A defect call assembles each of its floating systems by `tangent_system`.
 Ranks are taken over the orthogonal `helmert_matrix` W: its unknowns X_0b and
 X_a0 span the 2N - 1 rephasings a 1^T + 1 b^T, which solve the system exactly
 for every Hadamard H, and are dropped. The SVD ranks the other (N-1)^2, which
@@ -16,7 +17,7 @@ span their orthogonal complement, so the rank and every nonzero singular
 value are those of the full system, and d = N^2 - rank.
 The ranked columns are moved to the front of the buffer the system was
 assembled in, so no second system-sized array is made before the SVD.
-`check_system_size` refuses any system above `MAX_SYSTEM_BYTES` before it or
+`check_system_size` refuses any system above the `check_bytes` cap before it or
 its blocks are allocated. A deformation scan takes one stack of cells, one
 assembly and one stacked SVD per chunk of cells, verified as stacks: exact
 cells grouped by their own root orders, as a single defect call checks them.
@@ -35,12 +36,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    MAX_SYSTEM_BYTES,
     AmbiguousRankError,
     CapExceededError,
     DefectMismatchError,
     NonHadamardError,
     ResidualError,
+    check_bytes,
 )
 from .groups import FiniteAbelianGroup, _p_space_keys, enumeration_cap, fourier_defect
 from .matrices import MAX_PHASE_ORDER, VERIFY_TOL, DeformationParameters, HadamardMatrix, _common_order, _roots
@@ -100,12 +101,8 @@ def _rank_in_place(system: np.ndarray) -> np.ndarray:
 
 
 def check_system_size(nrows: int, ncols: int) -> None:
-    """Raise CapExceededError when an nrows x ncols pair system needs more than MAX_SYSTEM_BYTES bytes."""
-    nbytes = nrows * ncols * 8
-    if nbytes > MAX_SYSTEM_BYTES:
-        raise CapExceededError(
-            f"pair system of {nrows} x {ncols} entries needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}"
-        )
+    """Raise CapExceededError when an nrows x ncols pair system needs more than the `check_bytes` cap."""
+    check_bytes(f"pair system of {nrows} x {ncols} entries", nrows * ncols * 8)
 
 
 def pair_rows(pairs: np.ndarray, blocks: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -217,7 +214,7 @@ def _dephased_basis(n: int) -> np.ndarray:
 def _defect_pass(
     h: HadamardMatrix, rel_tol: float, gap_threshold: float, dephased: bool = False, basis: bool = False
 ) -> tuple[DefectReport, int | None, list[np.ndarray] | None]:
-    """Verify once, assemble once and certify the rank; optionally also the dephased defect and a tangent basis.
+    """Verify once, rank one assembly and certify it; optionally also the dephased defect and a tangent basis.
 
     The system is assembled over W = `helmert_matrix(N)` and ranked on the
     columns that `_rank_in_place` keeps. With `basis` the one SVD also gives
@@ -233,14 +230,13 @@ def _defect_pass(
     check_system_size(h.n * (h.n - 1), h.n**2)  # before the N x N Helmert matrix is built
     n, w = h.n, helmert_matrix(h.n)
     matrix = _rank_in_place(tangent_system(h, w).matrix)
-    pairs = ordered_pairs(n)
     elements = None
     if basis:
         _, sigma, vh = np.linalg.svd(matrix)
         result = _certify(_rank_from_spectrum(sigma, rel_tol), gap_threshold, f"defect of {label}")
         elements = [w[:, 1:] @ x.reshape(n - 1, n - 1) @ w[:, 1:].T for x in vh[result.rank:]]
         elements += [np.outer(w[:, a], w[:, b]) for a, b in product(range(n), repeat=2) if a * b == 0]
-        full = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), np.eye(n))
+        full = tangent_system(h).matrix
         bound = 10 * rel_tol * sigma.max(initial=0.0)
         for b in elements:
             residual = float(np.abs(full @ b.ravel()).max(initial=0.0))
@@ -264,7 +260,7 @@ def _defect_pass(
     )
     if not dephased:
         return report, None, elements
-    restricted = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), _dephased_basis(n))
+    restricted = tangent_system(h, _dephased_basis(n)).matrix
     result = _certify(numeric_rank(restricted, rel_tol), gap_threshold, f"dephased defect of {label}")
     direct = (n - 1) * (n - 1) - result.rank
     if direct != report.dephased_defect:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -297,7 +298,7 @@ def test_scan_verifies_each_cell_at_its_own_order(tmp_path, capsys):
 
 
 def test_defect_basis_is_one_pass(monkeypatch, tmp_path, capsys):
-    counts = {"verify_hadamard": 0, "tangent_system": 0}
+    counts = {"verify_hadamard": 0, "tangent_system": 0, "pair_rows": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(tangent, name), **kwargs):
             counts[_name] += 1
@@ -314,7 +315,8 @@ def test_defect_basis_is_one_pass(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     basis = tmp_path / "b.json"
     assert run(["defect", "fourier:6", "--dephased", "--basis", str(basis)]) == 0
-    assert (counts["verify_hadamard"], counts["tangent_system"], svd_calls) == (1, 1, [True, False])
+    # The ranked, residual and dephased systems: three assemblies, each by tangent_system.
+    assert tuple(counts.values()) == (1, 3, 3) and svd_calls == [True, False]
     payload = json.loads(capsys.readouterr().out)
     assert json.loads(basis.read_text())["dimension"] == payload["defect"] == 15
     svd_calls.clear()
@@ -424,6 +426,15 @@ def test_cli_import_loads_no_heavy_modules():
     assert run_python("-c", code) == (0, "\n", "")
 
 
+def test_one_shot_conjecture_does_not_import_numpy_ma():
+    # Under numpy 2.4 np.setdiff1d, and np.unique unless asked for indices or counts, import numpy.ma: 16 ms.
+    specs = ["fourier:4", "haagerup:1/8", "tensor:(haagerup:3/16,fourier:2)"]
+    runs = f"[hdefect.cli.run(['conjecture', s]) for s in {specs}]"
+    code = f"import sys, hdefect.cli; print({runs}, 'numpy.ma' in sys.modules)"
+    status, out, err = run_python("-c", code)
+    assert (status, out.splitlines()[-1], err) == (0, "[0, 0, 0] False", "")
+
+
 def test_one_parser_per_process(monkeypatch, capsys):
     built = []
     build = cli.build_arg_parser
@@ -483,6 +494,22 @@ def test_rank_options_in_range_are_accepted(capsys):
     assert json.loads(capsys.readouterr().out)["defect"] == 8
     assert run(["conjecture", "fourier:4"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "SUPPORTED"
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5", "nan"])
+def test_negative_or_nan_verify_tolerance_is_a_usage_error(capsys, value):
+    # Either would fail every floating matrix, and NaN would print "tolerance": NaN, which is not JSON.
+    assert run(["verify", "circulant:0,1/4", "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: argument --tol: must be at least 0, got " in captured.err
+
+
+def test_verify_tolerances_from_zero_to_inf_are_accepted(capsys):
+    cases = (([], 1e-9, True), (["--tol", "0"], 0.0, False), (["--tol", "inf"], math.inf, True))
+    for options, tolerance, passed in cases:
+        assert run(["verify", "circulant:0,1/4", *options]) == (0 if passed else 1)
+        report = json.loads(capsys.readouterr().out)
+        assert (report["tolerance"], report["passed"]) == (tolerance, passed)
 
 
 def test_float_tangent_system_size_guard(capsys):

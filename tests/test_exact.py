@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdefect import exact, tangent
+from hdefect import errors, exact
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
 from hdefect.errors import CapExceededError, DefectMismatchError, NonExactError
@@ -621,9 +621,9 @@ def test_size_guard_raises_before_allocating(monkeypatch):
     h = fourier_matrix(make_group([4]))
     system = build_exact_system(h)
     # Half system 6 pairs x phi(4) = 2 rows by 16 columns of int64: 1536 bytes.
-    monkeypatch.setattr(tangent, "MAX_SYSTEM_BYTES", 1536)
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1536)
     assert rational_nullity(system) == 8
-    monkeypatch.setattr(tangent, "MAX_SYSTEM_BYTES", 1535)
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1535)
     with pytest.raises(CapExceededError):
         rational_nullity(system)
 
@@ -636,7 +636,7 @@ def test_size_guard_runs_before_the_blocks(monkeypatch):
 
     monkeypatch.setattr(exact, "power_reduction_table", unexpected)
     monkeypatch.setattr(exact, "modular_prime", unexpected)
-    monkeypatch.setattr(tangent, "MAX_SYSTEM_BYTES", 1535)
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1535)
     with pytest.raises(CapExceededError):
         rational_nullity(system)
 

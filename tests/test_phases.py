@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdefect import matrices
+from hdefect import errors, groups, matrices, tangent
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
-from hdefect.errors import CapExceededError
+from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
 from hdefect.groups import FiniteAbelianGroup, make_group
 from hdefect.matrices import (
     DeformationParameters,
@@ -28,7 +28,7 @@ from hdefect.matrices import (
     turn_to_complex,
     verify_hadamard,
 )
-from hdefect.tangent import MAX_SYSTEM_BYTES, tangent_system, undephased_defect
+from hdefect.tangent import tangent_system, undephased_defect
 
 from conftest import traced_peak
 
@@ -85,7 +85,7 @@ def hadamard_with_equivalence(draw):
 @given(phase_arrays())
 def test_turns_round_trip(phases):
     m = UnimodularMatrix(phases=phases)
-    back = UnimodularMatrix(turns=m.turns)
+    back = UnimodularMatrix.from_turns(m.turns)
     assert _same_phases(back, m)
     assert all(0 <= t < 1 for row in m.turns for t in row)
     assert m.phase_order() == math.lcm(1, *(t.denominator for row in m.turns for t in row))
@@ -251,12 +251,28 @@ def test_float_tangent_system_refused_before_products():
 
 
 def test_fourier_matrix_refused_before_its_elements(monkeypatch, capsys):
-    monkeypatch.setattr(matrices, "MAX_SYSTEM_BYTES", 64**2 * 8 - 1)  # one byte below the 64 x 64 phase array
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 64**2 * 8 - 1)  # one byte below the 64 x 64 phase array
     with monkeypatch.context() as patch:
         patch.setattr(FiniteAbelianGroup, "element_list", lambda group: pytest.fail("elements listed before the check"))
         with pytest.raises(CapExceededError, match="Fourier matrix of order 64 needs 32768 bytes"):
             fourier_matrix(make_group([8, 8]))
         assert run(["defect", "fourier:64"]) == 1
     assert "above the cap 32767" in capsys.readouterr().err
-    monkeypatch.setattr(matrices, "MAX_SYSTEM_BYTES", 64**2 * 8)
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 64**2 * 8)
     assert verify_hadamard(fourier_matrix(make_group([64]))).passed
+
+
+def test_one_cap_governs_every_guard(monkeypatch):
+    # Only errors binds the cap, so one setting reaches the four guards, each refusing with its own subject.
+    assert not any(hasattr(module, "MAX_SYSTEM_BYTES") for module in (tangent, matrices, groups))
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 32767)
+    f16 = fourier_matrix(make_group([16]))
+    refusals = [
+        (lambda: fourier_matrix(make_group([64])), "Fourier matrix of order 64 needs 32768"),
+        (make_group([64]).index_tables, "addition table of order 64 needs 32768"),
+        (lambda: power_reduction_table.__wrapped__(128), "reduction table of 128 x 64 entries needs 65536"),
+        (lambda: tangent_system(f16), "pair system of 240 x 256 entries needs 491520"),
+    ]
+    for build, subject in refusals:
+        with pytest.raises(CapExceededError, match=f"^{subject} bytes, above the cap 32767$"):
+            build()
