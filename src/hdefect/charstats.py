@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import CapExceededError
-from .groups import FiniteAbelianGroup, _check_cap, element_order, enumeration_cap
+from .errors import check_elements
+from .groups import FiniteAbelianGroup, element_order
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def ds_defect_estimate(group: FiniteAbelianGroup, k: int, window: int) -> Fracti
         raise ValueError("window length must be >= 1")
     if k < 1:
         raise ValueError("moment index must be >= 1")
-    _check_cap(group.order, "ds_defect_estimate")
+    check_elements("ds_defect_estimate", group.order)
     hits = sum(window // element_order(group, g) for g in group.elements())
     return Fraction(group.order * hits, window)
 
@@ -154,8 +154,6 @@ def ds_delta_exact(group: PermutationGroup, k: int = 1) -> Fraction:
 
 def regular_representation(group: FiniteAbelianGroup) -> PermutationGroup:
     """Left translation action of an abelian group on itself."""
-    if group.order > enumeration_cap():
-        raise CapExceededError(f"group order {group.order} exceeds cap {enumeration_cap()}")
     return permutation_group(group.order, group.index_tables()[0].tolist())
 
 

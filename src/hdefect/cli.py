@@ -28,7 +28,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .charstats import ds_defect_estimate
 from .errors import DomainError, SpecParseError
@@ -441,28 +441,26 @@ def _cmd_ds(args) -> int:
     return 0
 
 
-def _rel_tol(text: str) -> float:
-    """A --tol: below machine epsilon rounding noise counts toward the rank, and from 1 no singular value does."""
-    value = float(text)
-    if not sys.float_info.epsilon <= value < 1:
-        raise argparse.ArgumentTypeError(f"must lie in [{sys.float_info.epsilon:.4g}, 1), got {text}")
-    return value
+def _float_type(rule: str, accepts: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse type: the float of the text, or a usage error naming the text if it is no number or breaks `rule`."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    return parse
 
 
-def _verify_tol(text: str) -> float:
-    """A verify --tol: an error bound, so at least 0; inf is allowed and NaN, which no error is below, is not."""
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return value
-
-
-def _gap_threshold(text: str) -> float:
-    """A --gap: at least 1, the least gap ratio there is; inf is allowed and NaN, which no ratio is below, is not."""
-    value = float(text)
-    if not value >= 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+# A --tol: below machine epsilon rounding noise counts toward the rank, and from 1 no singular value does.
+_rel_tol = _float_type(f"must lie in [{sys.float_info.epsilon:.4g}, 1)", lambda v: sys.float_info.epsilon <= v < 1)
+# A verify --tol bounds an error and a --gap ratio is at least 1; both allow inf and refuse NaN, which nothing is below.
+_verify_tol = _float_type("must be at least 0", lambda v: v >= 0)
+_gap_threshold = _float_type("must be at least 1", lambda v: v >= 1)
 
 
 def _add_rank_options(p: argparse.ArgumentParser) -> None:

@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the size cap behind CapExceededError."""
+"""Exception types shared across the package, and the byte and element caps behind CapExceededError: each is one
+constant, checked where its array or sweep is made, so that setting it here moves every guard of its kind."""
 
 # Largest array, at 8 bytes an entry, that a pair system, a Fourier matrix, an
 # addition table or a cyclotomic reduction table may allocate; the temporaries
 # of an SVD or of modular elimination are of the same order.
 MAX_SYSTEM_BYTES = 2**29
+# Most elements a sweep may visit one at a time: scan cells, group elements, trial divisors.
+MAX_ELEMENTS = 10**6
 
 
 class DomainError(Exception):
@@ -18,6 +21,12 @@ def check_bytes(what: str, nbytes: int) -> None:
     """Raise CapExceededError when `what` needs more than MAX_SYSTEM_BYTES bytes; the one guard of every array cap."""
     if nbytes > MAX_SYSTEM_BYTES:
         raise CapExceededError(f"{what} needs {nbytes} bytes, above the cap {MAX_SYSTEM_BYTES}")
+
+
+def check_elements(what: str, count: int) -> None:
+    """Raise CapExceededError when `what` needs more than MAX_ELEMENTS elements; the one guard of every sweep cap."""
+    if count > MAX_ELEMENTS:
+        raise CapExceededError(f"{what} needs {count} elements, above the cap {MAX_ELEMENTS}")
 
 
 class NonHadamardError(DomainError):

@@ -242,17 +242,19 @@ def rational_nullity(system: ExactSystem) -> CertifiedNullity:
     """Dimension over Q of the rational solutions of the exact system, proved as the module docstring says.
 
     Per prime of `_lift_primes(q)`, the lead rows are eliminated and lifted; when that fails, the lead echelon form
-    on top of the other units' rows is. CapExceededError if no kernel lifts.
+    on top of the other units' rows is. CapExceededError if no kernel lifts, or if the rows a stage eliminates are
+    above the `check_bytes` cap: the lead rows are checked before any prime or table is made, each stack before it.
     """
-    n, q = system.n, system.root_order
-    check_system_size(n * (n - 1) // 2 * system.degree, n * n)
+    n, q, half = system.n, system.root_order, system.n * (system.n - 1) // 2
     lead = min(2, system.degree)  # the units 1 and -1, one unit when q <= 2
     stages = [(0, lead), (lead, system.degree)][: 1 + (system.degree > lead)]
+    check_system_size(half * lead, n * n)
     tried = []
     for p in _lift_primes(q):
         tried.append(p)
         reduced, rank = np.empty((0, n * n), dtype=np.int64), -1
         for start, stop in stages:
+            check_system_size(len(reduced) + half * (stop - start), n * n)
             reduced = np.concatenate([reduced, _conjugate_rows(system, p, start, stop)])
             pivots = _echelon_mod(reduced, p)
             if len(pivots) == rank:  # the other units added no pivot, so this kernel was lifted already
@@ -297,8 +299,8 @@ def conjecture_check(
     least the defect.
     """
     system = build_exact_system(h)
+    report = undephased_defect(h, rel_tol, gap_threshold)  # verifies h before any elimination
     nullity = rational_nullity(system)
-    report = undephased_defect(h, rel_tol, gap_threshold)
     if nullity > report.undephased_defect:
         raise DefectMismatchError(
             f"rational nullity {nullity} exceeds certified defect {report.undephased_defect}; "

@@ -10,7 +10,6 @@ matrix constructors.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,28 +17,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CapExceededError, check_bytes
-
-DEFAULT_ENUMERATION_CAP = 10**6
-
-
-def enumeration_cap() -> int:
-    """Element cap for enumerating operations; HD_CAP overrides the default."""
-    value = os.environ.get("HD_CAP")
-    if value is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(value)
-    except ValueError as exc:
-        raise ValueError(f"HD_CAP must be an integer, got {value!r}") from exc
-    if cap < 1:
-        raise ValueError(f"HD_CAP must be positive, got {cap}")
-    return cap
-
-
-def _check_cap(size: int, what: str) -> None:
-    if size > (limit := enumeration_cap()):
-        raise CapExceededError(f"{what} needs {size} elements, cap is {limit}")
+from . import errors
+from .errors import check_bytes, check_elements
 
 
 @dataclass(frozen=True)
@@ -105,10 +84,14 @@ def element_order(group: FiniteAbelianGroup, g) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; {} for n = 1."""
+    """Prime factorization by trial division, {} for n = 1; past MAX_ELEMENTS divisors only a prime cofactor ends it."""
     factors: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > errors.MAX_ELEMENTS:
+            if n < PRIME_TEST_LIMIT and is_prime(n):
+                break
+            check_elements(f"trial division of {n}", math.isqrt(n))
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
@@ -221,7 +204,6 @@ def _p_space_keys(group: FiniteAbelianGroup):
     that column translation runs along, and the column pair that conjugation
     ties.
     """
-    _check_cap(group.order, "parameter space")
     n = group.order
     shift, neg = group.index_tables()
     cols = np.arange(n)
@@ -236,7 +218,7 @@ def _p_space_keys(group: FiniteAbelianGroup):
 def p_space_dimension(group: FiniteAbelianGroup) -> int:
     """Real dimension of the constrained parameter space (2 per free class, 1 per real one)."""
     key, neg = _p_space_keys(group)
-    columns = np.unique(key) % group.order
+    columns = np.unique(key, return_index=True)[0] % group.order  # a plain np.unique imports numpy.ma
     return 2 * columns.size - int(np.count_nonzero(neg[columns] == columns))
 
 

@@ -37,13 +37,13 @@ import numpy as np
 
 from .errors import (
     AmbiguousRankError,
-    CapExceededError,
     DefectMismatchError,
     NonHadamardError,
     ResidualError,
     check_bytes,
+    check_elements,
 )
-from .groups import FiniteAbelianGroup, _p_space_keys, enumeration_cap, fourier_defect
+from .groups import FiniteAbelianGroup, _p_space_keys, fourier_defect
 from .matrices import MAX_PHASE_ORDER, VERIFY_TOL, DeformationParameters, HadamardMatrix, _common_order, _roots
 from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_errors, turn_to_complex, verify_hadamard
 
@@ -410,8 +410,8 @@ def deformation_scan(
     The free entries of L are positions (a, j) with a, j >= 1 in row-major
     order; each ranges over the grid turns. The flat cell is prepended when
     the grid does not contain it. Cells come in the deterministic grid order.
-    A scan of more cells than the enumeration cap (HD_CAP) is refused with
-    CapExceededError before any cell is built; a cell whose root order reaches
+    A scan of more cells than `errors.MAX_ELEMENTS` is refused by
+    `check_elements` before any cell is built; a cell whose root order reaches
     MAX_PHASE_ORDER raises the CapExceededError of a single defect call.
     """
     m, n = k.n, h.n
@@ -419,8 +419,7 @@ def deformation_scan(
     turns = grid.turns()
     add_flat = nfree > 0 and Fraction(0) not in turns
     count = len(turns) ** nfree + add_flat
-    if count > enumeration_cap():
-        raise CapExceededError(f"deformation scan of {count} cells exceeds the cap {enumeration_cap()}")
+    check_elements("deformation scan grid", count)
     zero = len(turns)
     turns.append(Fraction(0))
     labels = [str(t) for t in turns]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdefect
-from hdefect import charstats, cli, tangent
+from hdefect import charstats, cli, errors, tangent
 from hdefect.cli import (
     CirculantSpec,
     DeformedSpec,
@@ -187,6 +187,11 @@ def test_verify_pass_and_fail(tmp_path, capsys):
 def test_formula_prints_bare_integer(capsys):
     assert run(["formula", "--group", "2x2"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+    # A prime past the 10^6 trial divisors is decided by Miller-Rabin at once; its defect is 2n - 1.
+    start = time.perf_counter()
+    assert run(["formula", "--group", "1000000000000000003"]) == 0
+    assert capsys.readouterr().out == "2000000000000000005\n"
+    assert time.perf_counter() - start < 5.0
 
 
 def test_formula_agrees_with_defect_for_small_groups(capsys):
@@ -272,14 +277,14 @@ def test_scan_cell_cap_before_enumeration(monkeypatch, capsys):
     start = time.perf_counter()
     assert run(["scan", "fourier:4", "fourier:4", "--grid", "16"]) == 1
     assert time.perf_counter() - start < 1.0
-    assert "68719476736 cells" in capsys.readouterr().err
-    monkeypatch.setenv("HD_CAP", "16")
+    assert "deformation scan grid needs 68719476736 elements" in capsys.readouterr().err
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 16)
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "16"]) == 0
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "8:1,3,5"]) == 0
     capsys.readouterr()
     # With the flat cell prepended, 16 grid cells make 17.
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "32:1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16"]) == 1
-    assert "17 cells exceeds the cap 16" in capsys.readouterr().err
+    assert "deformation scan grid needs 17 elements, above the cap 16" in capsys.readouterr().err
 
 
 def test_scan_verifies_each_cell_at_its_own_order(tmp_path, capsys):
@@ -399,12 +404,13 @@ def test_ds_group_cap_before_the_sweep(monkeypatch, capsys):
         raise AssertionError("group elements swept before the cap check")
 
     monkeypatch.setattr(charstats, "element_order", unexpected)
-    monkeypatch.delenv("HD_CAP", raising=False)
     assert run(["ds", "--group", "3000000"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: ds_defect_estimate needs 3000000 elements, cap is 1000000"]
-    monkeypatch.setenv("HD_CAP", "1000")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ds_defect_estimate needs 3000000 elements, above the cap 1000000"
+    ]
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 1000)
     assert run(["ds", "--group", "2000"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: ds_defect_estimate needs 2000 elements, cap is 1000"]
+    assert capsys.readouterr().err.splitlines() == ["error: ds_defect_estimate needs 2000 elements, above the cap 1000"]
 
 
 def run_python(*args):
@@ -428,11 +434,13 @@ def test_cli_import_loads_no_heavy_modules():
 
 def test_one_shot_conjecture_does_not_import_numpy_ma():
     # Under numpy 2.4 np.setdiff1d, and np.unique unless asked for indices or counts, import numpy.ma: 16 ms.
+    # The library call p_space_dimension takes an np.unique too.
     specs = ["fourier:4", "haagerup:1/8", "tensor:(haagerup:3/16,fourier:2)"]
     runs = f"[hdefect.cli.run(['conjecture', s]) for s in {specs}]"
-    code = f"import sys, hdefect.cli; print({runs}, 'numpy.ma' in sys.modules)"
+    dimension = "hdefect.groups.p_space_dimension(hdefect.groups.make_group([4]))"
+    code = f"import sys, hdefect.cli; print({runs}, {dimension}, 'numpy.ma' in sys.modules)"
     status, out, err = run_python("-c", code)
-    assert (status, out.splitlines()[-1], err) == (0, "[0, 0, 0] False", "")
+    assert (status, out.splitlines()[-1], err) == (0, "[0, 0, 0] 8 False", "")
 
 
 def test_one_parser_per_process(monkeypatch, capsys):
@@ -502,6 +510,22 @@ def test_negative_or_nan_verify_tolerance_is_a_usage_error(capsys, value):
     assert run(["verify", "circulant:0,1/4", "--tol", value]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error: argument --tol: must be at least 0, got " in captured.err
+
+
+NON_NUMERIC = [
+    ["verify", "circulant:0,1/4", "--tol", "abc"],
+    ["defect", "fourier:4", "--tol", "1e"],
+    ["defect", "fourier:4", "--gap", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_NUMERIC)
+def test_non_numeric_option_names_its_text(capsys, argv):
+    # The usage error names the option and the text, not the function that parses it.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {argv[2]}: not a number: '{argv[3]}'" in captured.err
+    assert "invalid" not in captured.err
 
 
 def test_verify_tolerances_from_zero_to_inf_are_accepted(capsys):

@@ -24,12 +24,13 @@ from hdefect.exact import (
     modular_prime,
     rational_nullity,
 )
-from hdefect.groups import is_prime, make_group
+from hdefect.groups import fourier_defect, is_prime, make_group
 from hdefect.matrices import (
     HadamardMatrix,
     apply_equivalence,
     fourier_matrix,
     haagerup_matrix,
+    save_matrix,
     tao_matrix,
     tensor_product,
 )
@@ -620,7 +621,7 @@ def test_integer_rows_evaluate_to_entry_products():
 def test_size_guard_raises_before_allocating(monkeypatch):
     h = fourier_matrix(make_group([4]))
     system = build_exact_system(h)
-    # Half system 6 pairs x phi(4) = 2 rows by 16 columns of int64: 1536 bytes.
+    # Lead rows, 6 pairs x the 2 units 1 and -1, by 16 columns of int64: 1536 bytes.
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1536)
     assert rational_nullity(system) == 8
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1535)
@@ -641,7 +642,37 @@ def test_size_guard_runs_before_the_blocks(monkeypatch):
         rational_nullity(system)
 
 
+def test_lead_rows_alone_are_held_to_the_cap(monkeypatch):
+    # F8 lifts from its lead rows, 28 pairs x 2 units by 64 columns of int64: 28672 bytes, half of all 4 units' rows.
+    system = build_exact_system(fourier_matrix(make_group([8])))
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 28 * 2 * 64 * 8)
+    assert rational_nullity(system) == fourier_defect(make_group([8])) == 20
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 28 * 2 * 64 * 8 - 1)
+    with pytest.raises(CapExceededError, match="^pair system of 56 x 64 entries needs 28672 bytes"):
+        rational_nullity(system)
+
+
+def test_continuation_stack_is_checked_before_it_is_built(monkeypatch):
+    # haagerup:1/8: lead rows 15 pairs x 2 units by 36 columns, 8640 bytes; their 21 pivot rows on the other 30 rows
+    # make the 51-row continuation stack, 14688 bytes.
+    system = build_exact_system(haagerup_matrix(Fraction(1, 8)))
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 8640)
+    with pytest.raises(CapExceededError, match="^pair system of 51 x 36 entries needs 14688 bytes, above the cap 8640"):
+        rational_nullity(system)
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 14688)
+    assert rational_nullity(system) == 12
+
+
+def test_conjecture_verifies_before_it_eliminates(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    save_matrix(HadamardMatrix.from_turns([[0, Fraction(1, 4)], [0, Fraction(1, 4)]]), str(path))
+    monkeypatch.setattr(exact, "rational_nullity", lambda system: pytest.fail("eliminated before verifying"))
+    assert run(["conjecture", f"file:{path}"]) == 1
+    assert "matrix is not Hadamard" in capsys.readouterr().err
+
+
 def test_cli_size_guard_exit_code(capsys):
-    # 64 * 63 / 2 pairs x phi(64) = 32 rows by 4096 columns would need about 2.1 GB.
-    assert run(["conjecture", "fourier:64"]) == 1
+    # F128: the float system, 16256 ordered pairs by 128^2 columns, and the lead rows, 8128 pairs x 2 units by 128^2
+    # columns of int64, would each need about 2.1 GB. (F64 fits: its lead rows prove d = 256 in about 77 s.)
+    assert run(["conjecture", "fourier:128"]) == 1
     assert "above the cap" in capsys.readouterr().err

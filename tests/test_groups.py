@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hdefect import errors
 from hdefect.charstats import regular_representation
 from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
 from hdefect.groups import (
@@ -159,10 +160,11 @@ def test_delta_bruteforce_examples():
 
 
 def test_p_space_keys_cap(monkeypatch):
-    monkeypatch.setenv("HD_CAP", "11")
-    with pytest.raises(CapExceededError):
+    # The addition table of Z_12 is 12^2 x 8 = 1152 bytes.
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1151)
+    with pytest.raises(CapExceededError, match="^addition table of order 12 needs 1152 bytes, above the cap 1151$"):
         _p_space_keys(make_group([12]))
-    monkeypatch.setenv("HD_CAP", "12")
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1152)
     assert p_space_dimension(make_group([12])) == fourier_defect(make_group([12]))
 
 
@@ -217,16 +219,6 @@ def test_addition_table_refused_before_its_elements(monkeypatch):
     for build in (p_space_components, regular_representation):
         with pytest.raises(CapExceededError, match="addition table of order 8193 needs 537001992 bytes"):
             build(make_group([8193]))
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HD_CAP", "10")
-    with pytest.raises(CapExceededError):
-        p_space_components(make_group([11]))
-    assert p_space_dimension(make_group([10])) == fourier_defect(make_group([10]))
-    monkeypatch.setenv("HD_CAP", "zero")
-    with pytest.raises(ValueError):
-        p_space_components(make_group([2]))
 
 
 def test_isotypic_decomposition_examples():

@@ -3,16 +3,18 @@
 import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdefect import errors, groups, matrices, tangent
+import hdefect
+from hdefect import charstats, cli, errors, exact, groups, matrices, tangent
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
 from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
-from hdefect.groups import FiniteAbelianGroup, make_group
+from hdefect.groups import FiniteAbelianGroup, factorize, make_group
 from hdefect.matrices import (
     DeformationParameters,
     HadamardMatrix,
@@ -28,7 +30,7 @@ from hdefect.matrices import (
     turn_to_complex,
     verify_hadamard,
 )
-from hdefect.tangent import tangent_system, undephased_defect
+from hdefect.tangent import ScanGrid, deformation_scan, tangent_system, undephased_defect
 
 from conftest import traced_peak
 
@@ -276,3 +278,29 @@ def test_one_cap_governs_every_guard(monkeypatch):
     for build, subject in refusals:
         with pytest.raises(CapExceededError, match=f"^{subject} bytes, above the cap 32767$"):
             build()
+
+
+def test_one_element_cap_governs_every_sweep(monkeypatch):
+    # Only errors binds the element cap, so one setting reaches a scan grid, a group sweep and a trial division.
+    modules = (charstats, cli, exact, groups, matrices, tangent)
+    assert not any(hasattr(module, "MAX_ELEMENTS") for module in modules)
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 16)
+    f2 = fourier_matrix(make_group([2]))
+    assert len(deformation_scan(f2, f2, ScanGrid(16))) == 16
+    assert charstats.ds_defect_estimate(make_group([16]), 1, 16) == 48  # the defect of F_16
+    assert factorize(2 * 331) == {2: 1, 331: 1}  # past the cap a prime cofactor ends the division
+    refusals = [
+        (lambda: deformation_scan(f2, f2, ScanGrid(17)), "deformation scan grid needs 17"),
+        (lambda: charstats.ds_defect_estimate(make_group([17]), 1, 17), "ds_defect_estimate needs 17"),
+        (lambda: factorize(17 * 19), "trial division of 323 needs 17"),
+    ]
+    for sweep, subject in refusals:
+        with pytest.raises(CapExceededError, match=f"^{subject} elements, above the cap 16$"):
+            sweep()
+
+
+def test_the_library_reads_no_environment():
+    # Configuration stays in module constants: no source file reads an environment variable.
+    for source in Path(hdefect.__file__).parent.glob("*.py"):
+        text = source.read_text()
+        assert "os.environ" not in text and "getenv" not in text, source.name
