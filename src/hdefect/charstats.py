@@ -39,7 +39,10 @@ def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def permutation_group(degree: int, elements) -> PermutationGroup:
-    """Validate closure, inverses, and identity, then freeze the group."""
+    """Validate the permutations and their closure under composition, then freeze the group.
+
+    Closure is enough: a nonempty finite set closed under composition holds every power of each element,
+    so it holds the identity and every inverse."""
     elems = tuple(tuple(p) for p in elements)
     if not elems:
         raise ValueError("empty element list")
@@ -47,18 +50,13 @@ def permutation_group(degree: int, elements) -> PermutationGroup:
     for p in elems:
         if sorted(p) != domain:
             raise ValueError(f"not a permutation of range({degree}): {p}")
-    identity = tuple(domain)
-    if identity not in elems:
-        raise ValueError("identity permutation missing")
     image = set(elems)
+    check_elements("permutation_group", len(image) ** 2)  # compositions in the closure sweep
     for a in image:
-        inverse = tuple(sorted(range(degree), key=lambda x: a[x]))
-        if inverse not in image:
-            raise ValueError("element list not closed under inverses")
         for b in image:
             if compose(a, b) not in image:
                 raise ValueError("element list not closed under composition")
-    return PermutationGroup(degree=degree, elements=elems, identity_index=elems.index(identity))
+    return PermutationGroup(degree=degree, elements=elems, identity_index=elems.index(tuple(domain)))
 
 
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -98,11 +96,12 @@ def ds_variable(group: PermutationGroup, element_index: int, r: int) -> Fraction
 
 
 def ds_perm_estimate(group: PermutationGroup, k: int, window: int) -> Fraction:
-    """degree^2 times the window average over r of the k-th moment of the statistic."""
+    """The statistic of `ds_defect_estimate` read off fixed points of permutations; checks its element-order sum."""
     if window < 1:
         raise ValueError("window length must be >= 1")
     if k < 1:
         raise ValueError("moment index must be >= 1")
+    check_elements("ds_perm_estimate", window * group.order)  # (power, element) fixed-point counts
     n = group.degree
     total = Fraction(0)
     for r in range(1, window + 1):
@@ -129,15 +128,11 @@ def ds_defect_estimate(group: FiniteAbelianGroup, k: int, window: int) -> Fracti
 
 
 def is_regular(group: PermutationGroup) -> bool:
-    """True when the action is the left translation action on the group itself."""
-    if group.degree != group.order:
-        return False
-    for idx, p in enumerate(group.elements):
-        if idx == group.identity_index:
-            continue
-        if fixed_points_of_power(p, 1) != 0:
-            return False
-    return len(set(group.elements)) == group.order
+    """True when the action is the left translation action on the group itself.
+
+    That is when g -> g(0) maps the element list one-to-one onto the points: by orbit-stabilizer there is then
+    one orbit, of size |G| = degree, and every stabilizer is trivial. A repeated entry breaks the map."""
+    return group.order == group.degree and len({p[0] for p in group.elements}) == group.degree
 
 
 def ds_delta_exact(group: PermutationGroup, k: int = 1) -> Fraction:
@@ -154,6 +149,7 @@ def ds_delta_exact(group: PermutationGroup, k: int = 1) -> Fraction:
 
 def regular_representation(group: FiniteAbelianGroup) -> PermutationGroup:
     """Left translation action of an abelian group on itself."""
+    check_elements("regular_representation", group.order**2)  # addition table entries
     return permutation_group(group.order, group.index_tables()[0].tolist())
 
 
@@ -165,6 +161,7 @@ def dihedral_group(n: int) -> PermutationGroup:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    check_elements("dihedral_group", 2 * n * n)  # images of the 2n elements
     rotations = [tuple((x + k) % n for x in range(n)) for k in range(n)]
     reflections = [tuple((c - x) % n for x in range(n)) for c in range(n)]
     return permutation_group(n, rotations + reflections)
@@ -178,6 +175,7 @@ def regular_dihedral_group(n: int) -> PermutationGroup:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    check_elements("regular_dihedral_group", (2 * n) ** 2)  # products g * h
 
     def multiply(a, b):
         s1, k1 = a

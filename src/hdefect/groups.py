@@ -179,7 +179,7 @@ def fourier_defect(group: FiniteAbelianGroup) -> int:
 
 
 def fourier_defect_cyclic(n: int) -> int:
-    """Undephased defect of F_n: n * prod over p^a || n of (1 + a - a/p)."""
+    """d(F_n) = n * prod over p^a || n of (1 + a - a/p): checks `fourier_defect` and the SVDs of acceptance 1, 6."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     value = Fraction(n)
@@ -191,7 +191,7 @@ def fourier_defect_cyclic(n: int) -> int:
 
 
 def delta_dihedral(n: int) -> Fraction:
-    """Order-weighted sum 1/ord over the dihedral group of order 2n: n/2 + delta(Z_n)."""
+    """Sum of 1/ord over the dihedral group of order 2n: checks `ds_delta_exact(regular_dihedral_group(n))`."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return Fraction(n, 2) + delta_closed(make_group([n]))
@@ -216,7 +216,7 @@ def _p_space_keys(group: FiniteAbelianGroup):
 
 
 def p_space_dimension(group: FiniteAbelianGroup) -> int:
-    """Real dimension of the constrained parameter space (2 per free class, 1 per real one)."""
+    """Real dimension of the parameter space (2 per free class, 1 per real one): acceptance 2's combinatorial d(F_G)."""
     key, neg = _p_space_keys(group)
     columns = np.unique(key, return_index=True)[0] % group.order  # a plain np.unique imports numpy.ma
     return 2 * columns.size - int(np.count_nonzero(neg[columns] == columns))

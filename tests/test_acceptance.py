@@ -175,9 +175,9 @@ def test_acceptance_10_isolation():
 
 def test_acceptance_11_fourier_defects_proved_without_floats():
     # rational nullity <= d <= upper bound, so where both ends equal the closed form d(F_G) is proved exactly.
-    groups = [g for order in range(1, 17) for g in abelian_group_types(order)]
-    assert len(groups) == 25
+    groups = [g for order in range(1, 33) for g in abelian_group_types(order)]
+    assert len(groups) == 55
     for group in groups:
         nullity = rational_nullity(build_exact_system(fourier_matrix(group)))
         assert nullity == nullity.upper_bound == fourier_defect(group)
-    print("ACCEPTANCE 11 (Fourier defects of the abelian groups of order <= 16, without floats): PASS")
+    print("ACCEPTANCE 11 (Fourier defects of the abelian groups of order <= 32, without floats): PASS")

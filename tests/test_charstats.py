@@ -1,9 +1,12 @@
 """Permutation statistics: group validation, fixed-point counts, defect estimates."""
 
+import random
 from fractions import Fraction
+from itertools import chain, combinations, permutations
 
 import pytest
 
+from hdefect import charstats
 from hdefect.charstats import (
     compose,
     dihedral_group,
@@ -19,7 +22,9 @@ from hdefect.charstats import (
     regular_dihedral_group,
     regular_representation,
 )
+from hdefect.errors import CapExceededError
 from hdefect.groups import (
+    FiniteAbelianGroup,
     abelian_group_types,
     delta_closed,
     delta_dihedral,
@@ -45,6 +50,43 @@ def naive_estimate(group, k, window):
             fixed = sum(1 for x in range(n) if power_by_composition(p, r)[x] == x)
             total += Fraction(fixed, n) ** k
     return Fraction(n * n, window) * total / n
+
+
+def three_axiom_group(degree, elements):
+    # Oracle: the group axioms checked one by one (identity, inverses, closure), or None when one fails.
+    elems = tuple(tuple(p) for p in elements)
+    identity = tuple(range(degree))
+    if not elems or any(sorted(p) != list(identity) for p in elems) or identity not in elems:
+        return None
+    image = set(elems)
+    for a in image:
+        if tuple(sorted(range(degree), key=lambda x: a[x])) not in image:
+            return None
+        if any(compose(a, b) not in image for b in image):
+            return None
+    return (degree, elems, elems.index(identity))
+
+
+def fixed_point_free_regular(group):
+    # Oracle: as many points as entries, no fixed point off the identity, and no repeated entry.
+    n = group.degree
+    if n != group.order:
+        return False
+    for i, p in enumerate(group.elements):
+        if i != group.identity_index and any(p[x] == x for x in range(n)):
+            return False
+    return len(set(group.elements)) == group.order
+
+
+def closure_of(generators):
+    # Oracle: the subgroup generated, by breadth-first products.
+    found = set(generators)
+    frontier = list(found)
+    while frontier:
+        new = {compose(a, b) for a in frontier for b in generators} - found
+        found |= new
+        frontier = list(new)
+    return found
 
 
 def test_validation_rejects_bad_lists():
@@ -193,3 +235,58 @@ def test_delta_exact_requires_regular_action():
 def test_moment_index_immaterial_for_regular_actions():
     group = regular_representation(make_group([2, 2]))
     assert ds_delta_exact(group, 1) == ds_delta_exact(group, 2) == ds_delta_exact(group, 3)
+
+
+def assert_rules_agree(degree, elements):
+    # None when both rules reject the list; else is_regular, after the oracles agree on the group and on regularity.
+    expected = three_axiom_group(degree, elements)
+    try:
+        group = permutation_group(degree, elements)
+    except ValueError:
+        assert expected is None, elements
+        return None
+    assert (group.degree, group.elements, group.identity_index) == expected
+    assert is_regular(group) == fixed_point_free_regular(group), elements
+    return is_regular(group)
+
+
+def test_closure_and_one_orbit_agree_with_the_axioms():
+    # Every subset of S_1, S_2 and S_3, alone and with a repeated entry, then seeded lists and subgroups of S_4.
+    rng = random.Random(19)
+    results = []
+    for degree in (1, 2, 3):
+        sym = list(permutations(range(degree)))
+        for subset in chain.from_iterable(combinations(sym, k) for k in range(len(sym) + 1)):
+            results.append(assert_rules_agree(degree, list(subset)))
+            results.append(assert_rules_agree(degree, list(subset) + list(subset[:1])))
+    s4 = list(permutations(range(4)))
+    for _ in range(2000):
+        elements = rng.sample(s4, rng.randint(1, 24))
+        if rng.random() < 0.3:
+            elements.append(rng.choice(elements))
+        results.append(assert_rules_agree(4, elements))
+    for _ in range(500):
+        elements = list(closure_of(rng.sample(s4, rng.randint(1, 2))))
+        rng.shuffle(elements)
+        if rng.random() < 0.3:
+            elements.insert(rng.randrange(len(elements) + 1), rng.choice(elements))
+        results.append(assert_rules_agree(4, elements))
+    for n in range(1, 5):
+        results.append(assert_rules_agree(2 * n, regular_dihedral_group(n).elements))
+        results.append(assert_rules_agree(n, dihedral_group(n).elements))
+    for group in (g for order in range(1, 9) for g in abelian_group_types(order)):
+        elements = regular_representation(group).elements
+        results.append(assert_rules_agree(group.order, elements))
+        results.append(assert_rules_agree(group.order, elements + elements[-1:]))
+    accepted = [r for r in results if r is not None]
+    assert len(accepted) > 400 and sum(accepted) > 20 and len(results) - len(accepted) > 1000
+
+
+def test_permutation_sweeps_refused_at_once_at_the_default_cap(monkeypatch):
+    z4 = regular_representation(make_group([4]))
+    monkeypatch.setattr(charstats, "ds_variable", lambda *args: pytest.fail("fixed points counted before the check"))
+    with pytest.raises(CapExceededError, match="^ds_perm_estimate needs 4000000000 elements"):
+        ds_perm_estimate(z4, 1, 10**9)
+    monkeypatch.setattr(FiniteAbelianGroup, "index_tables", lambda group: pytest.fail("table built before the check"))
+    with pytest.raises(CapExceededError, match="^regular_representation needs 4194304 elements"):
+        regular_representation(make_group([2048]))

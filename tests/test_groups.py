@@ -1,9 +1,11 @@
 """Group arithmetic and the exact defect formulas, checked against enumeration oracles."""
 
 import math
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,8 @@ def test_index_tables_match_group_addition():
 def test_addition_table_refused_before_its_elements(monkeypatch):
     # 8193^2 x 8 = 537,001,992 bytes is above the 2^29-byte cap; 8192 fits exactly and is never built here.
     assert 8192**2 * 8 == MAX_SYSTEM_BYTES < 8193**2 * 8
+    # At the default element cap regular_representation refuses 8193^2 table entries sooner (tests/test_charstats.py).
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 8193**2)
     monkeypatch.setattr(FiniteAbelianGroup, "element_list", lambda group: pytest.fail("elements listed before the check"))
     for build in (p_space_components, regular_representation):
         with pytest.raises(CapExceededError, match="addition table of order 8193 needs 537001992 bytes"):
@@ -327,6 +331,15 @@ def test_p_space_dimension_matches_defect_up_to_64():
     for order in range(1, 65):
         for g in abelian_group_types(order):
             assert p_space_dimension(g) == fourier_defect(g), g
+
+
+def test_readme_order_64_table_matches_the_closed_form():
+    # The README's proved defects of order 64 list each group once, with four counts that all equal d(F_G).
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `fourier:([\dx]+)` \| (\d+) \| (\d+) \| (\d+) \| (\d+) \|", text, re.M)
+    table = {tuple(map(int, spec.split("x"))): {int(c) for c in counts} for spec, *counts in rows}
+    assert len(rows) == len(table) == 11
+    assert table == {g.cycle_orders: {fourier_defect(g)} for g in abelian_group_types(64)}
 
 
 def test_abelian_group_types_counts():

@@ -289,10 +289,21 @@ def test_one_element_cap_governs_every_sweep(monkeypatch):
     assert len(deformation_scan(f2, f2, ScanGrid(16))) == 16
     assert charstats.ds_defect_estimate(make_group([16]), 1, 16) == 48  # the defect of F_16
     assert factorize(2 * 331) == {2: 1, 331: 1}  # past the cap a prime cofactor ends the division
+    # The permutation sweeps: 4^2 compositions and table entries, 2 * 2^2 dihedral images, 4^2 products, 4 x 4 counts.
+    z4 = charstats.regular_representation(make_group([4]))
+    assert charstats.permutation_group(4, z4.elements) == z4
+    assert charstats.dihedral_group(2).order == 4 and charstats.regular_dihedral_group(2).order == 4
+    assert charstats.ds_perm_estimate(z4, 1, 4) == 8  # the defect of F_4
+    z5 = [tuple((x + k) % 5 for x in range(5)) for k in range(5)]
     refusals = [
         (lambda: deformation_scan(f2, f2, ScanGrid(17)), "deformation scan grid needs 17"),
         (lambda: charstats.ds_defect_estimate(make_group([17]), 1, 17), "ds_defect_estimate needs 17"),
         (lambda: factorize(17 * 19), "trial division of 323 needs 17"),
+        (lambda: charstats.permutation_group(5, z5), "permutation_group needs 25"),
+        (lambda: charstats.regular_representation(make_group([5])), "regular_representation needs 25"),
+        (lambda: charstats.dihedral_group(3), "dihedral_group needs 18"),
+        (lambda: charstats.regular_dihedral_group(3), "regular_dihedral_group needs 36"),
+        (lambda: charstats.ds_perm_estimate(z4, 1, 5), "ds_perm_estimate needs 20"),
     ]
     for sweep, subject in refusals:
         with pytest.raises(CapExceededError, match=f"^{subject} elements, above the cap 16$"):
