@@ -39,7 +39,7 @@ def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def permutation_group(degree: int, elements) -> PermutationGroup:
-    """Validate the permutations and their closure under composition, then freeze the group.
+    """Validate the permutations and their closure under composition, then freeze the group: for lists from outside.
 
     Closure is enough: a nonempty finite set closed under composition holds every power of each element,
     so it holds the identity and every inverse."""
@@ -51,7 +51,7 @@ def permutation_group(degree: int, elements) -> PermutationGroup:
         if sorted(p) != domain:
             raise ValueError(f"not a permutation of range({degree}): {p}")
     image = set(elems)
-    check_elements("permutation_group", len(image) ** 2)  # compositions in the closure sweep
+    check_elements("permutation_group", len(image) ** 2 * degree)  # images in the closure sweep's compositions
     for a in image:
         for b in image:
             if compose(a, b) not in image:
@@ -148,13 +148,13 @@ def ds_delta_exact(group: PermutationGroup, k: int = 1) -> Fraction:
 
 
 def regular_representation(group: FiniteAbelianGroup) -> PermutationGroup:
-    """Left translation action of an abelian group on itself."""
+    """Left translation action of an abelian group on itself; a group by Cayley's theorem, row 0 the identity."""
     check_elements("regular_representation", group.order**2)  # addition table entries
-    return permutation_group(group.order, group.index_tables()[0].tolist())
+    return PermutationGroup(group.order, tuple(map(tuple, group.index_tables()[0].tolist())), 0)
 
 
 def dihedral_group(n: int) -> PermutationGroup:
-    """Rotations and reflections acting on n points.
+    """Rotations and reflections acting on n points, closed by the group law, with rotation 0, the identity, first.
 
     For n <= 2 the action is not faithful and the 2n-entry list repeats
     permutations; the list still enumerates the abstract group elements.
@@ -164,14 +164,14 @@ def dihedral_group(n: int) -> PermutationGroup:
     check_elements("dihedral_group", 2 * n * n)  # images of the 2n elements
     rotations = [tuple((x + k) % n for x in range(n)) for k in range(n)]
     reflections = [tuple((c - x) % n for x in range(n)) for c in range(n)]
-    return permutation_group(n, rotations + reflections)
+    return PermutationGroup(n, tuple(rotations + reflections), 0)
 
 
 def regular_dihedral_group(n: int) -> PermutationGroup:
-    """Left translation action of the dihedral group on its own 2n elements.
+    """Left translation action of the dihedral group on its own 2n elements: a group by Cayley's theorem.
 
     Elements are pairs (s, k) acting on Z_n as x -> (-1)^s x + k, composed as
-    (s1, k1) * (s2, k2) = (s1 + s2, (-1)^(s1) k2 + k1).
+    (s1, k1) * (s2, k2) = (s1 + s2, (-1)^(s1) k2 + k1); the identity (0, 0) is first.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -185,4 +185,4 @@ def regular_dihedral_group(n: int) -> PermutationGroup:
     elems = [(s, k) for s in range(2) for k in range(n)]
     index = {g: i for i, g in enumerate(elems)}
     perms = [tuple(index[multiply(g, h)] for h in elems) for g in elems]
-    return permutation_group(2 * n, perms)
+    return PermutationGroup(2 * n, tuple(perms), 0)

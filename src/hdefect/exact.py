@@ -77,13 +77,16 @@ class ExactSystem:
 
 
 def build_exact_system(h: HadamardMatrix) -> ExactSystem:
-    """Exact pair system of an exact-phase matrix; q is the common phase order, phi(q) at most DEFAULT_DEGREE_CAP."""
+    """Exact pair system of an exact-phase matrix; q is the common phase order, phi(q) at most DEFAULT_DEGREE_CAP.
+
+    Refused before anything is made when the lead rows that `rational_nullity` eliminates are above the cap."""
     if not h.is_exact:
         raise NonExactError("exact system needs exact phases")
     q = h.phase_order()
     degree = euler_phi(q)
     if degree > DEFAULT_DEGREE_CAP:
         raise CapExceededError(f"cyclotomic degree {degree} exceeds cap {DEFAULT_DEGREE_CAP} (q = {q})")
+    check_system_size(h.n * (h.n - 1) // 2 * min(2, degree), h.n**2)
     pairs = ordered_pairs(h.n)
     exponents = (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % q
     pairs.flags.writeable = False

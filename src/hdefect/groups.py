@@ -223,19 +223,11 @@ def p_space_dimension(group: FiniteAbelianGroup) -> int:
 
 
 @lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Nondecreasing partitions of n, lexicographically ordered."""
+def _partitions(n: int, least: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Nondecreasing partitions of n with every part >= least, lexicographically ordered."""
     if n == 0:
         return ((),)
-    result = []
-    def extend(remaining, minimum, prefix):
-        if remaining == 0:
-            result.append(prefix)
-            return
-        for part in range(minimum, remaining + 1):
-            extend(remaining - part, part, prefix + (part,))
-    extend(n, 1, ())
-    return tuple(result)
+    return tuple((part, *rest) for part in range(least, n + 1) for rest in _partitions(n - part, part))
 
 
 def abelian_group_types(order: int) -> list[FiniteAbelianGroup]:

@@ -18,7 +18,8 @@ value are those of the full system, and d = N^2 - rank.
 The ranked columns are moved to the front of the buffer the system was
 assembled in, so no second system-sized array is made before the SVD.
 `check_system_size` refuses any system above the `check_bytes` cap before it or
-its blocks are allocated. A deformation scan takes one stack of cells, one
+its blocks are allocated; a defect call or a scan checks it from N alone,
+before any verification. A deformation scan takes one stack of cells, one
 assembly and one stacked SVD per chunk of cells, verified as stacks: exact
 cells grouped by their own root orders, as a single defect call checks them.
 One background thread per scan runs each chunk's SVD, a LAPACK call that
@@ -225,9 +226,9 @@ def _defect_pass(
     The dephased defect takes one more assembly and certified SVD, over
     `_dephased_basis`, checked against d' = d - (2N - 1).
     """
+    check_system_size(h.n * (h.n - 1), h.n**2)  # from N alone, before the matrix is verified
     _require_hadamard(h)
     label = h.provenance or "matrix"
-    check_system_size(h.n * (h.n - 1), h.n**2)  # before the N x N Helmert matrix is built
     n, w = h.n, helmert_matrix(h.n)
     matrix = _rank_in_place(tangent_system(h, w).matrix)
     elements = None
@@ -410,9 +411,10 @@ def deformation_scan(
     The free entries of L are positions (a, j) with a, j >= 1 in row-major
     order; each ranges over the grid turns. The flat cell is prepended when
     the grid does not contain it. Cells come in the deterministic grid order.
-    A scan of more cells than `errors.MAX_ELEMENTS` is refused by
-    `check_elements` before any cell is built; a cell whose root order reaches
-    MAX_PHASE_ORDER raises the CapExceededError of a single defect call.
+    A scan of more cells than `errors.MAX_ELEMENTS`, or whose cells' pair
+    systems are above the `check_bytes` cap, is refused before any cell is
+    built; a cell whose root order reaches MAX_PHASE_ORDER raises the
+    CapExceededError of a single defect call.
     """
     m, n = k.n, h.n
     size, nfree = n * m, max(m - 1, 0) * max(n - 1, 0)
@@ -420,6 +422,7 @@ def deformation_scan(
     add_flat = nfree > 0 and Fraction(0) not in turns
     count = len(turns) ** nfree + add_flat
     check_elements("deformation scan grid", count)
+    check_system_size(size * (size - 1), size * size)  # one cell's system, before any cell is built
     zero = len(turns)
     turns.append(Fraction(0))
     labels = [str(t) for t in turns]

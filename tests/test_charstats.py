@@ -1,6 +1,7 @@
 """Permutation statistics: group validation, fixed-point counts, defect estimates."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
@@ -290,3 +291,19 @@ def test_permutation_sweeps_refused_at_once_at_the_default_cap(monkeypatch):
     monkeypatch.setattr(FiniteAbelianGroup, "index_tables", lambda group: pytest.fail("table built before the check"))
     with pytest.raises(CapExceededError, match="^regular_representation needs 4194304 elements"):
         regular_representation(make_group([2048]))
+
+
+def test_constructors_build_by_the_group_law(monkeypatch):
+    # Each constructor's list is a group by its law, so none runs the closure sweep meant for lists from outside.
+    built = [(make_group([4]), 4, regular_representation), (3, 3, dihedral_group), (3, 6, regular_dihedral_group)]
+    with monkeypatch.context() as patch:
+        patch.setattr(charstats, "permutation_group", lambda *args: pytest.fail("validated a list the law closes"))
+        made = [(degree, build(arg)) for arg, degree, build in built]
+        start = time.perf_counter()
+        regular_representation(make_group([512]))
+        assert time.perf_counter() - start < 0.1
+    # The validator, given the same lists, returns the same groups: identity first, elements in their order.
+    more = [(g.order, regular_representation(g)) for order in range(1, 17) for g in abelian_group_types(order)]
+    more += [(n, dihedral_group(n)) for n in range(1, 9)] + [(2 * n, regular_dihedral_group(n)) for n in range(1, 9)]
+    for degree, group in made + more:
+        assert group.identity_index == 0 and permutation_group(degree, group.elements) == group

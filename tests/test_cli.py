@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdefect
-from hdefect import charstats, cli, errors, tangent
+from hdefect import charstats, cli, errors, groups, matrices, tangent
 from hdefect.cli import (
     CirculantSpec,
     DeformedSpec,
@@ -560,3 +560,34 @@ def test_deformed_parameter_file(tmp_path):
     built = build_matrix(spec)
     inline = build_matrix(parse_matrix_spec("deformed:(fourier:2,[[0,0],[0,1/8]],fourier:2)"))
     assert built.turns == inline.turns
+
+
+Z4 = charstats.regular_representation(make_group([4]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: charstats.ds_perm_estimate(Z4, 1, 0), "window length must be >= 1"),
+    (lambda: charstats.ds_perm_estimate(Z4, 0, 4), "moment index must be >= 1"),
+    (lambda: charstats.ds_defect_estimate(make_group([4]), 0, 4), "moment index must be >= 1"),
+    (lambda: charstats.dihedral_group(0), "need n >= 1"),
+    (lambda: charstats.regular_dihedral_group(0), "need n >= 1"),
+    (lambda: groups.delta_isotypic(2, ()), "exponent list must be nonempty"),
+    (lambda: groups.delta_isotypic(2, (0,)), r"exponents must be integers >= 1, got \(0,\)"),
+    (lambda: groups.delta_isotypic(2, (2, 1)), r"exponents must be nondecreasing, got \(2, 1\)"),
+    (lambda: abelian_group_types(0), "order must be positive, got 0"),
+    (lambda: HadamardMatrix.from_turns([[0, 0], [0]]), "ragged phase rows"),
+    (lambda: HadamardMatrix(phases=(np.zeros((2, 2), dtype=int), 2), values=np.ones((2, 2))), "exactly one of"),
+    (lambda: HadamardMatrix(), "exactly one of phases or values must be given"),
+    (lambda: HadamardMatrix(phases=(np.zeros((2, 2, 2), dtype=int), 2)), r"expected 2-d numerators, got shape"),
+    (lambda: HadamardMatrix(values=np.ones((2, 2, 2))), r"expected a 2-d array, got shape \(2, 2, 2\)"),
+    (lambda: HadamardMatrix.from_turns([[0, 0]]), "matrix must be square, got 1 x 2"),
+    (lambda: matrices.recombination_parameters(0, 1), "orders must be positive"),
+    (lambda: matrices.circulant_from_eigenvalues([]), "eigenvalue vector must be nonempty"),
+    (lambda: matrices.matrix_from_dict({}), "matrix object must have n, repr, entries"),
+    (lambda: parse_matrix_spec("tensor"), "expected ':\\(' after constructor name"),
+    (lambda: parse_matrix_spec("file:"), "empty path"),
+    (lambda: cli._parse_grid("x"), "bad grid"),
+])
+def test_outside_input_is_refused_where_it_enters(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()

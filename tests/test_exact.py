@@ -410,9 +410,10 @@ def test_unlucky_first_prime_retries_the_next(monkeypatch):
     nullity = rational_nullity(system)
     assert (nullity.method, nullity.prime, int(nullity)) == (MODULAR_LIFT, modular_prime(8), 38)
     monkeypatch.setattr(exact, "_lift_primes", lift_primes)
-    # A first failed exact check moves the lift to the second prime; the bound stays the first prime's.
+    # A first failed exact check moves the lift to the second prime; the bound stays the first prime's. F8 (phi = 4)
+    # has a continuation: it adds no pivot to the first prime's lead rows, so it moves on without a second lift.
     solves = exact._solves_full_system
-    for spec in ("fourier:2", "fourier:4", "fourier:6", "tao"):
+    for spec in ("fourier:2", "fourier:4", "fourier:6", "fourier:8", "tao"):
         checks = []
 
         def fails_first(system, kernel, checks=checks):
@@ -640,6 +641,22 @@ def test_size_guard_runs_before_the_blocks(monkeypatch):
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 1535)
     with pytest.raises(CapExceededError):
         rational_nullity(system)
+
+
+def test_lead_rows_are_checked_before_the_exponents_are_made(monkeypatch, capsys):
+    # F4's lead rows take 1536 bytes (6 pairs x 2 units by 16 columns), F2 x F2's 768 (one unit at q = 2). At N = 1024
+    # the exponent table alone, 1047552 pairs x 1024 columns, would take 8 GiB.
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "ordered_pairs", lambda n: pytest.fail("pairs listed before the check"))
+        for spec, cap, subject in (("fourier:4", 1535, "12 x 16"), ("fourier:2x2", 767, "6 x 16")):
+            patch.setattr(errors, "MAX_SYSTEM_BYTES", cap)
+            with pytest.raises(CapExceededError, match=f"^pair system of {subject} entries needs {cap + 1} bytes"):
+                build_exact_system(_spec_matrix(spec))
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 768)
+    assert rational_nullity(build_exact_system(_spec_matrix("fourier:2x2"))) == fourier_defect(make_group([2, 2]))
+    monkeypatch.undo()
+    assert run(["conjecture", "tensor:(fourier:32,fourier:32)"]) == 1
+    assert "error: pair system of 1047552 x 1048576 entries needs" in capsys.readouterr().err
 
 
 def test_lead_rows_alone_are_held_to_the_cap(monkeypatch):

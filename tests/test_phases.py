@@ -264,6 +264,30 @@ def test_fourier_matrix_refused_before_its_elements(monkeypatch, capsys):
     assert verify_hadamard(fourier_matrix(make_group([64]))).passed
 
 
+def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):
+    # F4's 12 x 16 system takes 1536 bytes; the size follows from N, so nothing is verified first.
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 12 * 16 * 8 - 1)
+    monkeypatch.setattr(tangent, "verify_hadamard", lambda *args, **kwargs: pytest.fail("verified before the check"))
+    ones = HadamardMatrix.from_values(np.ones((4, 4)))  # not Hadamard: the size refusal still comes first
+    for h in (fourier_matrix(make_group([4])), ones):
+        with pytest.raises(CapExceededError, match="^pair system of 12 x 16 entries needs 1536 bytes"):
+            undephased_defect(h)
+    assert run(["defect", "fourier:4", "--dephased"]) == 1
+    assert "pair system of 12 x 16 entries" in capsys.readouterr().err
+
+
+def test_scan_refuses_one_cells_pair_system_before_any_cell(monkeypatch, capsys):
+    # One F2 (x) F4 cell's 56 x 64 system takes 28672 bytes: refused before the Helmert matrix, cells or blocks.
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 56 * 64 * 8 - 1)
+    for name in ("failing_pairs", "helmert_matrix", "_pair_blocks"):
+        monkeypatch.setattr(tangent, name, lambda *args, name=name: pytest.fail(f"{name} ran before the check"))
+    f2, f4 = fourier_matrix(make_group([2])), fourier_matrix(make_group([4]))
+    with pytest.raises(CapExceededError, match="^pair system of 56 x 64 entries needs 28672 bytes"):
+        deformation_scan(f2, f4, ScanGrid(2))
+    assert run(["scan", "fourier:2", "fourier:4", "--grid", "2"]) == 1
+    assert "pair system of 56 x 64 entries" in capsys.readouterr().err
+
+
 def test_one_cap_governs_every_guard(monkeypatch):
     # Only errors binds the cap, so one setting reaches the four guards, each refusing with its own subject.
     assert not any(hasattr(module, "MAX_SYSTEM_BYTES") for module in (tangent, matrices, groups))
@@ -289,9 +313,12 @@ def test_one_element_cap_governs_every_sweep(monkeypatch):
     assert len(deformation_scan(f2, f2, ScanGrid(16))) == 16
     assert charstats.ds_defect_estimate(make_group([16]), 1, 16) == 48  # the defect of F_16
     assert factorize(2 * 331) == {2: 1, 331: 1}  # past the cap a prime cofactor ends the division
-    # The permutation sweeps: 4^2 compositions and table entries, 2 * 2^2 dihedral images, 4^2 products, 4 x 4 counts.
+    # The permutation sweeps: 4^2 table entries, 2 * 2^2 dihedral images, 4^2 products, 4 x 4 counts, and the
+    # closure sweep's 4^2 compositions of degree 4, allowed at a cap of 64.
     z4 = charstats.regular_representation(make_group([4]))
-    assert charstats.permutation_group(4, z4.elements) == z4
+    with monkeypatch.context() as patch:
+        patch.setattr(errors, "MAX_ELEMENTS", 64)
+        assert charstats.permutation_group(4, z4.elements) == z4
     assert charstats.dihedral_group(2).order == 4 and charstats.regular_dihedral_group(2).order == 4
     assert charstats.ds_perm_estimate(z4, 1, 4) == 8  # the defect of F_4
     z5 = [tuple((x + k) % 5 for x in range(5)) for k in range(5)]
@@ -299,7 +326,7 @@ def test_one_element_cap_governs_every_sweep(monkeypatch):
         (lambda: deformation_scan(f2, f2, ScanGrid(17)), "deformation scan grid needs 17"),
         (lambda: charstats.ds_defect_estimate(make_group([17]), 1, 17), "ds_defect_estimate needs 17"),
         (lambda: factorize(17 * 19), "trial division of 323 needs 17"),
-        (lambda: charstats.permutation_group(5, z5), "permutation_group needs 25"),
+        (lambda: charstats.permutation_group(5, z5), "permutation_group needs 125"),
         (lambda: charstats.regular_representation(make_group([5])), "regular_representation needs 25"),
         (lambda: charstats.dihedral_group(3), "dihedral_group needs 18"),
         (lambda: charstats.regular_dihedral_group(3), "regular_dihedral_group needs 36"),
