@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import check_elements
-from .groups import FiniteAbelianGroup, element_order
+from .groups import FiniteAbelianGroup, element_orders
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,10 @@ def ds_perm_estimate(group: PermutationGroup, k: int, window: int) -> Fraction:
     if k < 1:
         raise ValueError("moment index must be >= 1")
     check_elements("ds_perm_estimate", window * group.order)  # (power, element) fixed-point counts
-    n = group.degree
-    total = Fraction(0)
-    for r in range(1, window + 1):
-        moment = sum(ds_variable(group, g, r) ** k for g in range(group.order))
-        total += Fraction(moment, n)
-    return Fraction(n * n, window) * total
+    cycles = [_cycle_lengths(p) for p in group.elements]  # each element's cycle type, found once
+    # g^r fixes the f points of g's cycles whose length divides r; n^2 / window * sum (f / n)^k / n, as one fraction
+    fixed = (sum(c for c in lengths if r % c == 0) for r in range(1, window + 1) for lengths in cycles)
+    return Fraction(sum(f**k for f in fixed), window * group.degree ** (k - 1))
 
 
 def ds_defect_estimate(group: FiniteAbelianGroup, k: int, window: int) -> Fraction:
@@ -123,7 +121,7 @@ def ds_defect_estimate(group: FiniteAbelianGroup, k: int, window: int) -> Fracti
     if k < 1:
         raise ValueError("moment index must be >= 1")
     check_elements("ds_defect_estimate", group.order)
-    hits = sum(window // element_order(group, g) for g in group.elements())
+    hits = sum(window // order for order in element_orders(group).tolist())  # its own elements: none is validated
     return Fraction(group.order * hits, window)
 
 

@@ -40,17 +40,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 
 import numpy as np
 
 from .cyclotomic import euler_phi, power_reduction_table
-from .errors import CapExceededError, DefectMismatchError, NonExactError
+from .errors import CapExceededError, DefectMismatchError, NonExactError, check_bytes
 from .groups import factorize, is_prime
 from .matrices import HadamardMatrix
 from .tangent import DEFAULT_GAP_THRESHOLD, DEFAULT_REL_TOL, undephased_defect
 from .tangent import check_system_size, ordered_pairs, pair_rows
 
-DEFAULT_DEGREE_CAP = 64
 # Moduli stay below this, so the product of two residues fits in int64.
 MODULUS_LIMIT = 2**31
 
@@ -77,40 +77,33 @@ class ExactSystem:
 
 
 def build_exact_system(h: HadamardMatrix) -> ExactSystem:
-    """Exact pair system of an exact-phase matrix; q is the common phase order, phi(q) at most DEFAULT_DEGREE_CAP.
-
-    Refused before anything is made when the lead rows that `rational_nullity` eliminates are above the cap."""
+    """Exact pair system of an exact-phase matrix, q the common phase order. Before listing a pair it holds to the
+    `check_bytes` cap the lead rows that `rational_nullity` eliminates, the N(N-1) x N x phi(q) coefficients that
+    `_solves_full_system` gathers and the q x phi(q) reduction table that it reads, then builds and caches the table."""
     if not h.is_exact:
         raise NonExactError("exact system needs exact phases")
-    q = h.phase_order()
+    q, n = h.phase_order(), h.n
     degree = euler_phi(q)
-    if degree > DEFAULT_DEGREE_CAP:
-        raise CapExceededError(f"cyclotomic degree {degree} exceeds cap {DEFAULT_DEGREE_CAP} (q = {q})")
-    check_system_size(h.n * (h.n - 1) // 2 * min(2, degree), h.n**2)
-    pairs = ordered_pairs(h.n)
+    check_system_size(n * (n - 1) // 2 * min(2, degree), n * n)
+    check_bytes(f"exact check of {n * (n - 1)} x {n} x {degree} coefficients", n * (n - 1) * n * degree * 8)
+    power_reduction_table(q)
+    pairs = ordered_pairs(n)
     exponents = (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % q
     pairs.flags.writeable = False
     exponents.flags.writeable = False
-    return ExactSystem(
-        root_order=q, degree=degree, n=h.n, pairs=pairs, exponents=exponents, provenance=h.provenance
-    )
+    return ExactSystem(root_order=q, degree=degree, n=n, pairs=pairs, exponents=exponents, provenance=h.provenance)
 
 
 @lru_cache(maxsize=None)
 def modular_prime(q: int) -> int:
     """Largest prime p < 2^31 with p = 1 (mod q)."""
-    p = (MODULUS_LIMIT - 2) // q * q + 1
-    while not is_prime(p):
-        p -= q
-    return p
+    return next(filter(is_prime, range((MODULUS_LIMIT - 2) // q * q + 1, 1, -q)))
 
 
 def _lift_primes(q: int):
-    """The LIFT_PRIMES largest primes p < 2^31 with p = 1 (mod q), descending from `modular_prime(q)`."""
+    """The LIFT_PRIMES largest primes p < 2^31 with p = 1 (mod q): `modular_prime(q)`, then the descent below it."""
     p = modular_prime(q)
-    for _ in range(LIFT_PRIMES):
-        yield p
-        p = next(c for c in range(p - q, 1, -q) if is_prime(c))
+    return islice(chain([p], filter(is_prime, range(p - q, 1, -q))), LIFT_PRIMES)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +210,7 @@ def _solves_full_system(system: ExactSystem, kernel: np.ndarray) -> bool:
     """
     n, pairs = system.n, system.pairs
     table = power_reduction_table(system.root_order)
-    biggest = int(np.abs(table).max()) * int(np.abs(kernel).max(initial=0))
+    biggest = max(int(table.max()), -int(table.min())) * int(np.abs(kernel).max(initial=0))  # no |table| copy
     dtype = np.int64 if biggest * n * n < 2**63 else object
     blocks = table[system.exponents].astype(dtype, copy=False).transpose(0, 2, 1)
     v = kernel.astype(dtype, copy=False).reshape(n, n, kernel.shape[1])
@@ -246,7 +239,7 @@ def rational_nullity(system: ExactSystem) -> CertifiedNullity:
 
     Per prime of `_lift_primes(q)`, the lead rows are eliminated and lifted; when that fails, the lead echelon form
     on top of the other units' rows is. CapExceededError if no kernel lifts, or if the rows a stage eliminates are
-    above the `check_bytes` cap: the lead rows are checked before any prime or table is made, each stack before it.
+    above the `check_bytes` cap: the lead rows are checked before any prime is sought, each stack before it is made.
     """
     n, q, half = system.n, system.root_order, system.n * (system.n - 1) // 2
     lead = min(2, system.degree)  # the units 1 and -1, one unit when q <= 2

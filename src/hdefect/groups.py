@@ -83,6 +83,14 @@ def element_order(group: FiniteAbelianGroup, g) -> int:
     return math.lcm(*(n // math.gcd(n, x) for x, n in zip(g, group.cycle_orders))) if g else 1
 
 
+def element_orders(group: FiniteAbelianGroup) -> np.ndarray:
+    """Additive order of every element, in odometer order, built factor by factor with no element listed."""
+    orders = np.ones(1, dtype=np.int64)
+    for n in group.cycle_orders:  # the lcm of the orders so far and each residue's order n / gcd(n, x)
+        orders = np.lcm.outer(orders, n // np.gcd(n, np.arange(n))).ravel()
+    return orders
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, {} for n = 1; past MAX_ELEMENTS divisors only a prime cofactor ends it."""
     factors: dict[int, int] = {}

@@ -423,28 +423,28 @@ def matrix_to_dict(h: HadamardMatrix) -> dict:
 
 def matrix_from_dict(obj: dict) -> HadamardMatrix:
     try:
-        n = obj["n"]
-        repr_tag = obj["repr"]
-        entries = obj["entries"]
+        n, repr_tag, entries = obj["n"], obj["repr"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix object must have n, repr, entries: {exc}") from exc
     provenance = obj.get("provenance", "")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # exact types here: a JSON boolean is a bool, an int subclass
         raise ValueError(f"matrix order must be a positive integer, got {n!r}")
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    if repr_tag == "phase":
-        for pair in entries:
-            num, den = pair
-            if not isinstance(num, int) or not isinstance(den, int) or den < 1:
-                raise ValueError(f"phase entries are [numerator, denominator] ints, got {pair}")
+    if repr_tag not in ("phase", "complex"):
+        raise ValueError(f"unknown repr {repr_tag!r}, expected 'phase' or 'complex'")
+    if not isinstance(entries, list) or len(entries) != n * n:
+        count = len(entries) if isinstance(entries, list) else type(entries).__name__
+        raise ValueError(f"expected a list of {n * n} entries, got {count}")
+    phase = repr_tag == "phase"
+    types, form = ((int,), "[numerator, denominator >= 1] ints") if phase else ((int, float), "[re, im] numbers")
+    for pair in entries:
+        shaped = isinstance(pair, list) and len(pair) == 2 and all(type(x) in types for x in pair)
+        if not shaped or phase and pair[1] < 1:
+            raise ValueError(f"{repr_tag} entries are {form}, got {pair!r}")
+    if phase:
         turns = [Fraction(num, den) for num, den in entries]
         return HadamardMatrix.from_turns([turns[i * n : (i + 1) * n] for i in range(n)], provenance=provenance)
-    if repr_tag == "complex":
-        vals = [complex(re, im) for re, im in entries]
-        arr = np.array(vals, dtype=complex).reshape(n, n)
-        return HadamardMatrix.from_values(arr, provenance=provenance)
-    raise ValueError(f"unknown repr {repr_tag!r}, expected 'phase' or 'complex'")
+    arr = np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(n, n)
+    return HadamardMatrix.from_values(arr, provenance=provenance)
 
 
 def save_matrix(h: HadamardMatrix, path) -> None:

@@ -285,7 +285,7 @@ def test_closure_and_one_orbit_agree_with_the_axioms():
 
 def test_permutation_sweeps_refused_at_once_at_the_default_cap(monkeypatch):
     z4 = regular_representation(make_group([4]))
-    monkeypatch.setattr(charstats, "ds_variable", lambda *args: pytest.fail("fixed points counted before the check"))
+    monkeypatch.setattr(charstats, "_cycle_lengths", lambda perm: pytest.fail("cycles found before the check"))
     with pytest.raises(CapExceededError, match="^ds_perm_estimate needs 4000000000 elements"):
         ds_perm_estimate(z4, 1, 10**9)
     monkeypatch.setattr(FiniteAbelianGroup, "index_tables", lambda group: pytest.fail("table built before the check"))

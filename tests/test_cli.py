@@ -400,10 +400,10 @@ def test_ds_window_error(capsys):
 
 
 def test_ds_group_cap_before_the_sweep(monkeypatch, capsys):
-    def unexpected(group, g):
+    def unexpected(group):
         raise AssertionError("group elements swept before the cap check")
 
-    monkeypatch.setattr(charstats, "element_order", unexpected)
+    monkeypatch.setattr(charstats, "element_orders", unexpected)
     assert run(["ds", "--group", "3000000"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: ds_defect_estimate needs 3000000 elements, above the cap 1000000"
@@ -457,6 +457,24 @@ def test_one_parser_per_process(monkeypatch, capsys):
     first, second, _ = capsys.readouterr().out.split("}\n")
     # Options do not carry over from one call to the next.
     assert "dephased_defect" in first and "dephased_defect" not in second
+
+
+@pytest.mark.parametrize("matrix", [
+    {"n": 1, "repr": "phase", "entries": 5},
+    {"n": 1, "repr": "complex", "entries": [5]},
+    {"n": 1, "repr": "complex", "entries": [["1", "0"]]},
+    {"n": 1, "repr": "complex", "entries": [[None, 0]]},
+    {"n": 1, "repr": "phase", "entries": [[0]]},
+    {"n": True, "repr": "phase", "entries": [[True, True]]},
+    {"n": 1, "repr": "phase", "entries": [[True, True]]},
+    {"n": 1, "repr": "phase", "entries": [[0, 0]]},
+], ids=["not-a-list", "bare-number", "strings", "null", "short", "boolean-order", "boolean-entry", "zero-denominator"])
+def test_malformed_matrix_file_is_an_error_line(tmp_path, capsys, matrix):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    assert run(["verify", f"file:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -198,12 +198,44 @@ def test_conjecture_soundness_on_eighth_root_deformations():
         assert report.verdict in (SUPPORTED, REFUTED_AT_INSTANCE)
 
 
-def test_degree_cap_enforced(monkeypatch):
-    with pytest.raises(CapExceededError):
+def test_high_degree_bracket_is_proved_at_the_modular_prime(capsys):
+    # haagerup:1/97 has q = 388 and phi(q) = 192: no cap on the degree, only the byte caps, which it is far below.
+    nullity = rational_nullity(build_exact_system(haagerup_matrix(Fraction(1, 97))))
+    assert (int(nullity), nullity.upper_bound, nullity.prime) == (12, 15, modular_prime(388))
+    assert run(["conjecture", "haagerup:1/97"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["q"], report["phi_q"], report["rational_nullity"], report["exact_upper_bound"]) == (388, 192, 12, 15)
+    assert (report["numeric_defect"], report["verdict"]) == (15, REFUTED_AT_INSTANCE)
+    assert report["certificate"] == {"method": MODULAR_LIFT, "prime": 2147479897}
+
+
+# haagerup:1/97 (N = 6, q = 388, phi = 192): each exact array is larger than the one checked before it.
+EXACT_ARRAYS = [
+    ("pair system of 30 x 36 entries", 15 * 2 * 36 * 8),
+    ("exact check of 30 x 6 x 192 coefficients", 30 * 6 * 192 * 8),
+    ("reduction table of 388 x 192 entries", 388 * 192 * 8),
+]
+
+
+@pytest.mark.parametrize("subject, nbytes", EXACT_ARRAYS, ids=["lead-rows", "coefficients", "table"])
+def test_exact_arrays_are_refused_in_order_before_the_pairs(monkeypatch, subject, nbytes):
+    # At one byte under an array's size, the arrays checked before it fit and it is the one refused.
+    power_reduction_table.cache_clear()
+    monkeypatch.setattr(exact, "ordered_pairs", lambda n: pytest.fail("pairs listed before the check"))
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", nbytes - 1)
+    with pytest.raises(CapExceededError, match=f"^{subject} needs {nbytes} bytes, above the cap {nbytes - 1}$"):
         build_exact_system(haagerup_matrix(Fraction(1, 97)))
-    monkeypatch.setattr(exact, "DEFAULT_DEGREE_CAP", 1)
-    with pytest.raises(CapExceededError):
-        build_exact_system(fourier_matrix(make_group([8])))
+
+
+def test_the_table_check_guards_the_prime_search():
+    # No prime p = 1 (mod q) lies below 2^31 for this q; a 1 x 1 matrix has no pair, so only the table is checked.
+    q = 4 * 268435457
+    assert not any(map(is_prime, range((exact.MODULUS_LIMIT - 2) // q * q + 1, 1, -q)))
+    with pytest.raises(CapExceededError, match=f"^reduction table of {q} x "):
+        rational_nullity(build_exact_system(HadamardMatrix.from_turns([[Fraction(1, q)]])))
+    # With pairs, the N(N-1) x N x phi(q) coefficients of the exact check are already above the cap.
+    with pytest.raises(CapExceededError, match="^exact check of 30 x 6 x 505290240 coefficients"):
+        build_exact_system(haagerup_matrix(Fraction(1, 268435457)))
 
 
 def test_float_matrix_rejected():

@@ -1,5 +1,6 @@
 """Exact phases as integer numerators over one root order: round trips, order, and agreement with the floating path."""
 
+import ast
 import cmath
 import math
 from fractions import Fraction
@@ -335,6 +336,22 @@ def test_one_element_cap_governs_every_sweep(monkeypatch):
     for sweep, subject in refusals:
         with pytest.raises(CapExceededError, match=f"^{subject} elements, above the cap 16$"):
             sweep()
+
+
+def test_caps_are_refused_only_by_their_guards():
+    # One rule per cap: every array and sweep refusal goes through errors.check_bytes or errors.check_elements. The
+    # only other refusals are the root-order limit of exact phases and a rational nullity that no prime proves.
+    raisers = []
+    for source in sorted(Path(hdefect.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and "CapExceededError" in ast.unparse(node):
+                owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                raisers.append(f"{source.stem}.{max(owners, key=lambda f: f.lineno).name if owners else '<module>'}")
+    assert sorted(raisers) == [
+        "errors.check_bytes", "errors.check_elements", "exact.rational_nullity", "matrices._check_order"
+    ]
 
 
 def test_the_library_reads_no_environment():

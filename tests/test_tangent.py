@@ -1,5 +1,6 @@
 """Tangent systems, certified numeric defects, and deformation scans."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from hdefect.errors import (
     CapExceededError,
     DefectMismatchError,
     NonHadamardError,
+    ResidualError,
 )
 from hdefect.groups import abelian_group_types, fourier_defect, make_group
 from hdefect.matrices import (
@@ -301,6 +303,37 @@ def test_fourier_P_check_small():
     assert report.closed_form == 10
     report = fourier_P_check(make_group([6]))
     assert report.dimension_numeric == 15
+
+
+def test_basis_residual_above_its_bound_is_refused(monkeypatch, tmp_path, capsys):
+    # The basis is checked against the full system over the entries A_ab; perturbing that system breaks the check.
+    assemble = tangent.tangent_system
+
+    def perturbed(h, basis=None):
+        system = assemble(h, basis)
+        return system if basis is not None else dataclasses.replace(system, matrix=system.matrix + 1e-3)
+
+    monkeypatch.setattr(tangent, "tangent_system", perturbed)
+    with pytest.raises(ResidualError, match="^basis residual .* above bound "):
+        tangent_basis(fourier_matrix(make_group([4])))
+    path = tmp_path / "basis.json"
+    assert run(["defect", "fourier:4", "--basis", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: basis residual ") and not path.exists()
+
+
+def test_fourier_P_check_refuses_residuals_above_its_tolerance(monkeypatch):
+    # Rounding leaves residuals of about 1e-16 on Z_6, so a zero tolerance refuses them.
+    monkeypatch.setattr(tangent, "P_CHECK_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ResidualError, match="^parameter-space correspondence residuals too large: constraint "):
+        fourier_P_check(make_group([6]))
+
+
+def test_fourier_P_check_refuses_dimensions_that_disagree(monkeypatch):
+    monkeypatch.setattr(tangent, "fourier_defect", lambda group: fourier_defect(group) + 1)
+    message = "^parameter-space dimensions disagree: numeric 15, combinatorial 15, closed form 16$"
+    with pytest.raises(DefectMismatchError, match=message):
+        fourier_P_check(make_group([6]))
 
 
 def test_circulant_tangent_system_matches_generic():
