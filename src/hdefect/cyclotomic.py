@@ -5,25 +5,20 @@ divisors d of q, taken as a power series of length phi(q) + 1 in Python ints
 (low degree first). The reduction table expresses x^m mod Phi_q in the power
 basis 1, x, ..., x^(phi(q)-1); sums of q-th roots of unity are exactly zero
 iff their reduced coefficient vector vanishes. `errors.check_bytes` refuses
-a table above `MAX_SYSTEM_BYTES` before Phi_q is built, and the tables kept
-between calls are bounded by `TABLE_CACHE_BYTES`.
+a table above `MAX_SYSTEM_BYTES` before Phi_q is built, and the last table
+built is kept: each caller handles one exact matrix, so meets one order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from functools import wraps
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import MAX_SYSTEM_BYTES, check_bytes
+from .errors import check_bytes
 from .groups import factorize
-
-# Bytes of reduction tables kept. A scan meets every order of its grid per chunk: a lower bound rebuilds tables.
-TABLE_CACHE_BYTES = MAX_SYSTEM_BYTES
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
@@ -53,25 +48,7 @@ def euler_phi(q: int) -> int:
     return q // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
-def _cached_within_table_bytes(build):
-    """Cache build(q) as lru_cache does, but drop the least recently used tables, never the newest, while
-    they hold more than TABLE_CACHE_BYTES; cache_info() counts maxsize and currsize in bytes."""
-    tables, counts = {}, {"hits": 0, "misses": 0}  # tables from least to most recently used
-
-    @wraps(build)
-    def cached(q: int) -> np.ndarray:
-        counts["hits" if q in tables else "misses"] += 1
-        tables[q] = tables.pop(q) if q in tables else build(q)
-        while len(tables) > 1 and sum(t.nbytes for t in tables.values()) > TABLE_CACHE_BYTES:
-            del tables[next(iter(tables))]
-        return tables[q]
-
-    cached.cache_info = lambda: CacheInfo(*counts.values(), TABLE_CACHE_BYTES, sum(t.nbytes for t in tables.values()))
-    cached.cache_clear = lambda: tables.clear() or counts.update(hits=0, misses=0)
-    return cached
-
-
-@_cached_within_table_bytes
+@lru_cache(maxsize=1)
 def power_reduction_table(q: int) -> np.ndarray:
     """Rows m = 0..q-1: coefficient vector of x^m mod Phi_q (int64, shape q x phi)."""
     deg = euler_phi(q)

@@ -97,7 +97,9 @@ def build_exact_system(h: HadamardMatrix) -> ExactSystem:
 @lru_cache(maxsize=None)
 def modular_prime(q: int) -> int:
     """Largest prime p < 2^31 with p = 1 (mod q)."""
-    return next(filter(is_prime, range((MODULUS_LIMIT - 2) // q * q + 1, 1, -q)))
+    for p in filter(is_prime, range((MODULUS_LIMIT - 2) // q * q + 1, 1, -q)):
+        return p
+    raise ValueError(f"no prime p = 1 (mod {q}) below 2^31")
 
 
 def _lift_primes(q: int):

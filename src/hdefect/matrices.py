@@ -350,35 +350,31 @@ def apply_equivalence(
 
 
 def failing_pairs(nums: np.ndarray, q: int) -> np.ndarray:
-    """Flags of the rows i < j that are not orthogonal, per matrix of a (C, N, N) stack of numerators over q.
+    """The rows i < j, as a K x 2 array, that are not orthogonal in an N x N matrix of numerators over q.
 
     Rows i < j are orthogonal iff sum_k x^(m_ik - m_jk), a sum of N rows of `power_reduction_table(q)`,
-    is 0 mod Phi_q. The (matrix, pair) rows are taken in blocks whose working arrays, per row its sums, a
-    gathered table row, its differences and a gathered column, fit in CHECK_BLOCK_BYTES.
+    is 0 mod Phi_q. The pairs are taken in blocks whose working arrays, per pair its sums, a gathered
+    table row, its differences and a gathered column, fit in CHECK_BLOCK_BYTES.
     """
     table = power_reduction_table(q)
-    c, n, _ = nums.shape
-    first, second = np.triu_indices(n, 1)
-    columns, flags = nums.transpose(2, 0, 1).reshape(n, c * n), np.zeros(c * len(first), dtype=bool)
-    step = max(1, CHECK_BLOCK_BYTES // (16 * (table.shape[1] + n)))
-    for s in range(0, len(flags), step):
-        cell, pair = np.divmod(np.arange(s, min(s + step, len(flags))), len(first))
-        diff = columns[:, cell * n + first[pair]]
-        diff -= columns[:, cell * n + second[pair]]
+    pairs = np.stack(np.triu_indices(len(nums), 1), axis=1)
+    flags = np.zeros(len(pairs), dtype=bool)
+    step = max(1, CHECK_BLOCK_BYTES // (16 * (table.shape[1] + len(nums))))
+    for s in range(0, len(pairs), step):
+        first, second = pairs[s : s + step].T
+        diff = nums.T[:, first]
+        diff -= nums.T[:, second]
         diff %= q
-        sums = np.zeros((len(cell), table.shape[1]), dtype=np.int64)
+        sums = np.zeros((diff.shape[1], table.shape[1]), dtype=np.int64)
         for row in diff:
             sums += table[row]
         flags[s : s + step] = sums.any(axis=1)
-    bad = np.zeros((c, n, n), dtype=bool)
-    bad[:, first, second] = flags.reshape(c, len(first))
-    return bad
+    return pairs[flags]
 
 
 def _verify_exact(h: HadamardMatrix) -> ValidationReport:
     q, nums = h.phase_order(), h.numerators
-    failing = np.argwhere(failing_pairs(nums[None], q)[0])
-    sums = (np.sum(np.exp(2j * np.pi * ((nums[i] - nums[j]) % q) / q)) for i, j in failing)
+    sums = (np.sum(np.exp(2j * np.pi * ((nums[i] - nums[j]) % q) / q)) for i, j in failing_pairs(nums, q))
     worst = max((abs(total) / h.n for total in sums), default=0.0)
     return ValidationReport(
         passed=worst == 0.0, max_modulus_error=0.0, max_orthogonality_error=worst, tolerance=0.0, exact=True

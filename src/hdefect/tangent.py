@@ -20,8 +20,8 @@ assembled in, so no second system-sized array is made before the SVD.
 `check_system_size` refuses any system above the `check_bytes` cap before it or
 its blocks are allocated; a defect call or a scan checks it from N alone,
 before any verification. A deformation scan takes one stack of cells, one
-assembly and one stacked SVD per chunk of cells, verified as stacks: exact
-cells grouped by their own root orders, as a single defect call checks them.
+assembly and one stacked SVD per chunk of cells. Floating cells are verified
+as a stack; exact cells by their two factors, once per scan.
 One background thread per scan runs each chunk's SVD, a LAPACK call that
 releases the GIL, while the next chunk is built; at most two chunks are held.
 """
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .groups import FiniteAbelianGroup, _p_space_keys, fourier_defect
 from .matrices import MAX_PHASE_ORDER, VERIFY_TOL, DeformationParameters, HadamardMatrix, _common_order, _roots
-from .matrices import deformed_tensor, failing_pairs, fourier_matrix, gram_errors, turn_to_complex, verify_hadamard
+from .matrices import deformed_tensor, dephase, fourier_matrix, gram_errors, turn_to_complex, verify_hadamard
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
@@ -383,6 +383,8 @@ class ScanGrid:
     def __post_init__(self):
         if self.denominator < 1:
             raise ValueError(f"grid denominator must be positive, got {self.denominator}")
+        if self.numerators is not None and len(set(turns := self.turns())) < len(turns):
+            raise ValueError(f"grid numerators {self.numerators} name one turn mod 1 twice")
 
     def turns(self) -> list[Fraction]:
         nums = range(self.denominator) if self.numerators is None else self.numerators
@@ -425,6 +427,10 @@ def deformation_scan(
     count = len(turns) ** nfree + add_flat
     check_elements("deformation scan grid", count)
     check_system_size(size * (size - 1), size * size)  # one cell's system, before any cell is built
+    exact = h.is_exact and k.is_exact
+    # H (x)_L K is Hadamard for every unimodular L iff H and K are, so exact cells are verified by their factors.
+    # Dephased, each factor's order divides every cell's own order, so its reduction table is no larger.
+    sound = exact and all(verify_hadamard(dephase(f)).passed for f in (h, k))
     zero = len(turns)
     turns.append(Fraction(0))
     labels = [str(t) for t in turns]
@@ -432,7 +438,6 @@ def deformation_scan(
     assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
     rows, cols, w = size * (size - 1), (size - 1) ** 2, helmert_matrix(size)
     per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * cols * 8), -(-SCAN_CHUNK_VALUES // max(1, min(rows, cols))))
-    exact = h.is_exact and k.is_exact
     if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
         (hn, kn), hk = _common_order(h, k)
         base = hn[:, None, :, None] + kn[:, None, :]
@@ -455,16 +460,14 @@ def deformation_scan(
             cell_q = np.minimum(np.lcm(cell_q, column), MAX_PHASE_ORDER)
         if cell_q.max() == MAX_PHASE_ORDER:
             single(l_index[np.argmax(cell_q)])  # raises the CapExceededError of a single call
-        if exact:  # numerators over the cell's order, then reduced to lowest terms as a single call does
+        if exact:  # over the cell's unreduced order: `_root` depends on m / q alone, so values equal a single call's
             lq = cell_q[:, None, None]
             nums = base * (lq // hk)[..., None, None] + (tn[l_index] * (lq // tq[l_index]))[:, None, :, :, None]
-            common = np.gcd(np.gcd.reduce(nums.reshape(len(chunk), -1), axis=1), cell_q)
-            nums, orders = nums.reshape(-1, size, size) % lq // common[:, None, None], cell_q // common
-            values, failed = np.empty(nums.shape, dtype=complex), np.zeros(len(nums), dtype=bool)
-            for order in dict.fromkeys(orders.tolist()):  # each cell verified at its own order
-                group = orders == order
-                failed[group] = failing_pairs(nums[group], order).any(axis=(1, 2))
+            nums, values = nums.reshape(-1, size, size) % lq, np.empty((len(chunk), size, size), dtype=complex)
+            for order in dict.fromkeys(cell_q.tolist()):
+                group = cell_q == order
                 values[group] = _roots(nums[group], order)
+            failed = np.full(len(chunk), not sound)
         else:  # checked within the verify tolerance of a single defect call
             values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
             modulus, ortho = gram_errors(values)

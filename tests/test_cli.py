@@ -287,19 +287,32 @@ def test_scan_cell_cap_before_enumeration(monkeypatch, capsys):
     assert "deformation scan grid needs 17 elements, above the cap 16" in capsys.readouterr().err
 
 
-def test_scan_verifies_each_cell_at_its_own_order(tmp_path, capsys):
-    # One cell of order 2000000014: its reduction table is refused before any large array is built.
-    start = time.perf_counter()
-    assert run(["scan", "fourier:2", "fourier:2", "--grid", "1000000007:1"]) == 1
-    assert time.perf_counter() - start < 1.0
-    assert "reduction table of 2000000014 x 1000000006 entries" in capsys.readouterr().err
-    # Cells of orders 178 and 194 take tables of their own orders, not of their common order 17266.
+def test_scan_computes_each_cell_at_its_own_order(tmp_path, capsys):
+    # A cell of order 2000000014, whose own reduction table would be above the cap: exact cells are verified by
+    # their factors, so the scan runs, and the cell's gap ratio is that of a single call on its floating copy.
     out = tmp_path / "scan.csv"
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "1000000007:1", "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["cell_id"], row["defect"]) for row in rows] == [("0", "10"), ("1/1000000007", "8")]
+    f2 = fourier_matrix(make_group([2]))
+    cell = deformed_tensor(f2, DeformationParameters.from_turns([[0, 0], [0, Fraction(1, 1000000007)]]), f2)
+    floating = HadamardMatrix.from_values(cell.to_values())
+    assert float(rows[1]["gap_ratio"]) == tangent.undephased_defect(floating).gap_ratio
+    capsys.readouterr()
+    # Cells of orders 178 and 194 are computed at their own orders, not over their common order 17266.
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "8633:89,97", "--out", str(out)]) == 0
     with open(out, newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [(row["cell_id"], row["defect"]) for row in rows] == [("0", "10"), ("1/97", "8"), ("1/89", "8")]
     assert json.loads(capsys.readouterr().out)["errors"] == 0
+
+
+@pytest.mark.parametrize("grid", ["4:0,4", "4:1,5", "8:2,1,-6"])
+def test_scan_refuses_grid_numerators_that_name_one_turn_twice(grid, capsys):
+    # Each would make two cells with one cell_id.
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", grid]) == 2
+    assert "bad grid: grid numerators" in capsys.readouterr().err
 
 
 def test_defect_basis_is_one_pass(monkeypatch, tmp_path, capsys):

@@ -69,26 +69,6 @@ def test_reduction_table_size_guard(monkeypatch):
         power_reduction_table(39892)
 
 
-def test_reduction_tables_kept_within_the_byte_bound(monkeypatch):
-    # Tables of 16 x 8, 12 x 4 and 30 x 8 int64 entries: 1024, 384 and 1920 bytes.
-    monkeypatch.setattr(cyclotomic, "TABLE_CACHE_BYTES", 1408)
-    power_reduction_table.cache_clear()
-    try:
-        t16, t12 = power_reduction_table(16), power_reduction_table(12)
-        assert power_reduction_table(16) is t16
-        assert power_reduction_table.cache_info() == (1, 2, 1408, 1408)
-        # Past the bound: the least recently used go first, and the newest stays although it alone is above it.
-        t30 = power_reduction_table(30)
-        assert power_reduction_table(30) is t30
-        assert power_reduction_table.cache_info() == (2, 3, 1408, 1920)
-        assert power_reduction_table(12) is not t12
-        assert np.array_equal(power_reduction_table(16), t16)
-        assert power_reduction_table.cache_info() == (2, 5, 1408, 1408)
-    finally:
-        power_reduction_table.cache_clear()
-    assert power_reduction_table.cache_info() == (0, 0, 1408, 0)
-
-
 def test_reduction_table_matches_numeric_roots():
     for q in (2, 3, 4, 6, 8, 12, 16, 997, 2310, 4096):
         table = power_reduction_table(q)

@@ -236,6 +236,9 @@ def test_the_table_check_guards_the_prime_search():
     # With pairs, the N(N-1) x N x phi(q) coefficients of the exact check are already above the cap.
     with pytest.raises(CapExceededError, match="^exact check of 30 x 6 x 505290240 coefficients"):
         build_exact_system(haagerup_matrix(Fraction(1, 268435457)))
+    # Called directly, the search names what it did not find.
+    with pytest.raises(ValueError, match=f"^no prime p = 1 \\(mod {q}\\) below 2\\^31$"):
+        modular_prime(q)
 
 
 def test_float_matrix_rejected():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdefect
-from hdefect import charstats, cli, errors, exact, groups, matrices, tangent
+from hdefect import charstats, cli, cyclotomic, errors, exact, groups, matrices, tangent
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.cyclotomic import power_reduction_table
 from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
@@ -280,7 +280,7 @@ def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):
 def test_scan_refuses_one_cells_pair_system_before_any_cell(monkeypatch, capsys):
     # One F2 (x) F4 cell's 56 x 64 system takes 28672 bytes: refused before the Helmert matrix, cells or blocks.
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 56 * 64 * 8 - 1)
-    for name in ("failing_pairs", "helmert_matrix", "_pair_blocks"):
+    for name in ("verify_hadamard", "helmert_matrix", "_pair_blocks"):
         monkeypatch.setattr(tangent, name, lambda *args, name=name: pytest.fail(f"{name} ran before the check"))
     f2, f4 = fourier_matrix(make_group([2])), fourier_matrix(make_group([4]))
     with pytest.raises(CapExceededError, match="^pair system of 56 x 64 entries needs 28672 bytes"):
@@ -291,7 +291,7 @@ def test_scan_refuses_one_cells_pair_system_before_any_cell(monkeypatch, capsys)
 
 def test_one_cap_governs_every_guard(monkeypatch):
     # Only errors binds the cap, so one setting reaches the four guards, each refusing with its own subject.
-    assert not any(hasattr(module, "MAX_SYSTEM_BYTES") for module in (tangent, matrices, groups))
+    assert not any(hasattr(module, "MAX_SYSTEM_BYTES") for module in (tangent, matrices, groups, cyclotomic))
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 32767)
     f16 = fourier_matrix(make_group([16]))
     refusals = [
@@ -352,6 +352,20 @@ def test_caps_are_refused_only_by_their_guards():
     assert sorted(raisers) == [
         "errors.check_bytes", "errors.check_elements", "exact.rational_nullity", "matrices._check_order"
     ]
+
+
+def test_only_single_matrix_checks_read_reduction_tables():
+    # `power_reduction_table` keeps one table, which serves callers that each meet one order: the exact check of one
+    # matrix and the exact system of one matrix. A caller that meets several orders would rebuild tables in turn.
+    callers = []
+    for source in sorted(Path(hdefect.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "power_reduction_table":
+                owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                callers.append(f"{source.stem}.{max(owners, key=lambda f: f.lineno).name if owners else '<module>'}")
+    assert sorted(callers) == ["exact._solves_full_system", "exact.build_exact_system", "matrices.failing_pairs"]
 
 
 def test_the_library_reads_no_environment():

@@ -391,10 +391,12 @@ def test_defect_invariant_under_equivalence():
 def test_scan_grid_turns():
     grid = ScanGrid(4)
     assert grid.turns() == [F(0), F(1, 4), F(1, 2), F(3, 4)]
-    sub = ScanGrid(8, (1, 3, 9))
-    assert sub.turns() == [F(1, 8), F(3, 8), F(1, 8)]
+    sub = ScanGrid(8, (1, 3, 10))
+    assert sub.turns() == [F(1, 8), F(3, 8), F(1, 4)]
     with pytest.raises(ValueError):
         ScanGrid(0)
+    with pytest.raises(ValueError, match=r"grid numerators \(1, 3, 9\) name one turn mod 1 twice"):
+        ScanGrid(8, (1, 3, 9))
 
 
 def test_deformation_scan_sixteenth_roots():
@@ -512,6 +514,62 @@ def test_batched_scan_non_hadamard_factor_fails_every_cell(tmp_path, bad):
         assert cells == per_cell_scan(left, right, ScanGrid(4))
         assert all(cell.error_type == "NonHadamardError" for cell in cells)
         assert cells[0].error.startswith("matrix is not Hadamard")
+
+
+LEMMA_FACTORS = ["fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "fourier:2x2", "tao"]
+
+
+@st.composite
+def deformed_factors(draw):
+    """Exact Hadamard H and K of order at most 6, an exact M x N parameter matrix L, and one entry of H or K moved."""
+    haagerup = st.builds("haagerup:{}/{}".format, st.integers(0, 5), st.integers(1, 6))
+    factors = st.one_of(st.sampled_from(LEMMA_FACTORS), haagerup)
+    h, k = _spec(draw(factors)), _spec(draw(factors))
+    d = draw(st.integers(1, 8))
+    params = DeformationParameters.from_turns(
+        [[F(draw(st.integers(0, d - 1)), d) for _ in range(h.n)] for _ in range(k.n)]
+    )
+    moved = draw(st.sampled_from([h, k]))
+    turns = [list(row) for row in moved.turns]
+    turns[draw(st.integers(0, moved.n - 1))][draw(st.integers(0, moved.n - 1))] += F(draw(st.integers(1, 3)), 4)
+    perturbed = HadamardMatrix.from_turns(turns)
+    return h, params, k, (perturbed, k) if moved is h else (h, perturbed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(deformed_factors())
+def test_deformed_tensor_is_hadamard_exactly_when_its_factors_are(drawn):
+    # The lemma behind a scan's exact verification, with the exact verifier of the whole matrix as its oracle:
+    # row (i, a) . row (i', a') = [sum_j H_ij conj(H_i'j) L_aj conj(L_a'j)] <K_a, K_a'>.
+    h, params, k, (h_moved, k_moved) = drawn
+    assert verify_hadamard(deformed_tensor(h, params, k)).passed
+    assert not verify_hadamard(deformed_tensor(h_moved, params, k_moved)).passed
+
+
+def test_exact_scan_reads_the_tables_of_its_factors_only(monkeypatch, capsys):
+    orders, table = [], matrices.power_reduction_table
+
+    def recording_table(q):
+        orders.append(q)
+        return table(q)
+
+    monkeypatch.setattr(matrices, "power_reduction_table", recording_table)
+    assert run(["scan", "fourier:2", "fourier:4", "--grid", "16"]) == 0
+    assert orders == [2, 4]
+    capsys.readouterr()
+
+
+def test_exact_scan_verifies_its_factors_dephased():
+    # F2 times e^(2 pi i / 9973) and times its inverse: each factor has order 19946, whose reduction table
+    # (1.6 GB) is above the cap, but every cell has order 4 or less, and the dephased factors have order 2.
+    step = F(1, 9973)
+    h = HadamardMatrix.from_turns([[step, step], [step, step + F(1, 2)]])
+    k = HadamardMatrix.from_turns([[-step, -step], [-step, -step + F(1, 2)]])
+    with pytest.raises(CapExceededError, match="^reduction table of 19946 x 9972 entries"):
+        verify_hadamard(h)
+    cells = deformation_scan(h, k, ScanGrid(4))
+    assert cells == per_cell_scan(h, k, ScanGrid(4))
+    assert [cell.defect for cell in cells] == [10, 8, 10, 8]
 
 
 @pytest.mark.parametrize("h_spec", ["fourier:2", "circulant:0,1/4"])
@@ -665,47 +723,49 @@ def test_helmert_matrix_is_orthogonal_with_zero_sum_columns():
         assert np.allclose(w[:, :1], n ** -0.5)
 
 
-def test_stacked_exact_verify_matches_single_verify():
+def test_failing_pairs_decide_exact_verify():
     rng = np.random.default_rng(3)
     f6 = fourier_matrix(make_group([6])).numerators
-    stack = [f6, 2 * tao_matrix().numerators, rng.integers(0, 6, (6, 6))]
+    candidates = [f6, 2 * tao_matrix().numerators, rng.integers(0, 6, (6, 6))]
     for _ in range(5):
         changed = f6.copy()
         changed[rng.integers(6), rng.integers(6)] += rng.integers(1, 6)
-        stack.append(changed % 6)
-    stack = np.array(stack)
-    flags = failing_pairs(stack, 6)
-    for nums, bad in zip(stack, flags):
-        assert np.array_equal(bad, failing_pairs(nums[None], 6)[0])
-        assert bad.any() == (not verify_hadamard(HadamardMatrix(phases=(nums, 6))).passed)
-    assert not flags[:2].any() and flags[2:].any(axis=(1, 2)).all()
+        candidates.append(changed % 6)
+    for index, nums in enumerate(candidates):
+        pairs = failing_pairs(nums, 6)
+        assert pairs.shape[1:] == (2,) and (pairs[:, 0] < pairs[:, 1]).all()
+        assert (len(pairs) == 0) == (index < 2) == verify_hadamard(HadamardMatrix(phases=(nums, 6))).passed
 
 
 def _nonorthogonal_pairs(nums, q):
-    """Oracle: flags of the rows i < j whose floating inner product is not 0."""
+    """Oracle: the rows i < j whose floating inner product is not 0."""
     roots = np.exp(2j * np.pi * nums / q)
-    return np.triu(np.abs(roots @ np.conj(roots).swapaxes(1, 2)) > 1e-6, 1)
+    return np.argwhere(np.triu(np.abs(roots @ np.conj(roots).T) > 1e-6, 1))
 
 
 @pytest.mark.parametrize("q", [2, 6, 8, 12])
 def test_failing_pairs_match_floating_inner_products(monkeypatch, q):
     rng = np.random.default_rng(q)
     f2x2 = fourier_matrix(make_group([2, 2])).numerators * (q // 2)
-    stack = np.concatenate([f2x2[None], rng.integers(0, q, (40, 4, 4)), (f2x2 + rng.integers(0, 2, (4, 4)))[None] % q])
-    flags = failing_pairs(stack, q)
-    assert np.array_equal(flags, _nonorthogonal_pairs(stack, q))
-    assert not flags[0].any()
-    # One (matrix, pair) row per block gives the same flags.
+    cases = [f2x2, *rng.integers(0, q, (40, 4, 4)), (f2x2 + rng.integers(0, 2, (4, 4))) % q, rng.integers(0, q, (9, 9))]
+    found = [failing_pairs(nums, q) for nums in cases]
+    for nums, pairs in zip(cases, found):
+        assert np.array_equal(pairs, _nonorthogonal_pairs(nums, q))
+    assert len(found[0]) == 0
+    # One pair per block gives the same pairs.
     monkeypatch.setattr(matrices, "CHECK_BLOCK_BYTES", 1)
-    assert np.array_equal(failing_pairs(stack, q), flags)
+    for nums, pairs in zip(cases, found):
+        assert np.array_equal(failing_pairs(nums, q), pairs)
 
 
 def test_failing_pairs_work_in_blocks_of_bounded_size():
-    q, stack = 1024, np.random.default_rng(2).integers(0, 1024, (2000, 4, 4))
-    expected = failing_pairs(stack[:50], q)  # also builds the cached reduction table before tracing
-    flags, peak = traced_peak(lambda: failing_pairs(stack, q))
-    assert np.array_equal(flags[:50], expected)
-    # All 12000 (matrix, pair) rows of phi(1024) = 512 sums at once would take 49 MB.
+    # F64 over q = 1024 with one entry moved: the 63 pairs of its row fail, of 2016.
+    q, nums = 1024, fourier_matrix(make_group([64])).numerators * 16
+    nums[5, 7] += 1
+    failing_pairs(nums[:2], q)  # builds the cached reduction table before tracing
+    pairs, peak = traced_peak(lambda: failing_pairs(nums, q))
+    assert np.array_equal(pairs, _nonorthogonal_pairs(nums, q)) and len(pairs) == 63
+    # All 2016 pairs' phi(1024) = 512 sums at once would take 8.3 MB.
     assert peak < 2 * matrices.CHECK_BLOCK_BYTES
 
 
