@@ -26,6 +26,7 @@ import csv
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -54,7 +55,7 @@ from .tangent import (
     DEFAULT_REL_TOL,
     ScanGrid,
     _defect_pass,
-    deformation_scan,
+    _scan_cells,
 )
 
 MatrixSpec = Union[
@@ -370,12 +371,12 @@ def _cmd_formula(args) -> int:
 def _cmd_scan(args) -> int:
     h = build_matrix(parse_matrix_spec(args.h_spec))
     k = build_matrix(parse_matrix_spec(args.k_spec))
-    cells = deformation_scan(h, k, _parse_grid(args.grid), rel_tol=args.tol, gap_threshold=args.gap)
-
+    cells = _scan_cells(h, k, _parse_grid(args.grid), args.tol, args.gap)  # refuses before the CSV is opened
+    count, defects, error_types, worst = 0, set(), Counter(), None
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle)
         writer.writerow(["cell_id", "l_turns", "defect", "dephased_defect", "gap_ratio", "certified", "error"])
-        for cell in cells:
+        for count, cell in enumerate(cells, 1):  # each row written, and the summary folded, as its cell arrives
             writer.writerow(
                 [
                     cell.cell_id,
@@ -387,18 +388,20 @@ def _cmd_scan(args) -> int:
                     cell.error or "",
                 ]
             )
+            defects.add(cell.defect)
+            error_types.update([cell.error_type] if cell.error else [])
+            if cell.certified and (worst is None or cell.gap_ratio < worst.gap_ratio):  # the first smallest, as min
+                worst = cell
     if args.out:
-        worst = min((cell for cell in cells if cell.certified), key=lambda cell: cell.gap_ratio, default=None)
-        error_types = [cell.error_type for cell in cells if cell.error]
         _emit(
             {
-                "cells": len(cells),
-                "defect_values": sorted({cell.defect for cell in cells if cell.defect is not None}),
-                "errors": sum(1 for cell in cells if cell.error),
+                "cells": count,
+                "defect_values": sorted(defects - {None}),
+                "errors": error_types.total(),
                 "out": args.out,
                 "min_gap_ratio": None if worst is None else worst.gap_ratio,
                 "worst_cell": None if worst is None else worst.cell_id,
-                "errors_by_type": {name: error_types.count(name) for name in sorted(set(error_types))},
+                "errors_by_type": dict(sorted(error_types.items())),
             }
         )
     return 0

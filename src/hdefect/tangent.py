@@ -19,11 +19,12 @@ The ranked columns are moved to the front of the buffer the system was
 assembled in, so no second system-sized array is made before the SVD.
 `check_system_size` refuses any system above the `check_bytes` cap before it or
 its blocks are allocated; a defect call or a scan checks it from N alone,
-before any verification. A deformation scan takes one stack of cells, one
-assembly and one stacked SVD per chunk of cells. Floating cells are verified
-as a stack; exact cells by their two factors, once per scan.
-One background thread per scan runs each chunk's SVD, a LAPACK call that
-releases the GIL, while the next chunk is built; at most two chunks are held.
+before any verification. A deformation scan is streamed: it yields its cells
+chunk by chunk, with one stack of cells, one assembly and one stacked SVD per
+chunk, so its memory does not grow with the number of cells. Floating cells are
+verified as a stack; exact cells by their two factors, once per scan. One
+background thread per scan runs each chunk's SVD, a LAPACK call that releases
+the GIL, while the next chunk is built; at most two chunks are held.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, pairwise, product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -420,87 +421,95 @@ def deformation_scan(
     built; a cell whose root order reaches MAX_PHASE_ORDER raises the
     CapExceededError of a single defect call.
     """
+    return list(_scan_cells(h, k, grid, rel_tol, gap_threshold))
+
+
+def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
+    """The cells of `deformation_scan`: inputs refused or verified at the call, cells built chunk by chunk as drawn."""
     m, n = k.n, h.n
     size, nfree = n * m, max(m - 1, 0) * max(n - 1, 0)
-    turns = grid.turns()
-    add_flat = nfree > 0 and Fraction(0) not in turns
-    count = len(turns) ** nfree + add_flat
-    check_elements("deformation scan grid", count)
+    points = grid.denominator if grid.numerators is None else len(grid.numerators)  # counted before a turn is made
+    add_flat = nfree > 0 and grid.numerators is not None and all(num % grid.denominator for num in grid.numerators)
+    check_elements("deformation scan grid", points**nfree + add_flat)
     check_system_size(size * (size - 1), size * size)  # one cell's system, before any cell is built
     exact = h.is_exact and k.is_exact
     # H (x)_L K is Hadamard for every unimodular L iff H and K are, so exact cells are verified by their factors.
     # Dephased, each factor's order divides every cell's own order, so its reduction table is no larger.
     sound = exact and all(verify_hadamard(dephase(f)).passed for f in (h, k))
-    zero = len(turns)
-    turns.append(Fraction(0))
-    labels = [str(t) for t in turns]
-    turn_objects = np.array(turns, dtype=object)
-    assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
-    rows, cols, w = size * (size - 1), (size - 1) ** 2, helmert_matrix(size)
+    rows, cols = size * (size - 1), (size - 1) ** 2
     per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * cols * 8), -(-SCAN_CHUNK_VALUES // max(1, min(rows, cols))))
-    if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
-        (hn, kn), hk = _common_order(h, k)
-        base = hn[:, None, :, None] + kn[:, None, :]
-    else:
-        hv, kv, tv, hk = h.to_values(), k.to_values(), np.array([turn_to_complex(t) for t in turns]), 1
-    # Clipped to the order cap, so the lcms stay in int64; a cell that reaches the cap is refused.
-    tq, tn = np.array([(min(t.denominator, MAX_PHASE_ORDER), t.numerator % MAX_PHASE_ORDER) for t in turns]).T
-    pairs = ordered_pairs(size)
-    label = f"defect of deformed:({h.provenance},{k.provenance})"
 
-    def single(l_row):  # one cell rebuilt and put through a single defect call, for its errors
-        params = DeformationParameters.from_turns(turn_objects[l_row].tolist())
-        return undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
+    def cells():
+        turns = grid.turns() if nfree else []  # a scan with no free entry has only the flat cell
+        zero = len(turns)
+        turns.append(Fraction(0))
+        labels = [str(t) for t in turns]
+        turn_objects = np.array(turns, dtype=object)
+        assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
+        w = helmert_matrix(size)
+        if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
+            (hn, kn), hk = _common_order(h, k)
+            base = hn[:, None, :, None] + kn[:, None, :]
+        else:
+            hv, kv, tv, hk = h.to_values(), k.to_values(), np.array([turn_to_complex(t) for t in turns]), 1
+        # Clipped to the order cap, so the lcms stay in int64; a cell that reaches the cap is refused.
+        tq, tn = np.array([(min(t.denominator, MAX_PHASE_ORDER), t.numerator % MAX_PHASE_ORDER) for t in turns]).T
+        pairs = ordered_pairs(size)
+        label = f"defect of deformed:({h.provenance},{k.provenance})"
 
-    def prepare(chunk):  # build and verify a chunk of cells, then submit its stacked SVD
-        l_index = np.full((len(chunk), m, n), zero)
-        l_index[:, 1:, 1:] = np.reshape(chunk, l_index[:, 1:, 1:].shape)
-        cell_q = np.full(len(chunk), hk)
-        for column in tq[l_index].reshape(len(chunk), -1).T:
-            cell_q = np.minimum(np.lcm(cell_q, column), MAX_PHASE_ORDER)
-        if cell_q.max() == MAX_PHASE_ORDER:
-            single(l_index[np.argmax(cell_q)])  # raises the CapExceededError of a single call
-        if exact:  # over the cell's unreduced order: `_root` depends on m / q alone, so values equal a single call's
-            lq = cell_q[:, None, None]
-            nums = base * (lq // hk)[..., None, None] + (tn[l_index] * (lq // tq[l_index]))[:, None, :, :, None]
-            nums, values = nums.reshape(-1, size, size) % lq, np.empty((len(chunk), size, size), dtype=complex)
-            for order in dict.fromkeys(cell_q.tolist()):
-                group = cell_q == order
-                values[group] = _roots(nums[group], order)
-            failed = np.full(len(chunk), not sound)
-        else:  # checked within the verify tolerance of a single defect call
-            values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
-            modulus, ortho = gram_errors(values)
-            failed = ~((modulus <= VERIFY_TOL) & (ortho <= VERIFY_TOL))
-        systems = _rank_in_place(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w))
-        return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
+        def single(l_row):  # one cell rebuilt and put through a single defect call, for its errors
+            params = DeformationParameters.from_turns(turn_objects[l_row].tolist())
+            return undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
 
-    def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVD and single calls
-        sigma = svd.result()
-        solved = zip(*_ranks_and_gaps(sigma, rel_tol), sigma)
-        for c, (assignment, rows) in enumerate(zip(chunk, turn_objects[l_index].tolist())):
-            cell_id = ";".join(map(labels.__getitem__, assignment))
-            full = tuple(map(tuple, rows))
-            try:
-                if failed[c]:
-                    report = single(l_index[c])
-                    rank, gap = report.rank, report.gap_ratio
-                else:
-                    rank, gap, spectrum = next(solved)
-                    if gap < gap_threshold:
-                        _certify(_rank_from_spectrum(spectrum, rel_tol), gap_threshold, label)
-            except (AmbiguousRankError, NonHadamardError) as exc:
-                cells.append(ScanCell(cell_id, full, None, None, None, False, str(exc), type(exc).__name__))
-                continue
-            d = size * size - int(rank)
-            cells.append(ScanCell(cell_id, full, d, d - (2 * size - 1), float(gap), True, None))
+        def prepare(chunk):  # build and verify a chunk of cells, then submit its stacked SVD
+            l_index = np.full((len(chunk), m, n), zero)
+            l_index[:, 1:, 1:] = np.reshape(chunk, l_index[:, 1:, 1:].shape)
+            cell_q = np.full(len(chunk), hk)
+            for column in tq[l_index].reshape(len(chunk), -1).T:
+                cell_q = np.minimum(np.lcm(cell_q, column), MAX_PHASE_ORDER)
+            if cell_q.max() == MAX_PHASE_ORDER:
+                single(l_index[np.argmax(cell_q)])  # raises the CapExceededError of a single call
+            if exact:  # at the cell's unreduced order: `_root` depends on m / q alone, so values equal a single call's
+                lq = cell_q[:, None, None]
+                nums = base * (lq // hk)[..., None, None] + (tn[l_index] * (lq // tq[l_index]))[:, None, :, :, None]
+                nums, values = nums.reshape(-1, size, size) % lq, np.empty((len(chunk), size, size), dtype=complex)
+                for order in dict.fromkeys(cell_q.tolist()):
+                    group = cell_q == order
+                    values[group] = _roots(nums[group], order)
+                failed = np.full(len(chunk), not sound)
+            else:  # checked within the verify tolerance of a single defect call
+                values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
+                modulus, ortho = gram_errors(values)
+                failed = ~((modulus <= VERIFY_TOL) & (ortho <= VERIFY_TOL))
+            systems = _rank_in_place(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w))
+            return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
 
-    from concurrent.futures import ThreadPoolExecutor  # only a scan needs it: its import takes 10 ms and 0.7 MB
-    cells = []
-    chunks = iter(lambda: list(islice(assignments, per_chunk)), [])
-    # It pays: inline SVDs lost 6 of 6 paired 8 s bench scans, 4,049 against 5,537 cells/s (2 vCPUs, OpenBLAS 1 thread).
-    with ThreadPoolExecutor(max_workers=1) as pool:  # shut down, so joined, on every exit
-        # pairwise prepares chunk k + 1 before chunk k is emitted: at most two chunks are in flight.
-        for ready, _ in pairwise(chain(map(prepare, chunks), [None])):
-            emit(*ready)
-    return cells
+        def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVD and single calls
+            sigma = svd.result()
+            solved = zip(*_ranks_and_gaps(sigma, rel_tol), sigma)
+            for c, (assignment, rows) in enumerate(zip(chunk, turn_objects[l_index].tolist())):
+                cell_id = ";".join(map(labels.__getitem__, assignment))
+                full = tuple(map(tuple, rows))
+                try:
+                    if failed[c]:
+                        report = single(l_index[c])
+                        rank, gap = report.rank, report.gap_ratio
+                    else:
+                        rank, gap, spectrum = next(solved)
+                        if gap < gap_threshold:
+                            _certify(_rank_from_spectrum(spectrum, rel_tol), gap_threshold, label)
+                except (AmbiguousRankError, NonHadamardError) as exc:
+                    yield ScanCell(cell_id, full, None, None, None, False, str(exc), type(exc).__name__)
+                    continue
+                d = size * size - int(rank)
+                yield ScanCell(cell_id, full, d, d - (2 * size - 1), float(gap), True, None)
+
+        from concurrent.futures import ThreadPoolExecutor  # only a scan needs it: its import takes 10 ms and 0.7 MB
+        chunks = iter(lambda: list(islice(assignments, per_chunk)), [])
+        # It pays: inline SVDs lost 6 of 6 paired 8 s bench scans, 4,049 vs 5,537 cells/s (2 vCPUs, OpenBLAS 1 thread).
+        with ThreadPoolExecutor(max_workers=1) as pool:  # shut down, so joined, on every exit
+            # pairwise prepares chunk k + 1 before chunk k is emitted: at most two chunks are in flight.
+            for ready, _ in pairwise(chain(map(prepare, chunks), [None])):
+                yield from emit(*ready)
+
+    return cells()

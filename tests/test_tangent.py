@@ -652,6 +652,65 @@ def test_scan_refuses_a_cell_above_the_order_cap_while_a_chunk_is_in_flight(monk
     assert threading.active_count() == before
 
 
+def test_scan_counts_its_cells_before_making_the_grids_turns(monkeypatch):
+    # A grid of 2,000,000 turns is refused from its denominator, and a scan with no free entry makes no turn.
+    monkeypatch.setattr(ScanGrid, "turns", lambda self: pytest.fail("the grid's turns were made"))
+    f1, f2, f4 = (fourier_matrix(make_group([n])) for n in (1, 2, 4))
+    with pytest.raises(CapExceededError, match="^deformation scan grid needs 2000000 elements, above the cap 1000000$"):
+        deformation_scan(f2, f2, ScanGrid(2000000))
+    [cell] = deformation_scan(f1, f4, ScanGrid(2000000))
+    assert (cell.cell_id, cell.parameter_turns, cell.defect) == ("", ((F(0),),) * 4, 8)
+
+
+def test_closing_a_scan_after_one_cell_joins_its_svd_thread():
+    f2, f4 = fourier_matrix(make_group([2])), fourier_matrix(make_group([4]))
+    before = threading.active_count()
+    cells = tangent._scan_cells(f2, f4, ScanGrid(4), tangent.DEFAULT_REL_TOL, tangent.DEFAULT_GAP_THRESHOLD)
+    assert threading.active_count() == before  # the call refuses or verifies; no chunk is built yet
+    first = next(cells)
+    assert threading.active_count() == before + 1
+    cells.close()
+    assert threading.active_count() == before
+    assert first == deformation_scan(f2, f4, ScanGrid(4))[0]
+
+
+def test_scan_to_an_unwritable_out_exits_before_any_cell_is_built(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(tangent, "helmert_matrix", lambda *args: pytest.fail("a cell was built"))
+    out = tmp_path / "missing" / "scan.csv"
+    assert run(["scan", "fourier:2", "fourier:4", "--grid", "16", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_scan_refused_in_a_later_chunk_leaves_the_rows_written_before_it(monkeypatch, tmp_path, capsys):
+    # Cells 0, 1/2 and 1/8589934622, one per chunk: the third is above the order cap. The pipeline has prepared
+    # the second chunk when the third is refused, so the rows of every chunk before those two are written.
+    flat = tmp_path / "flat.csv"
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "2", "--out", str(flat)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(tangent, "SCAN_CHUNK_VALUES", 1)
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "8589934622:0,4294967311,1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: phase order 8589934622 is not below the cap 2147483648\n")
+    assert out.read_bytes() == b"".join(flat.read_bytes().splitlines(keepends=True)[:2])  # the header and cell 0
+
+
+def test_scan_memory_stays_flat_in_the_number_of_cells(monkeypatch, tmp_path, capsys):
+    # 256 and 4,096 cells of F2 (x) F3: rows are written and the summary folded as the cells arrive. The peak
+    # also holds a chunk's SVD on the other thread whenever it overlaps the next chunk's build, which varies
+    # by as much as the chunk: chunks of the fewest cells that release the GIL (21) keep that within 0.3 MB.
+    monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", 1)
+
+    def scan(grid):
+        return run(["scan", "fourier:2", "fourier:3", "--grid", str(grid), "--out", str(tmp_path / "scan.csv")])
+
+    peaks = {}
+    for grid in (2, 16, 64):  # the grid of 2 takes the scan's one-time imports and set-up
+        code, peaks[grid] = traced_peak(lambda: scan(grid))
+        assert code == 0 and json.loads(capsys.readouterr().out)["cells"] == grid**2
+    assert peaks[64] - peaks[16] <= 512 * 1024  # a scan that kept its cell list grew by 1.5 MB
+
+
 def test_scan_csv_digest_with_gap_ratios(tmp_path):
     # Recorded on x86-64 with OpenBLAS 0.3.31 (Haswell kernels) at 1 thread; the CSV without its gap_ratio
     # column has the digest 6040ba6d... that perfbench checks (SCAN_DIGEST).
