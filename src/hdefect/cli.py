@@ -343,7 +343,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_defect(args) -> int:
     matrix = build_matrix(parse_matrix_spec(args.spec))
-    report, dephased, basis = _defect_pass(matrix, args.tol, args.gap, dephased=args.dephased, basis=bool(args.basis))
+    report, basis = _defect_pass(matrix, args.tol, args.gap, dephased=args.dephased, basis=bool(args.basis))
     payload = {
         "provenance": report.provenance,
         "n": report.n,
@@ -355,7 +355,7 @@ def _cmd_defect(args) -> int:
         "gap_threshold": report.gap_threshold,
     }
     if args.dephased:
-        payload["dephased_defect"] = dephased
+        payload["dephased_defect"] = report.dephased_defect
     if args.basis:
         elements = [[float(x) for x in element.ravel()] for element in basis]
         _emit({"n": matrix.n, "dimension": len(basis), "basis": elements}, args.basis)
@@ -421,9 +421,9 @@ def _cmd_conjecture(args) -> int:
         "exact_upper_bound": report.exact_upper_bound,
         "certificate": {"method": report.method, "prime": report.prime},
     }
-    _emit(payload)
-    if args.report:
+    if args.report:  # written first, so a failed write leaves stdout empty
         _emit(payload, args.report)
+    _emit(payload)
     return 0
 
 

@@ -18,8 +18,9 @@ together have the row space mod p of the power-basis half system.
   (i, j). Their elimination gives k = N^2 - rank_p; reduction mod p can only
   lower a rank, so d <= k and nullity <= k. Their k free-column kernel vectors
   are lifted by rational reconstruction, scaled to integers and checked exactly
-  against the full system. Each is nonzero on its own free column only, so a
-  passing check proves nullity = d = k.
+  against the half system, whose rational kernel is that of the full system
+  (see below). Each is nonzero on its own free column only, so a passing check
+  proves nullity = d = k.
 - Continuation. When the lift fails and phi(q) > 2, the lead echelon form is
   stacked on the other units' rows and the stack eliminated by the same
   Gauss-Jordan engine: each lead pivot row, first in its column, clears that
@@ -64,8 +65,8 @@ LIFT_PRIMES = 3
 class ExactSystem:
     """Pair equations with coefficients stored as power-basis integer vectors.
 
-    `pairs` (P x 2) are the ordered pairs and `exponents` (P x N) the root
-    power of each pair's coefficient on column b; both are read-only int64.
+    `pairs` (P x 2) are the pairs i < j, row-major, and `exponents` (P x N)
+    the root power of each pair's coefficient on column b; read-only int64.
     """
 
     root_order: int
@@ -73,25 +74,25 @@ class ExactSystem:
     n: int
     pairs: np.ndarray
     exponents: np.ndarray
-    provenance: str
 
 
 def build_exact_system(h: HadamardMatrix) -> ExactSystem:
     """Exact pair system of an exact-phase matrix, q the common phase order. Before listing a pair it holds to the
-    `check_bytes` cap the lead rows that `rational_nullity` eliminates, the N(N-1) x N x phi(q) coefficients that
+    `check_bytes` cap the lead rows that `rational_nullity` eliminates, the N(N-1)/2 x N x phi(q) coefficients that
     `_solves_full_system` gathers and the q x phi(q) reduction table that it reads, then builds and caches the table."""
     if not h.is_exact:
         raise NonExactError("exact system needs exact phases")
-    q, n = h.phase_order(), h.n
+    q, n, half = h.phase_order(), h.n, h.n * (h.n - 1) // 2
     degree = euler_phi(q)
-    check_system_size(n * (n - 1) // 2 * min(2, degree), n * n)
-    check_bytes(f"exact check of {n * (n - 1)} x {n} x {degree} coefficients", n * (n - 1) * n * degree * 8)
+    check_system_size(half * min(2, degree), n * n)
+    check_bytes(f"exact check of {half} x {n} x {degree} coefficients", half * n * degree * 8)
     power_reduction_table(q)
     pairs = ordered_pairs(n)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
     exponents = (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % q
     pairs.flags.writeable = False
     exponents.flags.writeable = False
-    return ExactSystem(root_order=q, degree=degree, n=n, pairs=pairs, exponents=exponents, provenance=h.provenance)
+    return ExactSystem(root_order=q, degree=degree, n=n, pairs=pairs, exponents=exponents)
 
 
 @lru_cache(maxsize=None)
@@ -120,13 +121,12 @@ def _root_of_order(q: int, p: int) -> int:
 
 def _conjugate_rows(system: ExactSystem, p: int, start: int, stop: int) -> np.ndarray:
     """Rows mod p of the pairs i < j under zeta -> w^u, a block per unit u: units start..stop-1, 1 and -1 first."""
-    q, pairs = system.root_order, system.pairs
+    q = system.root_order
     units = list(dict.fromkeys([1 % q, -1 % q, *(u for u in range(q) if math.gcd(u, q) == 1)]))[start:stop]
-    half = pairs[:, 0] < pairs[:, 1]
     w = _root_of_order(q, p)
     powers = np.array([pow(w, m, p) for m in range(q)], dtype=np.int64)
-    blocks = powers[np.multiply.outer(np.array(units, dtype=np.int64), system.exponents[half]) % q][:, :, None, :]
-    rows = pair_rows(pairs[half], blocks, np.eye(system.n, dtype=np.int64)).reshape(-1, system.n**2)
+    blocks = powers[np.multiply.outer(np.array(units, dtype=np.int64), system.exponents) % q][:, :, None, :]
+    rows = pair_rows(system.pairs, blocks, np.eye(system.n, dtype=np.int64)).reshape(-1, system.n**2)
     rows %= p
     return rows
 
@@ -202,9 +202,12 @@ def _lift_kernel(reduced: np.ndarray, pivots: list[int], p: int):
 
 
 def _solves_full_system(system: ExactSystem, kernel: np.ndarray) -> bool:
-    """Whether M V = 0 exactly, for M the full ordered-pair integer system.
+    """Whether M V = 0 exactly, for M the full ordered-pair integer system and V an integer matrix.
 
-    Row (i, j, t) of M applied to a vector v is
+    The phi(q) rows of pair (i, j) are the power-basis coordinates of its
+    complex equation, which for a real v is minus the conjugate of that of
+    (j, i); so the rows of the pairs i < j decide M V = 0, and only they are
+    checked. Row (i, j, t) of M applied to v is
     sum_b table[e_ij(b), t] (v_ib - v_jb), so the product is taken for the
     pairs of one row i at a time, without building M. Every partial sum has
     at most 2N terms of size at most max|M| max|V|, so the product runs in
@@ -243,7 +246,7 @@ def rational_nullity(system: ExactSystem) -> CertifiedNullity:
     on top of the other units' rows is. CapExceededError if no kernel lifts, or if the rows a stage eliminates are
     above the `check_bytes` cap: the lead rows are checked before any prime is sought, each stack before it is made.
     """
-    n, q, half = system.n, system.root_order, system.n * (system.n - 1) // 2
+    n, q, half = system.n, system.root_order, len(system.pairs)
     lead = min(2, system.degree)  # the units 1 and -1, one unit when q <= 2
     stages = [(0, lead), (lead, system.degree)][: 1 + (system.degree > lead)]
     check_system_size(half * lead, n * n)

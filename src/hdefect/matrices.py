@@ -191,10 +191,10 @@ def fourier_matrix(group: FiniteAbelianGroup) -> HadamardMatrix:
 
 def tensor_product(h: HadamardMatrix, k: HadamardMatrix) -> HadamardMatrix:
     """(H (x) K)_{ia,jb} = H_ij K_ab, left factor outermost."""
-    prov = f"tensor:({h.provenance},{k.provenance})"
+    prov, size = f"tensor:({h.provenance},{k.provenance})", h.n * k.n
+    check_bytes(f"tensor product of order {size}", size**2 * 8)
     if h.is_exact and k.is_exact:
         (hn, kn), q = _common_order(h, k)
-        size = h.n * k.n
         nums = hn[:, None, :, None] + kn[None, :, None, :]
         return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov)
     return HadamardMatrix.from_values(np.kron(h.to_values(), k.to_values()), provenance=prov)
@@ -208,14 +208,14 @@ def deformed_tensor(
         raise ValueError(
             f"parameter shape {params.rows} x {params.cols} does not match K order {k.n}, H order {h.n}"
         )
-    prov = f"deformed:({h.provenance},{k.provenance})"
+    prov, size = f"deformed:({h.provenance},{k.provenance})", h.n * k.n
+    check_bytes(f"deformed tensor of order {size}", size**2 * 8)
     if h.is_exact and k.is_exact and params.is_exact:
         (hn, ln, kn), q = _common_order(h, params, k)
-        size = h.n * k.n
         nums = hn[:, None, :, None] + ln[None, :, :, None] + kn[None, :, None, :]
         return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov)
     hv, lv, kv = h.to_values(), params.to_values(), k.to_values()
-    out = np.einsum("ij,aj,ab->iajb", hv, lv, kv).reshape(h.n * k.n, h.n * k.n)
+    out = np.einsum("ij,aj,ab->iajb", hv, lv, kv).reshape(size, size)
     return HadamardMatrix.from_values(out, provenance=prov)
 
 
@@ -275,12 +275,13 @@ def circulant_from_eigenvalues(eigenvalues) -> HadamardMatrix:
     n = len(q)
     if n < 1:
         raise ValueError("eigenvalue vector must be nonempty")
+    check_bytes(f"circulant matrix of order {n}", n * n * 8)
     qv = np.asarray(q)
     if np.max(np.abs(np.abs(qv) - 1.0)) > UNIMODULAR_TOL:
         raise NonHadamardError("eigenvalues must be unimodular")
     w = np.exp(2j * np.pi / n)
     c = np.array([np.sum(w ** (k * np.arange(n)) * qv) for k in range(n)]) / math.sqrt(n)
-    values = np.array([[c[(j - i) % n] for j in range(n)] for i in range(n)])
+    values = c[(np.arange(n) - np.arange(n)[:, None]) % n]
     label = ",".join(str(v) for v in eigenvalues)
     return HadamardMatrix.from_values(values, provenance=f"circulant:{label}")
 

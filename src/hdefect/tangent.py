@@ -63,8 +63,6 @@ class TangentSystem:
     """Real N(N-1) x k^2 coefficient matrix of the pair equations over A = B X B^T, B an N x k basis."""
 
     matrix: np.ndarray
-    n: int
-    provenance: str
 
 
 def ordered_pairs(n: int) -> np.ndarray:
@@ -80,11 +78,11 @@ def helmert_matrix(n: int) -> np.ndarray:
 
 
 def _rank_in_place(system: np.ndarray) -> np.ndarray:
-    """The ranked columns of a C-contiguous (..., rows, N^2) system, moved to the front of its own buffer.
+    """The columns X_ab, a, b >= 1, of a C-contiguous (..., rows, N^2) system, moved to the front of its own buffer.
 
-    Over `helmert_matrix(N)` the ranked columns are those of the unknowns
-    X_ab with a, b >= 1, in row-major order; the other 2N - 1 are the
-    rephasings. Rows are moved one block at a time, in order. A block's
+    Over `helmert_matrix(N)` these are the ranked columns, the other 2N - 1 the
+    rephasings; over the entries A_ab (B = I), the dephased system. They keep
+    their row-major order. Rows are moved one block at a time, in order. A block's
     destination ends before the first row not yet read, so no source is
     overwritten; numpy buffers a block whose source and destination overlap.
     Returns a C-contiguous (..., rows, (N-1)^2) view of the same buffer,
@@ -144,7 +142,7 @@ def tangent_system(h: HadamardMatrix, basis: np.ndarray | None = None) -> Tangen
     check_system_size(h.n * (h.n - 1), k * k)
     pairs = ordered_pairs(h.n)
     matrix = pair_rows(pairs, _pair_blocks(h.to_values(), pairs), np.eye(h.n) if basis is None else basis)
-    return TangentSystem(matrix=matrix, n=h.n, provenance=h.provenance)
+    return TangentSystem(matrix=matrix)
 
 
 class RankResult(NamedTuple):
@@ -210,15 +208,10 @@ def _require_hadamard(h: HadamardMatrix) -> None:
         )
 
 
-def _dephased_basis(n: int) -> np.ndarray:
-    """Coordinate basis I[:, 1:] of the entries A_ab with a, b >= 1: first row and column pinned."""
-    return np.eye(n)[:, 1:]
-
-
 def _defect_pass(
     h: HadamardMatrix, rel_tol: float, gap_threshold: float, dephased: bool = False, basis: bool = False
-) -> tuple[DefectReport, int | None, list[np.ndarray] | None]:
-    """Verify once, rank one assembly and certify it; optionally also the dephased defect and a tangent basis.
+) -> tuple[DefectReport, list[np.ndarray] | None]:
+    """Verify once, rank one assembly and certify it; optionally also check the dephased defect, and give a basis.
 
     The system is assembled over W = `helmert_matrix(N)` and ranked on the
     columns that `_rank_in_place` keeps. With `basis` the one SVD also gives
@@ -226,8 +219,8 @@ def _defect_pass(
     the 2N - 1 rephasings map to W X W^T, an orthonormal basis of the tangent
     space, each checked to solve the full system over the entries A_ab within
     10 rel_tol sigma_max.
-    The dephased defect takes one more assembly and certified SVD, over
-    `_dephased_basis`, checked against d' = d - (2N - 1).
+    The dephased check takes one more assembly and certified SVD, over the
+    entries A_ab cut by `_rank_in_place`, checked against d' = d - (2N - 1).
     """
     check_system_size(h.n * (h.n - 1), h.n**2)  # from N alone, before the matrix is verified
     _require_hadamard(h)
@@ -262,17 +255,16 @@ def _defect_pass(
         certified=True,
         provenance=h.provenance,
     )
-    if not dephased:
-        return report, None, elements
-    restricted = tangent_system(h, _dephased_basis(n)).matrix
-    result = _certify(numeric_rank(restricted, rel_tol), gap_threshold, f"dephased defect of {label}")
-    direct = (n - 1) * (n - 1) - result.rank
-    if direct != report.dephased_defect:
-        raise DefectMismatchError(
-            f"dephased defect paths disagree: restricted system gives {direct}, "
-            f"undephased relation gives {report.dephased_defect}"
-        )
-    return report, direct, elements
+    if dephased:
+        restricted = _rank_in_place(tangent_system(h).matrix)
+        result = _certify(numeric_rank(restricted, rel_tol), gap_threshold, f"dephased defect of {label}")
+        direct = (n - 1) * (n - 1) - result.rank
+        if direct != report.dephased_defect:
+            raise DefectMismatchError(
+                f"dephased defect paths disagree: restricted system gives {direct}, "
+                f"undephased relation gives {report.dephased_defect}"
+            )
+    return report, elements
 
 
 def undephased_defect(
@@ -294,7 +286,7 @@ def dephased_defect(
     It is an independent check of the undephased defect d: the two SVDs
     must give d - (2N - 1), else DefectMismatchError.
     """
-    return _defect_pass(h, rel_tol, gap_threshold, dephased=True)[1]
+    return _defect_pass(h, rel_tol, gap_threshold, dephased=True)[0].dephased_defect
 
 
 def tangent_basis(
@@ -303,7 +295,7 @@ def tangent_basis(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
 ) -> list[np.ndarray]:
     """Orthonormal basis of the tangent space, as N x N real matrices."""
-    return _defect_pass(h, rel_tol, gap_threshold, basis=True)[2]
+    return _defect_pass(h, rel_tol, gap_threshold, basis=True)[1]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
-"""Test oracle for the full pair system: the scatter that assembled it before the basis-aware `pair_rows`."""
+"""Test oracles for the full pair system: the scatter that assembled it before the basis-aware `pair_rows`, and the
+N(N-1) ordered pairs of an exact matrix with their root powers, listed from the matrix alone."""
 
 import math
 
 import numpy as np
+
+from hdefect.tangent import ordered_pairs
 
 
 def scatter_pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
@@ -21,3 +24,10 @@ def scatter_pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarr
     rows[:, index, :, pairs[:, 0], :] = flat
     rows[:, index, :, pairs[:, 1], :] -= flat
     return rows.reshape(*stack, npairs * per_pair, n * n)
+
+
+def full_pair_system(h) -> tuple[np.ndarray, np.ndarray]:
+    """All N(N-1) ordered pairs (i, j), i != j, of an exact matrix, and the power of zeta_q in H_ib conj(H_jb) on each
+    column b, q its phase order: the exact system in full, of which `build_exact_system` keeps the pairs i < j."""
+    pairs = ordered_pairs(h.n)
+    return pairs, (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % h.phase_order()

@@ -370,6 +370,15 @@ def test_conjecture_command(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == payload
 
 
+def test_conjecture_report_to_an_unwritable_path_prints_nothing(tmp_path, capsys):
+    # The report file is written before stdout, as `defect --basis` is, so a failed write leaves stdout empty.
+    report_path = tmp_path / "missing" / "report.json"
+    assert run(["conjecture", "fourier:4", "--report", str(report_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{report_path}'\n"
+
+
 def test_conjecture_reports_upper_bound_and_certificate(capsys):
     assert run(["conjecture", "haagerup:1/8"]) == 0
     payload = json.loads(capsys.readouterr().out)

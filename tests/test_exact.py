@@ -36,7 +36,7 @@ from hdefect.matrices import (
 )
 from hdefect.tangent import undephased_defect
 from conftest import traced_peak
-from pair_oracles import scatter_pair_rows
+from pair_oracles import full_pair_system, scatter_pair_rows
 
 
 def fraction_gauss_rank(rows, ncols):
@@ -89,10 +89,11 @@ def integer_matrix_rank(rows, ncols):
     return rank
 
 
-def integer_rows(system):
-    # The phi(q) * len(pairs) integer rows of an exact system over the N^2 unknowns, by the scatter oracle.
-    blocks = power_reduction_table(system.root_order)[system.exponents].transpose(0, 2, 1)
-    return scatter_pair_rows(system.pairs, blocks, system.n).tolist()
+def integer_rows(h):
+    # The phi(q) integer rows of each of the N(N-1) ordered pairs of h over the N^2 unknowns, by the scatter oracle.
+    pairs, exponents = full_pair_system(h)
+    blocks = power_reduction_table(h.phase_order())[exponents].transpose(0, 2, 1)
+    return scatter_pair_rows(pairs, blocks, h.n).tolist()
 
 
 def gauss_jordan_mod(a, p):
@@ -122,21 +123,23 @@ def gauss_jordan_mod(a, p):
 
 
 def test_f2_system_shape_and_rows():
-    system = build_exact_system(fourier_matrix(make_group([2])))
+    h = fourier_matrix(make_group([2]))
+    system = build_exact_system(h)
     assert system.root_order == 2
     assert system.degree == 1
-    assert system.pairs.tolist() == [[0, 1], [1, 0]]
+    assert system.pairs.tolist() == [[0, 1]]
     for array in (system.pairs, system.exponents):
         assert array.dtype == np.int64 and not array.flags.writeable
-    assert integer_rows(system) == [[1, -1, -1, 1], [-1, 1, 1, -1]]
+    assert integer_rows(h) == [[1, -1, -1, 1], [-1, 1, 1, -1]]
 
 
 def test_f3_rows_split_per_pair():
-    system = build_exact_system(fourier_matrix(make_group([3])))
+    h = fourier_matrix(make_group([3]))
+    system = build_exact_system(h)
     assert system.root_order == 3
     assert system.degree == 2
-    assert len(system.pairs) == 6
-    assert len(integer_rows(system)) == 12
+    assert system.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert len(integer_rows(h)) == 12
 
 
 def test_integer_rank_matches_fraction_gauss_on_random_matrices():
@@ -212,7 +215,7 @@ def test_high_degree_bracket_is_proved_at_the_modular_prime(capsys):
 # haagerup:1/97 (N = 6, q = 388, phi = 192): each exact array is larger than the one checked before it.
 EXACT_ARRAYS = [
     ("pair system of 30 x 36 entries", 15 * 2 * 36 * 8),
-    ("exact check of 30 x 6 x 192 coefficients", 30 * 6 * 192 * 8),
+    ("exact check of 15 x 6 x 192 coefficients", 15 * 6 * 192 * 8),
     ("reduction table of 388 x 192 entries", 388 * 192 * 8),
 ]
 
@@ -233,8 +236,8 @@ def test_the_table_check_guards_the_prime_search():
     assert not any(map(is_prime, range((exact.MODULUS_LIMIT - 2) // q * q + 1, 1, -q)))
     with pytest.raises(CapExceededError, match=f"^reduction table of {q} x "):
         rational_nullity(build_exact_system(HadamardMatrix.from_turns([[Fraction(1, q)]])))
-    # With pairs, the N(N-1) x N x phi(q) coefficients of the exact check are already above the cap.
-    with pytest.raises(CapExceededError, match="^exact check of 30 x 6 x 505290240 coefficients"):
+    # With pairs, the N(N-1)/2 x N x phi(q) coefficients of the exact check are already above the cap.
+    with pytest.raises(CapExceededError, match="^exact check of 15 x 6 x 505290240 coefficients"):
         build_exact_system(haagerup_matrix(Fraction(1, 268435457)))
     # Called directly, the search names what it did not find.
     with pytest.raises(ValueError, match=f"^no prime p = 1 \\(mod {q}\\) below 2\\^31$"):
@@ -276,15 +279,17 @@ def _spec_matrix(spec):
     return build_matrix(parse_matrix_spec(spec))
 
 
-def bareiss_nullity(system):
-    return system.n * system.n - integer_matrix_rank(integer_rows(system), system.n * system.n)
+def bareiss_nullity(h):
+    # The rational nullity of the full ordered-pair integer system of h.
+    return h.n * h.n - integer_matrix_rank(integer_rows(h), h.n * h.n)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_modular_nullity_matches_bareiss(spec):
-    system = build_exact_system(_spec_matrix(spec))
+    h = _spec_matrix(spec)
+    system = build_exact_system(h)
     nullity = rational_nullity(system)
-    assert nullity == bareiss_nullity(system)
+    assert nullity == bareiss_nullity(h)
     assert nullity.method == MODULAR_LIFT
     assert nullity.prime == modular_prime(system.root_order)
     if spec.startswith("haagerup:") and int(spec.split(":")[1].split("/")[0]) % 2:
@@ -301,8 +306,8 @@ def test_modular_nullity_on_seeded_random_equivalents():
             rng.shuffle(rows)
             rng.shuffle(cols)
             phases = [[Fraction(rng.randrange(q), q) for _ in range(h.n)] for _ in range(2)]
-            system = build_exact_system(apply_equivalence(h, rows, cols, *phases))
-            assert rational_nullity(system) == bareiss_nullity(system)
+            equivalent = apply_equivalence(h, rows, cols, *phases)
+            assert rational_nullity(build_exact_system(equivalent)) == bareiss_nullity(equivalent)
 
 
 @st.composite
@@ -321,9 +326,8 @@ def equivalent_matrices(draw):
 @given(equivalent_matrices())
 def test_modular_nullity_invariant_under_equivalence(pair):
     base, equivalent = pair
-    system = build_exact_system(equivalent)
-    nullity = rational_nullity(system)
-    assert nullity == bareiss_nullity(system)
+    nullity = rational_nullity(build_exact_system(equivalent))
+    assert nullity == bareiss_nullity(equivalent)
     assert nullity == rational_nullity(build_exact_system(base))
 
 
@@ -338,34 +342,38 @@ def descending_primes(q, count):
     return found
 
 
-def half_rows_mod(system, p):
-    half = system.pairs[:, 0] < system.pairs[:, 1]
-    blocks = power_reduction_table(system.root_order)[system.exponents[half]].transpose(0, 2, 1)
-    return scatter_pair_rows(system.pairs[half], blocks, system.n) % p
+def half_rows_mod(h, p):
+    # The power-basis rows of the pairs i < j of h, mod p.
+    pairs, exponents = full_pair_system(h)
+    half = pairs[:, 0] < pairs[:, 1]
+    blocks = power_reduction_table(h.phase_order())[exponents[half]].transpose(0, 2, 1)
+    return scatter_pair_rows(pairs[half], blocks, h.n) % p
 
 
-def complex_rows_mod(system, p):
-    # The complex ordered-pair system under zeta -> w, for w of order q in F_p.
-    w = exact._root_of_order(system.root_order, p)
-    powers = np.array([pow(w, m, p) for m in range(system.root_order)], dtype=np.int64)
-    return scatter_pair_rows(system.pairs, powers[system.exponents][:, None, :], system.n) % p
+def complex_rows_mod(h, p):
+    # The complex ordered-pair system of h under zeta -> w, for w of order q in F_p.
+    pairs, exponents = full_pair_system(h)
+    w = exact._root_of_order(h.phase_order(), p)
+    powers = np.array([pow(w, m, p) for m in range(h.phase_order())], dtype=np.int64)
+    return scatter_pair_rows(pairs, powers[exponents][:, None, :], h.n) % p
 
 
-def oracle_upper_bound(system):
+def oracle_upper_bound(h):
     # N^2 minus the rank mod modular_prime(q) of the complex ordered-pair system.
-    p = modular_prime(system.root_order)
-    return system.n**2 - len(gauss_jordan_mod(complex_rows_mod(system, p), p))
+    p = modular_prime(h.phase_order())
+    return h.n**2 - len(gauss_jordan_mod(complex_rows_mod(h, p), p))
 
 
-def assert_engine_matches_oracles(system):
+def assert_engine_matches_oracles(h):
+    system = build_exact_system(h)
     p, lead = modular_prime(system.root_order), min(2, system.degree)
     rows = exact._conjugate_rows(system, p, 0, lead)
     rest = exact._conjugate_rows(system, p, lead, system.degree)
-    half = half_rows_mod(system, p)
+    half = half_rows_mod(h, p)
     assert len(rows) + len(rest) == len(half)
     # The lead rows span the complex system, so they share its echelon form.
     pivots = exact._echelon_mod(rows, p)
-    complex_rows = complex_rows_mod(system, p)
+    complex_rows = complex_rows_mod(h, p)
     assert pivots == gauss_jordan_mod(complex_rows, p)
     assert np.array_equal(rows[: len(pivots)], complex_rows[: len(pivots)])
     assert not rows[len(pivots) :].any()
@@ -374,12 +382,12 @@ def assert_engine_matches_oracles(system):
     extended = exact._echelon_mod(stack, p)
     assert extended == gauss_jordan_mod(half, p)
     assert np.array_equal(stack[: len(extended)], half[: len(extended)])
-    assert rational_nullity(system).upper_bound == system.n**2 - len(pivots) == oracle_upper_bound(system)
+    assert rational_nullity(system).upper_bound == system.n**2 - len(pivots) == oracle_upper_bound(h)
 
 
 @pytest.mark.parametrize("spec", SANDWICH_SPECS)
 def test_engine_matches_the_separate_eliminations(spec):
-    assert_engine_matches_oracles(build_exact_system(_spec_matrix(spec)))
+    assert_engine_matches_oracles(_spec_matrix(spec))
 
 
 def test_engine_matches_the_separate_eliminations_on_seeded_equivalents():
@@ -392,7 +400,7 @@ def test_engine_matches_the_separate_eliminations_on_seeded_equivalents():
             rng.shuffle(rows)
             rng.shuffle(cols)
             phases = [[Fraction(rng.randrange(q), q) for _ in range(h.n)] for _ in range(2)]
-            assert_engine_matches_oracles(build_exact_system(apply_equivalence(h, rows, cols, *phases)))
+            assert_engine_matches_oracles(apply_equivalence(h, rows, cols, *phases))
 
 
 @st.composite
@@ -424,10 +432,10 @@ def test_extending_an_echelon_form_gives_that_of_the_stack(p, data):
 @pytest.mark.parametrize("spec", SANDWICH_SPECS)
 def test_half_system_mod_p_has_the_full_rational_rank(spec):
     # The premise of the retry: the rows of (j, i) add nothing over Q, and the first prime is lucky.
-    system = build_exact_system(_spec_matrix(spec))
-    p = modular_prime(system.root_order)
-    rank_p = len(gauss_jordan_mod(half_rows_mod(system, p), p))
-    assert rank_p == integer_matrix_rank(integer_rows(system), system.n * system.n)
+    h = _spec_matrix(spec)
+    p = modular_prime(h.phase_order())
+    rank_p = len(gauss_jordan_mod(half_rows_mod(h, p), p))
+    assert rank_p == integer_matrix_rank(integer_rows(h), h.n * h.n)
 
 
 def test_lift_primes_descend_from_the_modular_prime():
@@ -441,8 +449,7 @@ UNLIFTABLE_AT_17 = "tensor:(fourier:2,haagerup:1/8)"  # a kernel entry of height
 def test_unlucky_first_prime_retries_the_next(monkeypatch):
     lift_primes = exact._lift_primes
     monkeypatch.setattr(exact, "_lift_primes", lambda q: iter([17, *lift_primes(q)]))
-    system = build_exact_system(_spec_matrix(UNLIFTABLE_AT_17))
-    nullity = rational_nullity(system)
+    nullity = rational_nullity(build_exact_system(_spec_matrix(UNLIFTABLE_AT_17)))
     assert (nullity.method, nullity.prime, int(nullity)) == (MODULAR_LIFT, modular_prime(8), 38)
     monkeypatch.setattr(exact, "_lift_primes", lift_primes)
     # A first failed exact check moves the lift to the second prime; the bound stays the first prime's. F8 (phi = 4)
@@ -456,12 +463,12 @@ def test_unlucky_first_prime_retries_the_next(monkeypatch):
             return len(checks) > 1 and solves(system, kernel)
 
         monkeypatch.setattr(exact, "_solves_full_system", fails_first)
-        system = build_exact_system(_spec_matrix(spec))
-        nullity = rational_nullity(system)
-        assert (nullity.method, nullity.prime) == (MODULAR_LIFT, descending_primes(system.root_order, 2)[1])
+        h = _spec_matrix(spec)
+        nullity = rational_nullity(build_exact_system(h))
+        assert (nullity.method, nullity.prime) == (MODULAR_LIFT, descending_primes(h.phase_order(), 2)[1])
         assert len(checks) == 2
-        assert nullity == bareiss_nullity(system)
-        assert nullity.upper_bound == oracle_upper_bound(system)
+        assert nullity == bareiss_nullity(h)
+        assert nullity.upper_bound == oracle_upper_bound(h)
 
 
 def test_no_lifting_prime_refuses(monkeypatch, capsys):
@@ -567,21 +574,21 @@ def test_continuation_holds_no_float_copies():
 
 
 def test_lifted_kernel_is_checked_exactly():
-    system = build_exact_system(haagerup_matrix(Fraction(1, 8)))
+    # The check reads the pairs i < j only; on rational kernels it must agree with the full ordered-pair system.
+    h = haagerup_matrix(Fraction(1, 8))
+    system = build_exact_system(h)
     p = modular_prime(system.root_order)
-    reduced = half_rows_mod(system, p)
+    reduced = half_rows_mod(h, p)
     pivots = gauss_jordan_mod(reduced, p)
     kernel = exact._lift_kernel(reduced[: len(pivots)], pivots, p)
     assert kernel.shape == (36, 12) and kernel.dtype == np.int64
-    full = np.array(integer_rows(system), dtype=object)
-    assert not (full @ kernel.astype(object)).any()
-    assert exact._solves_full_system(system, kernel)
-    # Large entries take the Python-int path and are still checked exactly.
-    assert exact._solves_full_system(system, kernel.astype(object) * 2**62)
+    full = np.array(integer_rows(h), dtype=object)
     broken = kernel.copy()
     broken[pivots[0], 0] += 1
-    assert not exact._solves_full_system(system, broken)
-    assert not exact._solves_full_system(system, broken.astype(object) * 2**62)
+    # Large entries take the Python-int path and are still checked exactly.
+    for v, solves in ((kernel, True), (broken, False)):
+        for scaled in (v, v.astype(object) * 2**62):
+            assert exact._solves_full_system(system, scaled) == (not (full @ scaled.astype(object)).any()) == solves
 
 
 @pytest.mark.parametrize(
@@ -631,11 +638,14 @@ def test_sandwich_on_corpus(spec):
 
 
 def assert_rows_evaluate_to_entry_products(h):
-    system = build_exact_system(h)
-    rows = np.array(integer_rows(system)).reshape(len(system.pairs), system.degree, -1)
+    # The full system's rows evaluate to the entry products, and the exact system keeps its pairs i < j.
+    system, (pairs, exponents) = build_exact_system(h), full_pair_system(h)
+    half = pairs[:, 0] < pairs[:, 1]
+    assert np.array_equal(system.pairs, pairs[half]) and np.array_equal(system.exponents, exponents[half])
+    rows = np.array(integer_rows(h)).reshape(len(pairs), system.degree, -1)
     basis = np.exp(2j * np.pi * np.arange(system.degree) / system.root_order)
     values = h.to_values()
-    for (i, j), row in zip(system.pairs, np.einsum("ptc,t->pc", rows, basis)):
+    for (i, j), row in zip(pairs, np.einsum("ptc,t->pc", rows, basis)):
         expected = np.zeros((h.n, h.n), dtype=complex)
         expected[i] += values[i] * np.conj(values[j])
         expected[j] -= values[i] * np.conj(values[j])

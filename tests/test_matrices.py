@@ -184,9 +184,10 @@ def test_circulant_from_eigenvalues():
     assert verify_hadamard(h4).passed
     v = h4.to_values()
     assert np.allclose(v[0], [1, 1, -1, 1], atol=1e-12)
-    for i in range(4):
-        for j in range(4):
-            assert np.isclose(v[i, j], v[0][(j - i) % 4], atol=1e-12)
+    # H_ij = C_{j-i}: row i is row 0, the transform C, shifted right by i places, bit for bit.
+    for v in (v, circulant_from_eigenvalues([F((7 * k * k + 3) % 12, 12) for k in range(64)]).to_values()):
+        for i in range(len(v)):
+            assert np.array_equal(v[i].view(np.uint64), np.roll(v[0], i).view(np.uint64))
     # this one is not Hadamard: its transform is not unimodular
     report = verify_hadamard(circulant_from_eigenvalues([F(0), F(1, 4), F(0), F(1, 4)]))
     assert not report.passed

@@ -265,6 +265,39 @@ def test_fourier_matrix_refused_before_its_elements(monkeypatch, capsys):
     assert verify_hadamard(fourier_matrix(make_group([64]))).passed
 
 
+def test_constructor_products_refused_before_they_are_built(monkeypatch, capsys):
+    # A tensor product, a deformed tensor and a circulant are held to N^2 x 8 bytes, as a Fourier matrix is.
+    f1024 = fourier_matrix(make_group([1024]))
+    floating = HadamardMatrix.from_values(f1024.to_values())
+    flat = DeformationParameters(phases=(np.zeros((1024, 1024), dtype=np.int64), 1))
+    products = [
+        (lambda: tensor_product(f1024, f1024), "tensor product"),
+        (lambda: tensor_product(floating, f1024), "tensor product"),
+        (lambda: deformed_tensor(f1024, flat, f1024), "deformed tensor"),
+        (lambda: deformed_tensor(floating, flat, f1024), "deformed tensor"),
+    ]
+
+    def refused():
+        for build, subject in products:
+            with pytest.raises(CapExceededError, match=f"^{subject} of order 1048576 needs 8796093022208 bytes, "):
+                build()
+
+    assert traced_peak(refused)[1] < 2**20  # each product would take 8 TiB of phases, or 16 TiB of values
+    assert run(["defect", "tensor:(fourier:1024,fourier:1024)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tensor product of order 1048576 needs 8796093022208 bytes, above the cap 536870912\n"
+    # At one byte below an order-8 product each is refused, and at its size each is built.
+    specs = ["tensor:(fourier:2,fourier:4)", "deformed:(fourier:2,[[0,0],[0,0],[0,0],[0,1/8]],fourier:4)"]
+    specs.append("circulant:" + ",".join(["0"] * 7 + ["1/4"]))
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 8**2 * 8 - 1)
+    for spec in specs:
+        with pytest.raises(CapExceededError, match="of order 8 needs 512 bytes, above the cap 511$"):
+            build_matrix(parse_matrix_spec(spec))
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 8**2 * 8)
+    assert [build_matrix(parse_matrix_spec(spec)).n for spec in specs] == [8, 8, 8]
+
+
 def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):
     # F4's 12 x 16 system takes 1536 bytes; the size follows from N, so nothing is verified first.
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 12 * 16 * 8 - 1)

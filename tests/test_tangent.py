@@ -222,11 +222,22 @@ def test_one_tangent_pass_per_defect_call(monkeypatch, capsys):
     f6 = fourier_matrix(make_group([6]))
     assert calls(lambda: dephased_defect(f6)) == (1, 2, 2, 2)
     assert calls(lambda: undephased_defect(f6)) == (1, 1, 1, 1)
-    # The dephased basis is a check of its own: a wrong one must not pass.
-    monkeypatch.setattr(tangent, "_dephased_basis", lambda n: np.eye(n)[:, :0])
-    with pytest.raises(DefectMismatchError):
+    # The coordinate system is a check of its own: one that lost its imaginary rows (i > j) must not pass.
+    assemble = tangent.tangent_system
+
+    def real_rows_only(h, basis=None):
+        system = assemble(h, basis)
+        if basis is None:
+            pairs = ordered_pairs(h.n)
+            system.matrix[pairs[:, 0] > pairs[:, 1]] = 0.0
+        return system
+
+    monkeypatch.setattr(tangent, "tangent_system", real_rows_only)
+    with pytest.raises(DefectMismatchError, match="restricted system gives 13, undephased relation gives 4$"):
         dephased_defect(f6)
     assert run(["defect", "fourier:6", "--dephased"]) == 1
+    assert capsys.readouterr().out == ""
+    assert undephased_defect(f6).dephased_defect == 4  # the Helmert system is not the one patched
 
 
 def test_dephased_defect_examples():
@@ -514,6 +525,31 @@ def test_batched_scan_non_hadamard_factor_fails_every_cell(tmp_path, bad):
         assert cells == per_cell_scan(left, right, ScanGrid(4))
         assert all(cell.error_type == "NonHadamardError" for cell in cells)
         assert cells[0].error.startswith("matrix is not Hadamard")
+
+
+def test_scan_cell_flagged_by_the_stacked_check_is_rescued_by_its_single_call(monkeypatch):
+    # A floating cell that fails the stacked verify is rebuilt and put through a single call; when that passes, the
+    # cell takes the single call's rank and gap, so the scan still equals the per-cell oracle.
+    h, k, grid = _spec("circulant:0,1/4"), _spec("fourier:2"), ScanGrid(8)
+    gram_errors, undephased, flagged, singles = tangent.gram_errors, tangent.undephased_defect, [], []
+
+    def flag_one_cell(values):
+        modulus, ortho = gram_errors(values)
+        if not flagged:
+            modulus[3] = 1.0
+            flagged.append(len(values))
+        return modulus, ortho
+
+    def counted_single(*args):
+        singles.append(args[0].provenance)
+        return undephased(*args)
+
+    monkeypatch.setattr(tangent, "gram_errors", flag_one_cell)
+    monkeypatch.setattr(tangent, "undephased_defect", counted_single)
+    cells = deformation_scan(h, k, grid)
+    assert flagged == [8] and singles == ["deformed:(circulant:0,1/4,fourier:2)"]
+    assert cells == per_cell_scan(h, k, grid)
+    assert cells[3].cell_id == "3/8" and cells[3].certified
 
 
 LEMMA_FACTORS = ["fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "fourier:2x2", "tao"]
@@ -853,6 +889,11 @@ def test_ranked_columns_keep_the_rank_and_the_nonzero_spectrum(spec, seed, float
     assert len(report.singular_values) == (n - 1) ** 2
     top = np.array(full.singular_values[: full.rank])
     assert np.allclose(report.singular_values[: full.rank], top, rtol=0, atol=1e-12 * top[0])
+    # The dephased check cuts the system over the entries A_ab the same way: it is the one over I[:, 1:], bit for bit.
+    cut = tangent._rank_in_place(tangent_system(h).matrix)
+    expected = tangent_system(h, np.eye(n)[:, 1:]).matrix
+    assert np.array_equal(cut.view(np.uint64), expected.view(np.uint64))
+    assert numeric_rank(cut).singular_values == numeric_rank(expected).singular_values
 
 
 def test_defect_svds_run_on_the_ranked_columns(monkeypatch, capsys):
