@@ -25,6 +25,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .charstats import ds_defect_estimate
-from .errors import DomainError, SpecParseError
+from .errors import DomainError, SpecParseError, check_bytes
 from .exact import conjecture_check
 from .groups import fourier_defect, make_group
 from .matrices import (
@@ -269,7 +270,28 @@ def parse_parameter_turns(text: str) -> tuple:
     return _parse_whole(text, _SpecParser.parse_inline_turns)
 
 
+def _checked_order(spec: MatrixSpec) -> int | None:
+    """Order of the matrix a spec builds, from its parse tree, or None once a file must be read to learn it. Walked in
+    build order, each Fourier or circulant factor and each product meets the library's N^2 byte cap in the library's
+    words, so an oversized product is refused before any factor is built."""
+    if isinstance(spec, (TensorSpec, DeformedSpec)):
+        left = _checked_order(spec.left)
+        right = None if left is None else _checked_order(spec.right)
+        if right is None:
+            return None
+        what, order = ("tensor product" if isinstance(spec, TensorSpec) else "deformed tensor"), left * right
+    elif isinstance(spec, FourierSpec):
+        what, order = "Fourier matrix", math.prod(spec.orders)
+    elif isinstance(spec, CirculantSpec):
+        what, order = "circulant matrix", len(spec.turns)
+    else:  # haagerup and tao have order 6
+        return None if isinstance(spec, FileSpec) else 6
+    check_bytes(f"{what} of order {order}", order**2 * 8)
+    return order
+
+
 def build_matrix(spec: MatrixSpec) -> HadamardMatrix:
+    _checked_order(spec)
     if isinstance(spec, FourierSpec):
         return fourier_matrix(make_group(list(spec.orders)))
     if isinstance(spec, TensorSpec):

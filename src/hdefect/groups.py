@@ -56,9 +56,6 @@ class FiniteAbelianGroup:
                 raise ValueError(f"residue {x} out of range for cycle order {n}")
         return g
 
-    def add(self, g, h) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(g, h, self.cycle_orders))
-
     def index_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Odometer indices of g + h (a |G| x |G| table) and of -g, by mixed-radix digits."""
         check_bytes(f"addition table of order {self.order}", self.order**2 * 8)
@@ -171,7 +168,8 @@ def delta_isotypic(p: int, exponents) -> Fraction:
 
 
 def delta_closed(group: FiniteAbelianGroup) -> Fraction:
-    """Sum of 1/order(g) over the group, via the per-prime closed form."""
+    """Sum of 1/order(g) over the group, via the per-prime closed form: it checks `ds_delta_exact` on the regular
+    representation, where the same sum is read off fixed points, and gives `fourier_defect` its |G| * delta(G)."""
     total = Fraction(1)
     for p, exps in isotypic_decomposition(group).items():
         total *= delta_isotypic(p, exps)
@@ -196,13 +194,6 @@ def fourier_defect_cyclic(n: int) -> int:
     if value.denominator != 1:
         raise RuntimeError(f"cyclic defect formula produced non-integer {value} for n={n}")
     return value.numerator
-
-
-def delta_dihedral(n: int) -> Fraction:
-    """Sum of 1/ord over the dihedral group of order 2n: checks `ds_delta_exact(regular_dihedral_group(n))`."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return Fraction(n, 2) + delta_closed(make_group([n]))
 
 
 def _p_space_keys(group: FiniteAbelianGroup):

@@ -1,36 +1,25 @@
-"""Permutation statistics: group validation, fixed-point counts, defect estimates."""
+"""Permutation statistics: the library's regular-action statistics against the permutation oracles, and the oracles
+against the group axioms and repeated composition."""
 
 import random
-import time
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
 import pytest
 
-from hdefect import charstats
-from hdefect.charstats import (
+from hdefect.charstats import PermutationGroup, ds_defect_estimate, ds_delta_exact, is_regular, regular_dihedral_group
+from hdefect.groups import abelian_group_types, delta_closed, fourier_defect, make_group
+from perm_oracles import (
     compose,
+    delta_dihedral,
     dihedral_group,
-    ds_defect_estimate,
-    ds_delta_exact,
     ds_perm_estimate,
     ds_variable,
     fixed_points_of_power,
     group_exponent,
-    is_regular,
     permutation_group,
     permutation_order,
-    regular_dihedral_group,
     regular_representation,
-)
-from hdefect.errors import CapExceededError
-from hdefect.groups import (
-    FiniteAbelianGroup,
-    abelian_group_types,
-    delta_closed,
-    delta_dihedral,
-    fourier_defect,
-    make_group,
 )
 
 
@@ -233,9 +222,38 @@ def test_delta_exact_requires_regular_action():
         ds_delta_exact(dihedral_group(2))
 
 
-def test_moment_index_immaterial_for_regular_actions():
-    group = regular_representation(make_group([2, 2]))
-    assert ds_delta_exact(group, 1) == ds_delta_exact(group, 2) == ds_delta_exact(group, 3)
+def relabelled(group, rng):
+    # The same action with its points renamed by a random sigma, p -> sigma p sigma^-1, and its element list shuffled.
+    sigma = list(range(group.degree))
+    rng.shuffle(sigma)
+    elements = []
+    for p in group.elements:
+        moved = [0] * group.degree
+        for x in range(group.degree):
+            moved[sigma[x]] = sigma[p[x]]
+        elements.append(tuple(moved))
+    rng.shuffle(elements)
+    return PermutationGroup(group.degree, tuple(elements), elements.index(tuple(range(group.degree))))
+
+
+def test_delta_exact_is_invariant_under_relabelling():
+    # The walk starts at point 0, which relabelling moves; the sum, and the oracle's window average at every moment
+    # index, must not move with it.
+    rng = random.Random(26)
+    cases = [(regular_representation(g), delta_closed(g)) for order in range(1, 17) for g in abelian_group_types(order)]
+    cases += [(regular_dihedral_group(n), delta_dihedral(n)) for n in range(1, 9)]
+    for group, expected in cases:
+        for _ in range(3):
+            moved = relabelled(group, rng)
+            exponent = group_exponent(moved)
+            assert ds_delta_exact(moved) == expected, group
+            for k in (1, 2, 3):
+                assert ds_perm_estimate(moved, k, exponent) / moved.degree == expected
+    # Regular by its first column, but (1, 1) is no permutation: its walk never returns to 0, and is refused.
+    malformed = PermutationGroup(2, ((1, 1), (0, 1)), 1)
+    assert is_regular(malformed)
+    with pytest.raises(ValueError, match="not a permutation"):
+        ds_delta_exact(malformed)
 
 
 def assert_rules_agree(degree, elements):
@@ -283,27 +301,10 @@ def test_closure_and_one_orbit_agree_with_the_axioms():
     assert len(accepted) > 400 and sum(accepted) > 20 and len(results) - len(accepted) > 1000
 
 
-def test_permutation_sweeps_refused_at_once_at_the_default_cap(monkeypatch):
-    z4 = regular_representation(make_group([4]))
-    monkeypatch.setattr(charstats, "_cycle_lengths", lambda perm: pytest.fail("cycles found before the check"))
-    with pytest.raises(CapExceededError, match="^ds_perm_estimate needs 4000000000 elements"):
-        ds_perm_estimate(z4, 1, 10**9)
-    monkeypatch.setattr(FiniteAbelianGroup, "index_tables", lambda group: pytest.fail("table built before the check"))
-    with pytest.raises(CapExceededError, match="^regular_representation needs 4194304 elements"):
-        regular_representation(make_group([2048]))
-
-
-def test_constructors_build_by_the_group_law(monkeypatch):
-    # Each constructor's list is a group by its law, so none runs the closure sweep meant for lists from outside.
-    built = [(make_group([4]), 4, regular_representation), (3, 3, dihedral_group), (3, 6, regular_dihedral_group)]
-    with monkeypatch.context() as patch:
-        patch.setattr(charstats, "permutation_group", lambda *args: pytest.fail("validated a list the law closes"))
-        made = [(degree, build(arg)) for arg, degree, build in built]
-        start = time.perf_counter()
-        regular_representation(make_group([512]))
-        assert time.perf_counter() - start < 0.1
-    # The validator, given the same lists, returns the same groups: identity first, elements in their order.
-    more = [(g.order, regular_representation(g)) for order in range(1, 17) for g in abelian_group_types(order)]
-    more += [(n, dihedral_group(n)) for n in range(1, 9)] + [(2 * n, regular_dihedral_group(n)) for n in range(1, 9)]
-    for degree, group in made + more:
+def test_constructors_build_by_the_group_law():
+    # Each constructor builds its list by its group law; the closure validator, given the same lists, returns the
+    # same groups: identity first, elements in their order.
+    built = [(g.order, regular_representation(g)) for order in range(1, 17) for g in abelian_group_types(order)]
+    built += [(n, dihedral_group(n)) for n in range(1, 9)] + [(2 * n, regular_dihedral_group(n)) for n in range(1, 9)]
+    for degree, group in built:
         assert group.identity_index == 0 and permutation_group(degree, group.elements) == group

@@ -602,14 +602,9 @@ def test_deformed_parameter_file(tmp_path):
     assert built.turns == inline.turns
 
 
-Z4 = charstats.regular_representation(make_group([4]))
-
-
 @pytest.mark.parametrize("call, message", [
-    (lambda: charstats.ds_perm_estimate(Z4, 1, 0), "window length must be >= 1"),
-    (lambda: charstats.ds_perm_estimate(Z4, 0, 4), "moment index must be >= 1"),
+    (lambda: charstats.ds_defect_estimate(make_group([4]), 1, 0), "window length must be >= 1"),
     (lambda: charstats.ds_defect_estimate(make_group([4]), 0, 4), "moment index must be >= 1"),
-    (lambda: charstats.dihedral_group(0), "need n >= 1"),
     (lambda: charstats.regular_dihedral_group(0), "need n >= 1"),
     (lambda: groups.delta_isotypic(2, ()), "exponent list must be nonempty"),
     (lambda: groups.delta_isotypic(2, (0,)), r"exponents must be integers >= 1, got \(0,\)"),

@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from hdefect import errors
-from hdefect.charstats import regular_representation
 from hdefect.errors import MAX_SYSTEM_BYTES, CapExceededError
 from hdefect.groups import (
     FiniteAbelianGroup,
     abelian_group_types,
     delta_closed,
-    delta_dihedral,
     delta_isotypic,
     element_order,
     fourier_defect,
@@ -30,6 +28,7 @@ from hdefect.groups import (
 )
 from hdefect.exact import _lift_primes
 from hdefect.tangent import _p_space_basis
+from perm_oracles import add, delta_dihedral, regular_representation
 
 
 def order_by_repeated_addition(group, g):
@@ -38,7 +37,7 @@ def order_by_repeated_addition(group, g):
     acc = g
     k = 1
     while acc != zero:
-        acc = group.add(acc, g)
+        acc = add(group, acc, g)
         k += 1
     return k
 
@@ -74,7 +73,7 @@ def p_space_classes_by_search(group):
         parity, forced, queue = {start: 0}, False, deque([start])
         while queue:
             node = i, j = queue.popleft()
-            for nxt, flip in (((index[group.add(elems[i], elems[j])], j), 0), ((i, neg[j]), 1)):
+            for nxt, flip in (((index[add(group, elems[i], elems[j])], j), 0), ((i, neg[j]), 1)):
                 if nxt not in parity:
                     parity[nxt] = parity[node] ^ flip
                     queue.append(nxt)
@@ -177,13 +176,13 @@ def test_p_space_components_match_search_up_to_64():
             found = {frozenset((i, j) for i, j, _ in members): forced for members, forced in components}
             assert len(found) == len(components)
             assert found == dict(p_space_classes_by_search(group)), group
-            add, neg = group.index_tables()
+            table, neg = group.index_tables()
             for members, forced in components:
                 if forced:
                     continue
                 parity = {(i, j): p for i, j, p in members}
                 for (i, j), p in parity.items():
-                    assert parity[add[i, j], j] == p  # translation keeps the parity
+                    assert parity[table[i, j], j] == p  # translation keeps the parity
                     assert parity[i, neg[j]] == 1 - p  # conjugation flips it
 
 
@@ -206,19 +205,17 @@ def test_index_tables_match_group_addition():
         group = make_group(orders)
         elems = group.element_list()
         zero = tuple(0 for _ in orders)
-        add, neg = group.index_tables()
-        assert add.shape == (group.order, group.order) and add.dtype == neg.dtype == np.int64
+        table, neg = group.index_tables()
+        assert table.shape == (group.order, group.order) and table.dtype == neg.dtype == np.int64
         for i, g in enumerate(elems):
-            assert elems[add[i, neg[i]]] == zero
+            assert elems[table[i, neg[i]]] == zero
             for j, h in enumerate(elems):
-                assert elems[add[i, j]] == group.add(g, h)
+                assert elems[table[i, j]] == add(group, g, h)
 
 
 def test_addition_table_refused_before_its_elements(monkeypatch):
     # 8193^2 x 8 = 537,001,992 bytes is above the 2^29-byte cap; 8192 fits exactly and is never built here.
     assert 8192**2 * 8 == MAX_SYSTEM_BYTES < 8193**2 * 8
-    # At the default element cap regular_representation refuses 8193^2 table entries sooner (tests/test_charstats.py).
-    monkeypatch.setattr(errors, "MAX_ELEMENTS", 8193**2)
     monkeypatch.setattr(FiniteAbelianGroup, "element_list", lambda group: pytest.fail("elements listed before the check"))
     for build in (p_space_components, regular_representation):
         with pytest.raises(CapExceededError, match="addition table of order 8193 needs 537001992 bytes"):

@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -298,6 +299,27 @@ def test_constructor_products_refused_before_they_are_built(monkeypatch, capsys)
     assert [build_matrix(parse_matrix_spec(spec)).n for spec in specs] == [8, 8, 8]
 
 
+def test_product_spec_refused_before_its_factors_are_built(monkeypatch, capsys, tmp_path):
+    # A product's order follows from its parse tree, so no factor is built to learn it: F4096 alone took 286 MB.
+    monkeypatch.setattr(cli, "fourier_matrix", lambda group: pytest.fail("a factor was built before the check"))
+    flat = "[" + ",".join(["[" + ",".join(["0"] * 4096) + "]"] * 4) + "]"
+    absent = tmp_path / "absent.json"
+    refusals = [
+        ("tensor:(fourier:4096,fourier:4)", "tensor product of order 16384 needs 2147483648 bytes"),
+        (f"deformed:(fourier:4096,{flat},fourier:4)", "deformed tensor of order 16384 needs 2147483648 bytes"),
+        ("tensor:(circulant:0,1/2,fourier:8192)", "tensor product of order 16384 needs 2147483648 bytes"),
+        # In build order, an oversized factor is named before the product that holds it, as when it was built.
+        ("tensor:(tensor:(tao,tao),fourier:10000)", "Fourier matrix of order 10000 needs 800000000 bytes"),
+        ("tensor:(fourier:10000,fourier:2)", "Fourier matrix of order 10000 needs 800000000 bytes"),
+    ]
+    for spec, subject in refusals:
+        assert run(["defect", spec]) == 1
+        assert capsys.readouterr() == ("", f"error: {subject}, above the cap 536870912\n"), spec
+    # A file is read to learn its order, so its own error comes first, and nothing after it is checked early.
+    assert run(["defect", f"tensor:(file:{absent},fourier:10000)"]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{absent}'\n")
+
+
 def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):
     # F4's 12 x 16 system takes 1536 bytes; the size follows from N, so nothing is verified first.
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 12 * 16 * 8 - 1)
@@ -347,28 +369,26 @@ def test_one_element_cap_governs_every_sweep(monkeypatch):
     assert len(deformation_scan(f2, f2, ScanGrid(16))) == 16
     assert charstats.ds_defect_estimate(make_group([16]), 1, 16) == 48  # the defect of F_16
     assert factorize(2 * 331) == {2: 1, 331: 1}  # past the cap a prime cofactor ends the division
-    # The permutation sweeps: 4^2 table entries, 2 * 2^2 dihedral images, 4^2 products, 4 x 4 counts, and the
-    # closure sweep's 4^2 compositions of degree 4, allowed at a cap of 64.
-    z4 = charstats.regular_representation(make_group([4]))
-    with monkeypatch.context() as patch:
-        patch.setattr(errors, "MAX_ELEMENTS", 64)
-        assert charstats.permutation_group(4, z4.elements) == z4
-    assert charstats.dihedral_group(2).order == 4 and charstats.regular_dihedral_group(2).order == 4
-    assert charstats.ds_perm_estimate(z4, 1, 4) == 8  # the defect of F_4
-    z5 = [tuple((x + k) % 5 for x in range(5)) for k in range(5)]
+    assert charstats.regular_dihedral_group(2).order == 4  # the permutation sweep: 4^2 products
     refusals = [
         (lambda: deformation_scan(f2, f2, ScanGrid(17)), "deformation scan grid needs 17"),
         (lambda: charstats.ds_defect_estimate(make_group([17]), 1, 17), "ds_defect_estimate needs 17"),
         (lambda: factorize(17 * 19), "trial division of 323 needs 17"),
-        (lambda: charstats.permutation_group(5, z5), "permutation_group needs 125"),
-        (lambda: charstats.regular_representation(make_group([5])), "regular_representation needs 25"),
-        (lambda: charstats.dihedral_group(3), "dihedral_group needs 18"),
         (lambda: charstats.regular_dihedral_group(3), "regular_dihedral_group needs 36"),
-        (lambda: charstats.ds_perm_estimate(z4, 1, 5), "ds_perm_estimate needs 20"),
     ]
     for sweep, subject in refusals:
         with pytest.raises(CapExceededError, match=f"^{subject} elements, above the cap 16$"):
             sweep()
+
+
+def test_all_matches_what_the_package_binds():
+    # A stale export would break `from hdefect import *`; a missing one would hide a public name from it.
+    namespace = {}
+    exec("from hdefect import *", namespace)
+    assert set(hdefect.__all__) <= namespace.keys()
+    assert hdefect.__all__ == sorted(hdefect.__all__)
+    public = {name for name, value in vars(hdefect).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(hdefect.__all__) == public
 
 
 def test_caps_are_refused_only_by_their_guards():
