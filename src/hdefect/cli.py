@@ -291,14 +291,18 @@ def _checked_order(spec: MatrixSpec) -> int | None:
 
 
 def build_matrix(spec: MatrixSpec) -> HadamardMatrix:
-    _checked_order(spec)
+    return _build(spec, _checked_order(spec) is not None)
+
+
+def _build(spec: MatrixSpec, checked: bool) -> HadamardMatrix:
+    """`build_matrix` after `_checked_order`, `checked` if it saw every leaf; else each factor is walked as built."""
     if isinstance(spec, FourierSpec):
         return fourier_matrix(make_group(list(spec.orders)))
+    if isinstance(spec, (TensorSpec, DeformedSpec)):
+        left, right = (_build(side, checked or _checked_order(side) is not None) for side in (spec.left, spec.right))
     if isinstance(spec, TensorSpec):
-        return tensor_product(build_matrix(spec.left), build_matrix(spec.right))
+        return tensor_product(left, right)
     if isinstance(spec, DeformedSpec):
-        left = build_matrix(spec.left)
-        right = build_matrix(spec.right)
         if isinstance(spec.parameters, str):
             with open(spec.parameters) as handle:
                 turns = parse_parameter_turns(handle.read())

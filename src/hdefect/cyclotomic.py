@@ -5,8 +5,8 @@ divisors d of q, taken as a power series of length phi(q) + 1 in Python ints
 (low degree first). The reduction table expresses x^m mod Phi_q in the power
 basis 1, x, ..., x^(phi(q)-1); sums of q-th roots of unity are exactly zero
 iff their reduced coefficient vector vanishes. `errors.check_bytes` refuses
-a table above `MAX_SYSTEM_BYTES` before Phi_q is built, and the last table
-built is kept: each caller handles one exact matrix, so meets one order.
+a table above `MAX_SYSTEM_BYTES` before Phi_q is built. The one caller family,
+the exact pair system in `exact`, meets one order per matrix: one table is kept.
 """
 
 from __future__ import annotations

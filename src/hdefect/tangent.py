@@ -426,7 +426,7 @@ def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
     check_system_size(size * (size - 1), size * size)  # one cell's system, before any cell is built
     exact = h.is_exact and k.is_exact
     # H (x)_L K is Hadamard for every unimodular L iff H and K are, so exact cells are verified by their factors.
-    # Dephased, each factor's order divides every cell's own order, so its reduction table is no larger.
+    # Dephased, each factor's order divides every cell's own order, so its check sweeps no more Galois conjugates.
     sound = exact and all(verify_hadamard(dephase(f)).passed for f in (h, k))
     rows, cols = size * (size - 1), (size - 1) ** 2
     per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * cols * 8), -(-SCAN_CHUNK_VALUES // max(1, min(rows, cols))))

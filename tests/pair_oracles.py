@@ -1,10 +1,12 @@
-"""Test oracles for the full pair system: the scatter that assembled it before the basis-aware `pair_rows`, and the
-N(N-1) ordered pairs of an exact matrix with their root powers, listed from the matrix alone."""
+"""Test oracles for the full pair system: the scatter that assembled it before the basis-aware `pair_rows`, the
+N(N-1) ordered pairs of an exact matrix with their root powers, listed from the matrix alone, and the exact row
+orthogonality check by integer cyclotomic reduction that `failing_pairs` made before it tested Galois conjugates."""
 
 import math
 
 import numpy as np
 
+from hdefect.cyclotomic import power_reduction_table
 from hdefect.tangent import ordered_pairs
 
 
@@ -31,3 +33,13 @@ def full_pair_system(h) -> tuple[np.ndarray, np.ndarray]:
     column b, q its phase order: the exact system in full, of which `build_exact_system` keeps the pairs i < j."""
     pairs = ordered_pairs(h.n)
     return pairs, (h.numerators[pairs[:, 0]] - h.numerators[pairs[:, 1]]) % h.phase_order()
+
+
+def table_failing_pairs(nums: np.ndarray, q: int) -> np.ndarray:
+    """The rows i < j, as a K x 2 array, that are not orthogonal in an N x M array of numerators over q, decided in
+    integers: rows i < j are orthogonal iff sum_k x^(m_ik - m_jk), a sum of M rows of `power_reduction_table(q)`, is 0
+    mod Phi_q."""
+    table = power_reduction_table(q)
+    pairs = np.stack(np.triu_indices(len(nums), 1), axis=1)
+    diff = (nums[pairs[:, 0]] - nums[pairs[:, 1]]) % q
+    return pairs[table[diff].sum(axis=1).any(axis=1)]

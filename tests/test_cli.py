@@ -288,8 +288,8 @@ def test_scan_cell_cap_before_enumeration(monkeypatch, capsys):
 
 
 def test_scan_computes_each_cell_at_its_own_order(tmp_path, capsys):
-    # A cell of order 2000000014, whose own reduction table would be above the cap: exact cells are verified by
-    # their factors, so the scan runs, and the cell's gap ratio is that of a single call on its floating copy.
+    # A cell of order 2000000014, whose own check would sweep 500000003 Galois conjugates: exact cells are verified
+    # by their factors, so the scan runs, and the cell's gap ratio is that of a single call on its floating copy.
     out = tmp_path / "scan.csv"
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "1000000007:1", "--out", str(out)]) == 0
     with open(out, newline="") as handle:
@@ -582,12 +582,17 @@ def test_float_tangent_system_size_guard(capsys):
     assert "above the cap" in capsys.readouterr().err
 
 
-def test_verify_refuses_large_reduction_table_at_once(capsys):
-    # q = 4 x 9973: the table would need about 6.4 GB, and Phi_q alone took 32 s to build.
+def test_verify_refuses_too_many_conjugates_at_once(capsys):
+    # Exact verification sweeps phi(q)/2 Galois conjugates: 9972 for haagerup:1/9973 (q = 39892), and 1000002, one
+    # above the element cap, for haagerup:1/1000003 (q = 4000012), refused before any conjugate is built.
     start = time.perf_counter()
-    assert run(["verify", "haagerup:1/9973"]) == 1
+    assert run(["verify", "haagerup:1/9973"]) == 0
     assert time.perf_counter() - start < 1.0
-    assert "reduction table" in capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    start = time.perf_counter()
+    assert run(["verify", "haagerup:1/1000003"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "Galois conjugates of phase order 4000012 needs 1000002 elements" in capsys.readouterr().err
     assert run(["verify", "haagerup:1/997"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
@@ -626,3 +631,14 @@ def test_deformed_parameter_file(tmp_path):
 def test_outside_input_is_refused_where_it_enters(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+def test_readme_subcommand_examples_run(tmp_path, monkeypatch, capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Subcommands:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert len(lines) == 8 and all(line[0] == "hdefect" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(line[1:]) == 0, line
+    capsys.readouterr()

@@ -195,6 +195,13 @@ def test_circulant_from_eigenvalues():
         circulant_from_eigenvalues([0.5 + 0j, 1 + 0j])
 
 
+def test_circulant_transform_keeps_long_circulants_unimodular():
+    # The 2000-turn circulant with eigenvalue turns k^2/4000: summed as N^2 complex powers, its entries were off the
+    # unit circle by 8.9e-11; one FFT keeps them within 1e-15.
+    report = verify_hadamard(circulant_from_eigenvalues([F(k * k, 4000) for k in range(2000)]))
+    assert report.passed and report.max_modulus_error < 1e-13
+
+
 def test_dephase():
     f3 = fourier_matrix(make_group([3]))
     scrambled = apply_equivalence(

@@ -28,6 +28,7 @@ from hdefect.matrices import (
     haagerup_matrix,
     matrix_from_dict,
     matrix_to_dict,
+    save_matrix,
     tensor_product,
     turn_to_complex,
     verify_hadamard,
@@ -320,6 +321,18 @@ def test_product_spec_refused_before_its_factors_are_built(monkeypatch, capsys, 
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{absent}'\n")
 
 
+def test_build_matrix_walks_a_spec_once(monkeypatch, tmp_path):
+    # Each Fourier factor and each product meets the byte cap once; below a file: leaf, each node once as it is built.
+    checks = []
+    monkeypatch.setattr(cli, "check_bytes", lambda what, nbytes: checks.append(what))
+    assert build_matrix(parse_matrix_spec("tensor:(tensor:(tensor:(fourier:2,fourier:2),fourier:2),fourier:2)")).n == 16
+    assert len(checks) == 7
+    save_matrix(fourier_matrix(make_group([2])), tmp_path / "f2.json")
+    checks.clear()
+    assert build_matrix(parse_matrix_spec(f"tensor:(file:{tmp_path / 'f2.json'},tensor:(fourier:2,fourier:2))")).n == 8
+    assert checks == ["Fourier matrix of order 2", "Fourier matrix of order 2", "tensor product of order 4"]
+
+
 def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):
     # F4's 12 x 16 system takes 1536 bytes; the size follows from N, so nothing is verified first.
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 12 * 16 * 8 - 1)
@@ -361,7 +374,8 @@ def test_one_cap_governs_every_guard(monkeypatch):
 
 
 def test_one_element_cap_governs_every_sweep(monkeypatch):
-    # Only errors binds the element cap, so one setting reaches a scan grid, a group sweep and a trial division.
+    # Only errors binds the element cap, so one setting reaches a scan grid, group sweeps, a trial division and the
+    # Galois conjugates of an exact check.
     modules = (charstats, cli, exact, groups, matrices, tangent)
     assert not any(hasattr(module, "MAX_ELEMENTS") for module in modules)
     monkeypatch.setattr(errors, "MAX_ELEMENTS", 16)
@@ -370,11 +384,13 @@ def test_one_element_cap_governs_every_sweep(monkeypatch):
     assert charstats.ds_defect_estimate(make_group([16]), 1, 16) == 48  # the defect of F_16
     assert factorize(2 * 331) == {2: 1, 331: 1}  # past the cap a prime cofactor ends the division
     assert charstats.regular_dihedral_group(2).order == 4  # the permutation sweep: 4^2 products
+    assert verify_hadamard(haagerup_matrix(Fraction(1, 17))).passed  # phi(68) / 2 = 16 Galois conjugates
     refusals = [
         (lambda: deformation_scan(f2, f2, ScanGrid(17)), "deformation scan grid needs 17"),
         (lambda: charstats.ds_defect_estimate(make_group([17]), 1, 17), "ds_defect_estimate needs 17"),
         (lambda: factorize(17 * 19), "trial division of 323 needs 17"),
         (lambda: charstats.regular_dihedral_group(3), "regular_dihedral_group needs 36"),
+        (lambda: verify_hadamard(haagerup_matrix(Fraction(1, 37))), "Galois conjugates of phase order 148 needs 36"),
     ]
     for sweep, subject in refusals:
         with pytest.raises(CapExceededError, match=f"^{subject} elements, above the cap 16$"):
@@ -408,8 +424,9 @@ def test_caps_are_refused_only_by_their_guards():
 
 
 def test_only_single_matrix_checks_read_reduction_tables():
-    # `power_reduction_table` keeps one table, which serves callers that each meet one order: the exact check of one
-    # matrix and the exact system of one matrix. A caller that meets several orders would rebuild tables in turn.
+    # `power_reduction_table` keeps one table, which serves the exact system of one matrix, a caller that meets one
+    # order; exact verification decides on Galois conjugates and reads no table. A caller that meets several orders
+    # would rebuild tables in turn.
     callers = []
     for source in sorted(Path(hdefect.__file__).parent.glob("*.py")):
         tree = ast.parse(source.read_text())
@@ -418,7 +435,7 @@ def test_only_single_matrix_checks_read_reduction_tables():
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "power_reduction_table":
                 owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 callers.append(f"{source.stem}.{max(owners, key=lambda f: f.lineno).name if owners else '<module>'}")
-    assert sorted(callers) == ["exact._solves_full_system", "exact.build_exact_system", "matrices.failing_pairs"]
+    assert sorted(callers) == ["exact._solves_full_system", "exact.build_exact_system"]
 
 
 def test_the_library_reads_no_environment():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdefect import matrices, tangent
+from hdefect import cyclotomic, exact, matrices, tangent
 from hdefect.cli import build_matrix, parse_matrix_spec, run
 from hdefect.errors import (
     AmbiguousRankError,
@@ -57,7 +57,7 @@ from hdefect.tangent import (
     undephased_defect,
 )
 from conftest import traced_peak
-from pair_oracles import scatter_pair_rows
+from pair_oracles import scatter_pair_rows, table_failing_pairs
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -582,28 +582,27 @@ def test_deformed_tensor_is_hadamard_exactly_when_its_factors_are(drawn):
     assert not verify_hadamard(deformed_tensor(h_moved, params, k_moved)).passed
 
 
-def test_exact_scan_reads_the_tables_of_its_factors_only(monkeypatch, capsys):
-    orders, table = [], matrices.power_reduction_table
-
-    def recording_table(q):
-        orders.append(q)
-        return table(q)
-
-    monkeypatch.setattr(matrices, "power_reduction_table", recording_table)
+def test_exact_scan_reads_no_reduction_table(monkeypatch, capsys):
+    # Exact verification decides on Galois conjugates, so a scan builds no cyclotomic reduction table at all.
+    assert not hasattr(matrices, "power_reduction_table")
+    for module in (cyclotomic, exact):
+        monkeypatch.setattr(module, "power_reduction_table", lambda q: pytest.fail(f"reduction table of order {q}"))
     assert run(["scan", "fourier:2", "fourier:4", "--grid", "16"]) == 0
-    assert orders == [2, 4]
     capsys.readouterr()
 
 
-def test_exact_scan_verifies_its_factors_dephased():
-    # F2 times e^(2 pi i / 9973) and times its inverse: each factor has order 19946, whose reduction table
-    # (1.6 GB) is above the cap, but every cell has order 4 or less, and the dephased factors have order 2.
+def test_exact_scan_verifies_its_factors_dephased(monkeypatch):
+    # F2 times e^(2 pi i / 9973) and times its inverse: each factor has order 19946, whose check sweeps 4986 Galois
+    # conjugates, but every cell has order 4 or less, and the dephased factors have order 2, with one conjugate each.
     step = F(1, 9973)
     h = HadamardMatrix.from_turns([[step, step], [step, step + F(1, 2)]])
     k = HadamardMatrix.from_turns([[-step, -step], [-step, -step + F(1, 2)]])
-    with pytest.raises(CapExceededError, match="^reduction table of 19946 x 9972 entries"):
-        verify_hadamard(h)
+    sweeps, check = [], matrices.check_elements
+    monkeypatch.setattr(matrices, "check_elements", lambda *sweep: sweeps.append(sweep) or check(*sweep))
     cells = deformation_scan(h, k, ScanGrid(4))
+    assert sweeps == [("Galois conjugates of phase order 2", 1)] * 2
+    assert verify_hadamard(h).passed
+    assert sweeps[2:] == [("Galois conjugates of phase order 19946", 4986)]
     assert cells == per_cell_scan(h, k, ScanGrid(4))
     assert [cell.defect for cell in cells] == [10, 8, 10, 8]
 
@@ -857,11 +856,44 @@ def test_failing_pairs_work_in_blocks_of_bounded_size():
     # F64 over q = 1024 with one entry moved: the 63 pairs of its row fail, of 2016.
     q, nums = 1024, fourier_matrix(make_group([64])).numerators * 16
     nums[5, 7] += 1
-    failing_pairs(nums[:2], q)  # builds the cached reduction table before tracing
+    failing_pairs(nums[:2], q)  # warms up before tracing
     pairs, peak = traced_peak(lambda: failing_pairs(nums, q))
     assert np.array_equal(pairs, _nonorthogonal_pairs(nums, q)) and len(pairs) == 63
     # All 2016 pairs' phi(1024) = 512 sums at once would take 8.3 MB.
     assert peak < 2 * matrices.CHECK_BLOCK_BYTES
+
+
+@st.composite
+def exact_rows(draw):
+    """Numerators over q of a random N x N matrix, N <= 8, or half the time of F_n scaled to q (n | q) with one
+    entry moved by a random amount, for q in a list that includes 1 and 105, 210 and 2310, where Phi_q has a
+    coefficient -2 (105) or many prime factors."""
+    q = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 105, 210, 2310]))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([d for d in range(1, 9) if q % d == 0]))
+        nums = fourier_matrix(make_group([n])).numerators * (q // n)
+        nums[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += draw(st.integers(0, q - 1))
+        return nums % q, q
+    n = draw(st.integers(0, 8))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=np.int64).reshape(n, n), q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exact_rows())
+def test_failing_pairs_equal_the_reduction_table_check(drawn):
+    nums, q = drawn
+    assert np.array_equal(failing_pairs(nums, q), table_failing_pairs(nums, q))
+
+
+def test_near_miss_fails_on_a_conjugate_other_than_the_first():
+    # Rows (0, 0) and (0, 9/16) have product s = 1 + x^7 over q = 16, of modulus 0.390 at u = 1, below 1/2, but
+    # 1.11, 1.66 and 1.96 at u = 3, 5 and 7: a check of u = 1 alone would pass the matrix.
+    moduli = [abs(1 + np.exp(2j * np.pi * 7 * u / 16)) for u in (1, 3, 5, 7)]
+    assert moduli[0] < 0.5 < 1 < min(moduli[1:])
+    h = HadamardMatrix.from_turns([[0, 0], [0, F(9, 16)]])
+    assert np.array_equal(failing_pairs(h.numerators, 16), [[0, 1]])
+    assert not verify_hadamard(h).passed
 
 
 RANK_BASES = [
