@@ -270,13 +270,15 @@ def parse_parameter_turns(text: str) -> tuple:
     return _parse_whole(text, _SpecParser.parse_inline_turns)
 
 
-def _checked_order(spec: MatrixSpec) -> int | None:
+def _checked_order(spec: MatrixSpec, done: dict) -> int | None:
     """Order of the matrix a spec builds, from its parse tree, or None once a file must be read to learn it. Walked in
     build order, each Fourier or circulant factor and each product meets the library's N^2 byte cap in the library's
-    words, so an oversized product is refused before any factor is built."""
+    words, so an oversized product is refused before any factor is built. `done` maps checked specs' ids to orders."""
+    if id(spec) in done:
+        return done[id(spec)]
     if isinstance(spec, (TensorSpec, DeformedSpec)):
-        left = _checked_order(spec.left)
-        right = None if left is None else _checked_order(spec.right)
+        left = _checked_order(spec.left, done)
+        right = None if left is None else _checked_order(spec.right, done)
         if right is None:
             return None
         what, order = ("tensor product" if isinstance(spec, TensorSpec) else "deformed tensor"), left * right
@@ -287,19 +289,21 @@ def _checked_order(spec: MatrixSpec) -> int | None:
     else:  # haagerup and tao have order 6
         return None if isinstance(spec, FileSpec) else 6
     check_bytes(f"{what} of order {order}", order**2 * 8)
+    done[id(spec)] = order
     return order
 
 
 def build_matrix(spec: MatrixSpec) -> HadamardMatrix:
-    return _build(spec, _checked_order(spec) is not None)
+    return _build(spec, {})
 
 
-def _build(spec: MatrixSpec, checked: bool) -> HadamardMatrix:
-    """`build_matrix` after `_checked_order`, `checked` if it saw every leaf; else each factor is walked as built."""
+def _build(spec: MatrixSpec, done: dict) -> HadamardMatrix:
+    """`build_matrix`, walking each spec as it is reached: those after a `file:` leaf are checked as they are built."""
+    _checked_order(spec, done)
     if isinstance(spec, FourierSpec):
         return fourier_matrix(make_group(list(spec.orders)))
     if isinstance(spec, (TensorSpec, DeformedSpec)):
-        left, right = (_build(side, checked or _checked_order(side) is not None) for side in (spec.left, spec.right))
+        left, right = (_build(side, done) for side in (spec.left, spec.right))
     if isinstance(spec, TensorSpec):
         return tensor_product(left, right)
     if isinstance(spec, DeformedSpec):

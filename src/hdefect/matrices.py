@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -357,15 +358,29 @@ def failing_pairs(nums: np.ndarray, q: int) -> np.ndarray:
     |sigma_u(s)| over the units u mod q is a nonzero integer, so some |sigma_u(s)| >= 1; as sigma_-u = conj sigma_u, the
     units u <= q/2 suffice (u = 1 if q <= 2). sigma_u(s) is the product of rows i and j of x^(u m), off in floats by
     about N^2 2^-53 < 1e-8 for every N the byte caps admit (N <= 8192), so a pair fails iff some conjugate's product
-    has modulus >= 1/2. The conjugate count meets the element cap first; conjugates stack within CHECK_BLOCK_BYTES."""
+    has modulus >= 1/2. The conjugate count meets the element cap first. Beside the N x N flags, a stack of units, its
+    roots over all k < q if they fit, and its Gram products by blocks of rows and columns stay in CHECK_BLOCK_BYTES."""
     check_elements(f"Galois conjugates of phase order {q}", max(1, euler_phi(q) // 2))
-    units = np.flatnonzero(np.gcd(np.arange(q // 2 + 1), q) == 1)  # [0] when q = 1, where every power is 1
-    distinct, inverse = np.unique(nums, return_inverse=True)
+    table = 192 * q <= CHECK_BLOCK_BYTES  # one unit's roots over all k < q take at most a quarter of a block
+    side = math.isqrt((CHECK_BLOCK_BYTES - 48 * q * table) // 96)  # about 48 bytes per root, value and Gram entry
+    rows, cols = (max(1, min(k, side)) for k in nums.shape)
+    span = max(1, CHECK_BLOCK_BYTES // (48 * (q * table + rows * rows + rows * cols) + 32))
+    columns = np.split(nums, range(cols, nums.shape[1], cols), axis=1)  # one N x 0 block if M = 0
     flags = np.zeros((len(nums), len(nums)), dtype=bool)
-    step = max(1, CHECK_BLOCK_BYTES // (16 * max(1, distinct.size + nums.size + flags.size)))
-    for s in range(0, len(units), step):
-        values = np.exp(2j * np.pi / q * (units[s : s + step, None] * distinct % q))[:, inverse.reshape(nums.shape)]
-        flags |= (np.abs(values @ np.conj(values).swapaxes(1, 2)) >= 0.5).any(axis=0)
+    for s in range(0, q // 2 + 1, span):
+        units = np.arange(s, min(s + span, q // 2 + 1))
+        units = units[np.gcd(units, q) == 1]  # [0] when q = 1, where every power is 1
+        roots = np.exp(2j * np.pi / q * (units[:, None] * np.arange(q) % q)) if table else None
+
+        def conjugate(block):  # x^(u m) for the stack's units u over a block of numerators m
+            if table:
+                return roots[:, block]
+            keys, index = np.unique(block, return_inverse=True)
+            return np.exp(2j * np.pi / q * (units[:, None] * keys % q))[:, index.reshape(block.shape)]
+
+        for a, b in combinations_with_replacement(range(0, len(nums), rows), 2):
+            gram = sum(conjugate(c[a : a + rows]) @ np.conj(conjugate(c[b : b + rows])).swapaxes(1, 2) for c in columns)
+            flags[a : a + rows, b : b + rows] |= (np.abs(gram) >= 0.5).any(axis=0)
     return np.argwhere(np.triu(flags, 1))
 
 

@@ -331,6 +331,10 @@ def test_build_matrix_walks_a_spec_once(monkeypatch, tmp_path):
     checks.clear()
     assert build_matrix(parse_matrix_spec(f"tensor:(file:{tmp_path / 'f2.json'},tensor:(fourier:2,fourier:2))")).n == 8
     assert checks == ["Fourier matrix of order 2", "Fourier matrix of order 2", "tensor product of order 4"]
+    # A file: leaf that is not leftmost cuts the first walk; the factor checked before it is not checked again.
+    checks.clear()
+    assert build_matrix(parse_matrix_spec(f"tensor:(tensor:(fourier:2,file:{tmp_path / 'f2.json'}),fourier:3)")).n == 12
+    assert checks == ["Fourier matrix of order 2", "Fourier matrix of order 3"]
 
 
 def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):

@@ -863,6 +863,23 @@ def test_failing_pairs_work_in_blocks_of_bounded_size():
     assert peak < 2 * matrices.CHECK_BLOCK_BYTES
 
 
+def test_failing_pairs_take_each_conjugate_in_bounded_blocks():
+    # F256 with one entry moved: one conjugate's 256 x 256 values, their conjugates and Gram take 3 MiB whole.
+    nums = fourier_matrix(make_group([256])).numerators.copy()
+    nums[5, 7] += 1
+    pairs, peak = traced_peak(lambda: failing_pairs(nums, 256))
+    assert np.array_equal(pairs, _nonorthogonal_pairs(nums, 256)) and len(pairs) == 255
+    assert peak < 2 * matrices.CHECK_BLOCK_BYTES
+
+
+def test_unit_candidates_are_taken_in_blocks(monkeypatch):
+    # haagerup:1/9973 has q = 39892: its 19947 unit candidates, listed at once with their gcds, would take 320 kB.
+    monkeypatch.setattr(matrices, "CHECK_BLOCK_BYTES", 2**14)
+    h = haagerup_matrix(F(1, 9973))
+    pairs, peak = traced_peak(lambda: failing_pairs(h.numerators, h.phase_order()))
+    assert len(pairs) == 0 and peak < 2 * matrices.CHECK_BLOCK_BYTES
+
+
 @st.composite
 def exact_rows(draw):
     """Numerators over q of a random N x N matrix, N <= 8, or half the time of F_n scaled to q (n | q) with one
