@@ -9,7 +9,9 @@ spectral-gap certificate.
 Every pair system in the package, floating or exact, single or stacked, is
 built by one assembly, `pair_rows`, from per-pair coefficient blocks over the
 unknowns X of A = B X B^T for a column basis B; B = I gives the entries A_ab.
-A defect call assembles each of its floating systems by `tangent_system`.
+A defect call assembles each of its floating systems by `tangent_system`, but
+for one: a matrix whose recorded row group G passes its check has its defect
+ranked on `character_blocks`, the same system split by the characters of G.
 Ranks are taken over the orthogonal `helmert_matrix` W: its unknowns X_0b and
 X_a0 span the 2N - 1 rephasings a 1^T + 1 b^T, which solve the system exactly
 for every Hadamard H, and are dropped. The SVD ranks the other (N-1)^2, which
@@ -18,7 +20,8 @@ value are those of the full system, and d = N^2 - rank.
 The ranked columns are moved to the front of the buffer the system was
 assembled in, so no second system-sized array is made before the SVD.
 `check_system_size` refuses any system above the `check_bytes` cap before it or
-its blocks are allocated; a defect call or a scan checks it from N alone,
+its blocks are allocated, and `check_block_size` any stack of character blocks;
+a defect call or a scan checks the one it will rank from N and |G| alone,
 before any verification. A deformation scan is streamed: it yields its cells
 chunk by chunk, with one stack of cells, one assembly and one stacked SVD per
 chunk, so its memory does not grow with the number of cells. Floating cells are
@@ -56,6 +59,9 @@ P_CHECK_RESIDUAL_TOL = 1e-8  # largest residual that `fourier_P_check` allows on
 SCAN_CHUNK_BYTES = 2**19
 SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
 RANK_BLOCK_BYTES = 2**16  # source bytes that `_rank_in_place` moves at once, and the most it buffers
+# `character_blocks` take about 4 / |G|^2 of the full SVD's flops, a complex flop counted as four, so they save nothing
+# below |G| = 3; below order 12 their fixed cost outweighs the saving (F10 breaks even, 2 vCPUs, OpenBLAS at 1 thread).
+BLOCK_MIN_GROUP, BLOCK_MIN_ORDER = 3, 12
 
 
 @dataclass(frozen=True)
@@ -145,15 +151,68 @@ def tangent_system(h: HadamardMatrix, basis: np.ndarray | None = None) -> Tangen
     return TangentSystem(matrix=matrix)
 
 
+def _covariant(h: HadamardMatrix) -> bool:
+    """Whether H has the row symmetry that its recorded group G claims: with rows (x, a) and columns (y, b), x and y
+    outermost, row (x + g, a) is <g, y> times row (x, a) for each generator g. Exact on numerators for exact phases,
+    within VERIFY_TOL for floating ones."""
+    group, exact = h.group, h.is_exact
+    if group is None or h.n % group.order:
+        return False
+    orders, m = group.cycle_orders, h.n // group.order
+    q = math.lcm(h.phase_order(), group.exponent) if exact else 1
+    entries = (h.numerators * (q // h.phase_order()) if exact else h.to_values()).reshape(*orders, m, *orders, m)
+    for t, order in enumerate(orders):
+        y = np.arange(order).reshape([order if axis == len(orders) + 1 + t else 1 for axis in range(entries.ndim)])
+        moved = np.roll(entries, -1, axis=t)  # row (x + g_t, a) at row (x, a)
+        step = y * (q // order) if exact else _roots(y, order)  # <g_t, y>, as a numerator over q or a value
+        if np.any((moved - entries - step) % q if exact else np.abs(moved - step * entries) > VERIFY_TOL):
+            return False
+    return True
+
+
+def check_block_size(n: int, group: FiniteAbelianGroup) -> None:
+    """Raise CapExceededError when the `character_blocks` of an order-n matrix over G need more than the cap."""
+    side = n * n // group.order
+    check_bytes(f"character blocks of {group.order} x {side} x {side} complex entries", group.order * side * side * 16)
+
+
+def character_blocks(h: HadamardMatrix) -> np.ndarray:
+    """The pair system of a covariant H = F_G (x)_L K, with N = |G| and K of order M, split by the characters of G.
+
+    H_{(x,a),(y,b)} = <x, y> V_a[y, b], V the rows with x = 0, so the coefficients of pair ((x, a), (x + z, a')) are
+    c_{z,a,a'} = conj<z, y> V_a conj V_a' for every x. Under the unitary A[(x, a)] = sum_k <k, x> Y_k[a] / sqrt(N), the
+    pair equations hold iff each block k does: row (z, a, a') has c / sqrt(2) on the unknowns Y_k[a] and
+    -<k, z> c / sqrt(2) on Y_k[a']; the rows (0, a, a) are zero, kept so that blocks are square. The rows of (i, j)
+    and (j, i) are conjugates up to sign, so the complex system's Gram matrix is twice the real one's: the merged block
+    spectra are the real system's nonzero spectrum, and zeros. Returns the (N, N M^2, N M^2) stack, held to
+    `check_block_size` before it is allocated.
+    """
+    group = h.group
+    n, m = group.order, h.n // group.order
+    check_block_size(h.n, group)
+    chars = fourier_matrix(group).to_values()  # <k, z>
+    v = h.to_values()[:m].reshape(m, n, m)
+    coeffs = (np.conj(chars)[:, None, None, :, None] * (v[:, None] * np.conj(v)) / math.sqrt(2)).reshape(n, m, m, -1)
+    blocks = np.zeros((n, n, m, m, m, n * m), dtype=complex)  # k, row (z, a, a'), column (a'', (y, b))
+    for a in range(m):
+        blocks[:, :, a, :, a] = coeffs[:, a]
+    diagonal = np.arange(m)
+    for k, block in enumerate(blocks):  # one block's temporary at a time
+        block[:, :, diagonal, diagonal] -= chars[k, :, None, None, None] * coeffs
+    return blocks.reshape(n, n * m * m, n * m * m)
+
+
 class RankResult(NamedTuple):
     rank: int
     gap_ratio: float
     singular_values: tuple[float, ...]
 
 
-def numeric_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> RankResult:
-    """Rank as the number of singular values above rel_tol times the largest."""
-    return _rank_from_spectrum(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False), rel_tol)
+def numeric_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL, count: int | None = None) -> RankResult:
+    """Rank as the number of singular values above rel_tol times the largest; a stack of real or complex blocks is
+    ranked on its merged spectra, from one batched SVD, and with `count` on the count largest merged values only."""
+    sigma = np.linalg.svd(np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float), compute_uv=False)
+    return _rank_from_spectrum(np.sort(sigma, axis=None)[::-1][:count], rel_tol)
 
 
 def _rank_from_spectrum(sigma: np.ndarray, rel_tol: float) -> RankResult:
@@ -213,20 +272,30 @@ def _defect_pass(
 ) -> tuple[DefectReport, list[np.ndarray] | None]:
     """Verify once, rank one assembly and certify it; optionally also check the dephased defect, and give a basis.
 
-    The system is assembled over W = `helmert_matrix(N)` and ranked on the
-    columns that `_rank_in_place` keeps. With `basis` the one SVD also gives
-    the right singular vectors past the rank; these and the unit vectors of
-    the 2N - 1 rephasings map to W X W^T, an orthonormal basis of the tangent
-    space, each checked to solve the full system over the entries A_ab within
-    10 rel_tol sigma_max.
+    Without `basis`, a matrix of order at least BLOCK_MIN_ORDER whose recorded
+    row group has at least BLOCK_MIN_GROUP elements and passes `_covariant` is
+    ranked on its `character_blocks`, on the (N-1)^2 largest merged values, as
+    many as the Helmert-ranked system has. Any other is assembled over W =
+    `helmert_matrix(N)` and ranked on the columns that `_rank_in_place` keeps.
+    With `basis` the one SVD also gives the right singular vectors past the
+    rank; these and the unit vectors of the 2N - 1 rephasings map to W X W^T,
+    an orthonormal basis of the tangent space, each checked to solve the full
+    system over the entries A_ab within 10 rel_tol sigma_max.
     The dephased check takes one more assembly and certified SVD, over the
     entries A_ab cut by `_rank_in_place`, checked against d' = d - (2N - 1).
+    The size of the stack or system that the record selects is checked from N
+    and |G| before the matrix is verified; a record that then fails its check
+    meets the full system's size check when that system is assembled.
     """
-    check_system_size(h.n * (h.n - 1), h.n**2)  # from N alone, before the matrix is verified
+    blocked = h.group is not None and h.group.order >= BLOCK_MIN_GROUP and h.n >= BLOCK_MIN_ORDER and not basis
+    if blocked and not dephased:
+        check_block_size(h.n, h.group)
+    else:
+        check_system_size(h.n * (h.n - 1), h.n**2)
     _require_hadamard(h)
     label = h.provenance or "matrix"
     n, w = h.n, helmert_matrix(h.n)
-    matrix = _rank_in_place(tangent_system(h, w).matrix)
+    matrix = character_blocks(h) if blocked and _covariant(h) else _rank_in_place(tangent_system(h, w).matrix)
     elements = None
     if basis:
         _, sigma, vh = np.linalg.svd(matrix)
@@ -240,7 +309,7 @@ def _defect_pass(
             if residual > bound:
                 raise ResidualError(f"basis residual {residual:.3e} above bound {bound:.3e}")
     else:
-        result = _certify(numeric_rank(matrix, rel_tol), gap_threshold, f"defect of {label}")
+        result = _certify(numeric_rank(matrix, rel_tol, (n - 1) ** 2), gap_threshold, f"defect of {label}")
     del matrix
     d = n * n - result.rank
     report = DefectReport(

@@ -20,6 +20,7 @@ from hdefect.groups import (
 )
 from hdefect.matrices import (
     DeformationParameters,
+    apply_equivalence,
     as_exact,
     circulant_from_eigenvalues,
     deformed_tensor,
@@ -44,6 +45,11 @@ def _f22(turn) -> object:
     return deformed_tensor(f2, params, f2)
 
 
+def _moved(h):
+    """H with its rows turned by one place: equivalent, but with no row group, so ranked on the full system."""
+    return apply_equivalence(h, [*range(1, h.n), 0], range(h.n), [0] * h.n, [0] * h.n)
+
+
 def _corpus():
     matrices = []
     for order in range(1, 17):
@@ -66,6 +72,8 @@ def test_acceptance_1_cyclic_defect_concordance():
         assert report.undephased_defect == fourier_defect_cyclic(n)
         assert report.certified
         assert report.gap_ratio >= 1e6
+    # From order 12 the character blocks rank F_n; a moved copy has no row group, so the full system ranks it.
+    assert undephased_defect(_moved(fourier_matrix(make_group([20])))).undephased_defect == fourier_defect_cyclic(20)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE 1 (cyclic Fourier defects, {elapsed:.2f}s): PASS")
@@ -79,6 +87,8 @@ def test_acceptance_2_abelian_defect_concordance():
         closed = fourier_defect(group)
         brute = sum(group.order // element_order(group, g) for g in group.elements())
         assert numeric == closed == brute == p_space_dimension(group)
+    z2z12 = make_group([2, 12])
+    assert undephased_defect(_moved(fourier_matrix(z2z12))).undephased_defect == fourier_defect(z2z12)
     print("ACCEPTANCE 2 (abelian group defects): PASS")
 
 

@@ -577,9 +577,21 @@ def test_verify_tolerances_from_zero_to_inf_are_accepted(capsys):
 
 
 def test_float_tangent_system_size_guard(capsys):
-    # 128 * 127 ordered pairs by 128^2 columns of float64 would need about 2.1 GB.
-    assert run(["defect", "fourier:128"]) == 1
-    assert "above the cap" in capsys.readouterr().err
+    # 128 * 127 ordered pairs by 128^2 columns of float64 would need about 2.1 GB: the dephased check ranks them.
+    start = time.perf_counter()
+    assert run(["defect", "fourier:128", "--dephased"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "pair system of 16256 x 16384 entries needs 2130706432 bytes, above the cap" in capsys.readouterr().err
+
+
+def test_character_block_size_guard(capsys):
+    # F128's character blocks take 128 x 128 x 128 complex entries, 32 MiB, so its defect is ranked; F512's take 2 GiB.
+    assert run(["defect", "fourier:128"]) == 0
+    assert json.loads(capsys.readouterr().out)["defect"] == 576
+    start = time.perf_counter()
+    assert run(["defect", "fourier:512"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "character blocks of 512 x 512 x 512 complex entries needs 2147483648 bytes" in capsys.readouterr().err
 
 
 def test_verify_refuses_too_many_conjugates_at_once(capsys):

@@ -241,17 +241,29 @@ def test_exact_verify_memory_is_per_row():
 
 def test_float_tangent_system_refused_before_products():
     h = build_matrix(parse_matrix_spec("fourier:128"))
-    h.to_values()
+    moved = apply_equivalence(h, [*range(1, 128), 0], range(128), [0] * 128, [0] * 128)  # no row group: full system
+    h.to_values(), moved.to_values()
 
     def refused():
         with pytest.raises(CapExceededError):
             tangent_system(h)
         with pytest.raises(CapExceededError):  # also before the rank path's Helmert matrix
-            undephased_defect(h)
+            undephased_defect(moved)
 
     power_reduction_table(128)
     # The products H_ik conj(H_jk) alone would take 16256 x 128 x 16 bytes, about 33 MB.
     assert 128 * 127 * 128**2 * 8 > MAX_SYSTEM_BYTES
+    assert traced_peak(refused)[1] < 2**20
+
+
+def test_character_blocks_refused_before_products():
+    h = build_matrix(parse_matrix_spec("fourier:512"))
+    h.to_values()
+
+    def refused():
+        with pytest.raises(CapExceededError, match="^character blocks of 512 x 512 x 512 complex entries"):
+            undephased_defect(h)
+
     assert traced_peak(refused)[1] < 2**20
 
 
@@ -347,6 +359,16 @@ def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):
             undephased_defect(h)
     assert run(["defect", "fourier:4", "--dephased"]) == 1
     assert "pair system of 12 x 16 entries" in capsys.readouterr().err
+
+
+def test_defect_refuses_its_character_blocks_before_verifying(monkeypatch, capsys):
+    # F12's 12 blocks of 12 x 12 complex entries take 27648 bytes, less than its 132 x 144 system; from N and M alone.
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 12 * 12 * 12 * 16 - 1)
+    monkeypatch.setattr(tangent, "verify_hadamard", lambda *args, **kwargs: pytest.fail("verified before the check"))
+    with pytest.raises(CapExceededError, match="^character blocks of 12 x 12 x 12 complex entries needs 27648 bytes"):
+        undephased_defect(fourier_matrix(make_group([12])))
+    assert run(["defect", "fourier:12"]) == 1
+    assert "character blocks of 12 x 12 x 12 complex entries" in capsys.readouterr().err
 
 
 def test_scan_refuses_one_cells_pair_system_before_any_cell(monkeypatch, capsys):

@@ -45,6 +45,7 @@ from hdefect.matrices import (
 from hdefect.tangent import (
     ScanCell,
     ScanGrid,
+    character_blocks,
     deformation_scan,
     dephased_defect,
     fourier_P_check,
@@ -961,6 +962,138 @@ def test_defect_svds_run_on_the_ranked_columns(monkeypatch, capsys):
     # The second is the full system's columns A_ab with a, b >= 1: the coordinate basis I[:, 1:].
     full = tangent_system(fourier_matrix(make_group([6]))).matrix
     assert np.array_equal(systems[1], full.reshape(30, 6, 6)[:, 1:, 1:].reshape(30, 25))
+    capsys.readouterr()
+
+
+def _assert_blocks_agree(h):
+    """Character blocks and the full Helmert-ranked system: one rank, one certification, and one spectrum to
+    1e-12 sigma_max, on the (N-1)^2 largest merged block values."""
+    assert tangent._covariant(h)
+    blocks = numeric_rank(character_blocks(h), count=(h.n - 1) ** 2)
+    full = numeric_rank(tangent._rank_in_place(tangent_system(h, helmert_matrix(h.n)).matrix))
+    assert blocks.rank == full.rank
+    threshold = tangent.DEFAULT_GAP_THRESHOLD
+    assert (blocks.gap_ratio >= threshold) == (full.gap_ratio >= threshold)
+    assert len(blocks.singular_values) == len(full.singular_values) == (h.n - 1) ** 2
+    top = max(full.singular_values, default=0.0)
+    np.testing.assert_allclose(blocks.singular_values, full.singular_values, rtol=0, atol=1e-12 * top)
+    return blocks
+
+
+def test_character_blocks_agree_with_the_full_system_on_every_fourier_matrix_to_order_32():
+    groups = [g for order in range(1, 33) for g in abelian_group_types(order)]
+    assert len(groups) == 55
+    for group in groups:
+        h = fourier_matrix(group)
+        assert h.n * h.n - _assert_blocks_agree(h).rank == fourier_defect(group)
+
+
+BLOCK_TENSORS = [
+    # The bench defect corpus.
+    "tensor:(fourier:2,tao)",
+    "tensor:(fourier:4,haagerup:1/12)",
+    "deformed:(fourier:4,[[0,0,0,0],[0,1/8,0,3/16],[0,0,1/4,0],[0,1/16,0,0]],fourier:4)",
+    "deformed:(fourier:4,[[0,0,0,0],[0,1/2,0,0],[0,0,0,0],[0,0,0,1/4]],fourier:4)",
+    "deformed:(fourier:4,[[0,0,0,0],[0,1/3,1/6,0],[0,0,0,0],[0,0,1/12,0]],fourier:4)",
+    # The acceptance corpus: the F2 (x) F2 family, the tensor square and the recombinations.
+    *(f"deformed:(fourier:2,[[0,0],[0,{k}/16]],fourier:2)" for k in range(16)),
+    "tensor:(fourier:2,fourier:2)",
+    "deformed:(fourier:2,[[0,0],[0,1/4]],fourier:2)",
+    "deformed:(fourier:2,[[0,0],[0,1/6],[0,1/3]],fourier:3)",
+    "deformed:(fourier:3,[[0,0,0],[0,1/9,2/9],[0,2/9,4/9]],fourier:3)",
+    # |G| = 1 and N = 1.
+    "tensor:(fourier:1,tao)",
+    "fourier:1",
+]
+
+
+@pytest.mark.parametrize("spec", BLOCK_TENSORS)
+def test_character_blocks_agree_with_the_full_system_on_corpus_tensors(spec):
+    _assert_blocks_agree(_spec(spec))
+
+
+@st.composite
+def fourier_left_tensors(draw):
+    """F_G (x)_L K with |G| <= 8 and K among F2, F3 and tao, at most order 24; L on a 1/16 grid or random unimodular."""
+    k = _spec(draw(st.sampled_from(["fourier:2", "fourier:3", "tao"])))
+    group = draw(st.sampled_from([g for order in range(1, 9) for g in abelian_group_types(order) if order * k.n <= 24]))
+    shape = (k.n, group.order)
+    if draw(st.booleans()):
+        params = DeformationParameters.from_turns(
+            [[F(draw(st.integers(0, 15)), 16) for _ in range(shape[1])] for _ in range(shape[0])]
+        )
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        params = DeformationParameters.from_values(np.exp(2j * np.pi * rng.random(shape)))
+    return deformed_tensor(fourier_matrix(group), params, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fourier_left_tensors())
+def test_character_blocks_agree_with_the_full_system_on_drawn_tensors(h):
+    _assert_blocks_agree(h)
+
+
+def _without_group(h):
+    """The same entries with no recorded row group: a defect call assembles the full system."""
+    if h.is_exact:
+        return HadamardMatrix(phases=(h.numerators, h.phase_order()), provenance=h.provenance)
+    return HadamardMatrix.from_values(h.to_values(), provenance=h.provenance)
+
+
+def _forgeries():
+    f16 = fourier_matrix(make_group([16]))
+    swapped = HadamardMatrix(phases=(f16.numerators[[1, 0, *range(2, 16)]], 16), group=f16.group)
+    turned = f16.to_values() * np.exp(1e-6j * (np.arange(16) == 3))[:, None]  # row 3 turned by 1e-6: still Hadamard
+    return [swapped, HadamardMatrix.from_values(turned, group=f16.group)]
+
+
+@pytest.mark.parametrize("forged", _forgeries())
+def test_a_forged_row_group_fails_its_check_and_takes_the_full_system(forged, monkeypatch):
+    assert verify_hadamard(forged).passed and not tangent._covariant(forged)
+    monkeypatch.setattr(tangent, "character_blocks", lambda h: pytest.fail("blocks built on a forged group"))
+    report = undephased_defect(forged)
+    assert report == undephased_defect(_without_group(forged))
+    assert report.undephased_defect == 48
+
+
+def test_a_recorded_row_group_is_checked_exactly_or_within_the_verify_tolerance():
+    f12 = fourier_matrix(make_group([2, 6]))
+    assert tangent._covariant(f12) and tangent._covariant(HadamardMatrix.from_values(f12.to_values(), group=f12.group))
+    # A group that does not divide N, or is not the one the rows follow, fails.
+    for group in (make_group([5]), make_group([3, 4]), make_group([12])):
+        assert not tangent._covariant(HadamardMatrix(phases=(f12.numerators, 6), group=group))
+    off = f12.to_values() * np.exp(2e-9j * (np.arange(12) == 5))[:, None]
+    assert not tangent._covariant(HadamardMatrix.from_values(off, group=f12.group))
+    near = f12.to_values() * np.exp(5e-10j * (np.arange(12) == 5))[:, None]
+    assert tangent._covariant(HadamardMatrix.from_values(near, group=f12.group))
+
+
+def test_a_file_round_trip_gives_the_blocks_defect(tmp_path, capsys):
+    path = tmp_path / "f16.json"
+    save_matrix(fourier_matrix(make_group([16])), str(path))
+    assert run(["defect", "fourier:16"]) == 0
+    blocked = json.loads(capsys.readouterr().out)
+    assert run(["defect", f"file:{path}"]) == 0
+    loaded = json.loads(capsys.readouterr().out)
+    assert (loaded["defect"], loaded["rank"]) == (blocked["defect"], blocked["rank"]) == (48, 208)
+
+
+def test_defect_svds_run_on_the_character_blocks(monkeypatch, capsys):
+    systems, svd = [], np.linalg.svd
+
+    def recording_svd(a, **kwargs):
+        systems.append(np.array(a))
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert run(["defect", "fourier:16"]) == 0
+    assert [a.shape for a in systems] == [(16, 16, 16)]
+    assert np.array_equal(systems[0], character_blocks(fourier_matrix(make_group([16]))))
+    systems.clear()
+    # The dephased check still ranks the full system's columns A_ab with a, b >= 1.
+    assert run(["defect", "fourier:16", "--dephased"]) == 0
+    assert [a.shape for a in systems] == [(16, 16, 16), (240, 225)]
     capsys.readouterr()
 
 
