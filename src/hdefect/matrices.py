@@ -161,20 +161,14 @@ class DeformationParameters(UnimodularMatrix):
 
 
 class HadamardMatrix(UnimodularMatrix):
-    """Square candidate matrix with a provenance label; validity is a separate check.
+    """Square candidate matrix with a provenance label; validity is a separate check."""
 
-    `group`, when set, is a row group G with N = |G| M: with rows (x, a) and columns (y, b), x and y outermost, row
-    (x + g, a) is <g, y> times row (x, a), as in F_G (x)_L K. Only the constructors that know it set it; `tangent`
-    checks it before it uses it.
-    """
-
-    def __init__(self, *, phases=None, values=None, provenance: str = "", group: FiniteAbelianGroup | None = None):
+    def __init__(self, *, phases=None, values=None, provenance: str = ""):
         super().__init__(phases=phases, values=values)
         if self.rows != self.cols:
             raise ValueError(f"matrix must be square, got {self.rows} x {self.cols}")
         self.n = self.rows
         self.provenance = provenance
-        self.group = group
 
 
 @dataclass(frozen=True)
@@ -194,24 +188,24 @@ def fourier_matrix(group: FiniteAbelianGroup) -> HadamardMatrix:
     elems = np.array(group.element_list(), dtype=np.int64).reshape(group.order, len(orders))
     weights = np.array([q // n for n in orders], dtype=np.int64)
     label = "x".join(str(n) for n in orders) if orders else "1"
-    return HadamardMatrix(phases=((elems * weights) @ elems.T, q), provenance=f"fourier:{label}", group=group)
+    return HadamardMatrix(phases=((elems * weights) @ elems.T, q), provenance=f"fourier:{label}")
 
 
 def tensor_product(h: HadamardMatrix, k: HadamardMatrix) -> HadamardMatrix:
-    """(H (x) K)_{ia,jb} = H_ij K_ab, left factor outermost, so H's row group is kept."""
+    """(H (x) K)_{ia,jb} = H_ij K_ab, left factor outermost."""
     prov, size = f"tensor:({h.provenance},{k.provenance})", h.n * k.n
     check_bytes(f"tensor product of order {size}", size**2 * 8)
     if h.is_exact and k.is_exact:
         (hn, kn), q = _common_order(h, k)
         nums = hn[:, None, :, None] + kn[None, :, None, :]
-        return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov, group=h.group)
-    return HadamardMatrix.from_values(np.kron(h.to_values(), k.to_values()), provenance=prov, group=h.group)
+        return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov)
+    return HadamardMatrix.from_values(np.kron(h.to_values(), k.to_values()), provenance=prov)
 
 
 def deformed_tensor(
     h: HadamardMatrix, params: DeformationParameters, k: HadamardMatrix
 ) -> HadamardMatrix:
-    """Entry (ia, jb) = H_ij L_aj K_ab; flat parameters recover the plain tensor. H's row group is kept."""
+    """Entry (ia, jb) = H_ij L_aj K_ab; flat parameters recover the plain tensor."""
     if params.rows != k.n or params.cols != h.n:
         raise ValueError(
             f"parameter shape {params.rows} x {params.cols} does not match K order {k.n}, H order {h.n}"
@@ -221,10 +215,10 @@ def deformed_tensor(
     if h.is_exact and k.is_exact and params.is_exact:
         (hn, ln, kn), q = _common_order(h, params, k)
         nums = hn[:, None, :, None] + ln[None, :, :, None] + kn[None, :, None, :]
-        return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov, group=h.group)
+        return HadamardMatrix(phases=(nums.reshape(size, size), q), provenance=prov)
     hv, lv, kv = h.to_values(), params.to_values(), k.to_values()
     out = np.einsum("ij,aj,ab->iajb", hv, lv, kv).reshape(size, size)
-    return HadamardMatrix.from_values(out, provenance=prov, group=h.group)
+    return HadamardMatrix.from_values(out, provenance=prov)
 
 
 def recombination_parameters(n: int, m: int) -> DeformationParameters:

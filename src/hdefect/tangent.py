@@ -10,8 +10,8 @@ Every pair system in the package, floating or exact, single or stacked, is
 built by one assembly, `pair_rows`, from per-pair coefficient blocks over the
 unknowns X of A = B X B^T for a column basis B; B = I gives the entries A_ab.
 A defect call assembles each of its floating systems by `tangent_system`, but
-for one: a matrix whose recorded row group G passes its check has its defect
-ranked on `character_blocks`, the same system split by the characters of G.
+for one: a matrix with a row translation group T, found on its entries, has its
+defect ranked on `character_blocks`, the same system split by the characters of T.
 Ranks are taken over the orthogonal `helmert_matrix` W: its unknowns X_0b and
 X_a0 span the 2N - 1 rephasings a 1^T + 1 b^T, which solve the system exactly
 for every Hadamard H, and are dropped. The SVD ranks the other (N-1)^2, which
@@ -21,7 +21,7 @@ The ranked columns are moved to the front of the buffer the system was
 assembled in, so no second system-sized array is made before the SVD.
 `check_system_size` refuses any system above the `check_bytes` cap before it or
 its blocks are allocated, and `check_block_size` any stack of character blocks;
-a defect call or a scan checks the one it will rank from N and |G| alone,
+a defect call or a scan checks the one it will rank from N and |T| alone,
 before any verification. A deformation scan is streamed: it yields its cells
 chunk by chunk, with one stack of cells, one assembly and one stacked SVD per
 chunk, so its memory does not grow with the number of cells. Floating cells are
@@ -151,54 +151,73 @@ def tangent_system(h: HadamardMatrix, basis: np.ndarray | None = None) -> Tangen
     return TangentSystem(matrix=matrix)
 
 
-def _covariant(h: HadamardMatrix) -> bool:
-    """Whether H has the row symmetry that its recorded group G claims: with rows (x, a) and columns (y, b), x and y
-    outermost, row (x + g, a) is <g, y> times row (x, a) for each generator g. Exact on numerators for exact phases,
-    within VERIFY_TOL for floating ones."""
-    group, exact = h.group, h.is_exact
-    if group is None or h.n % group.order:
-        return False
-    orders, m = group.cycle_orders, h.n // group.order
-    q = math.lcm(h.phase_order(), group.exponent) if exact else 1
-    entries = (h.numerators * (q // h.phase_order()) if exact else h.to_values()).reshape(*orders, m, *orders, m)
-    for t, order in enumerate(orders):
-        y = np.arange(order).reshape([order if axis == len(orders) + 1 + t else 1 for axis in range(entries.ndim)])
-        moved = np.roll(entries, -1, axis=t)  # row (x + g_t, a) at row (x, a)
-        step = y * (q // order) if exact else _roots(y, order)  # <g_t, y>, as a numerator over q or a value
-        if np.any((moved - entries - step) % q if exact else np.abs(moved - step * entries) > VERIFY_TOL):
-            return False
-    return True
+@np.errstate(all="ignore")  # non-finite entries find no group; verification reports them
+def _row_translations(h: HadamardMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The row translation group T of H, found on its entries, as (V, X) for `character_blocks`; None if T is trivial.
+
+    H is `dephase`d to D, 1 on row and column 0, which moves no singular value of its pair system. A translation is a row
+    t of D that maps each row of D, times t entry by entry, onto a row of D: exactly on numerators for exact phases,
+    within VERIFY_TOL for floating ones. T must act freely, the rows of D being x V_a for x in T and one V_a per orbit,
+    and its characters y must each take N / |T| columns c, x_c = X[x, y]; V's columns go in that order. Row keys
+    propose every candidate's image of every row by one matrix product, row 1 prunes, and the entries decide.
+    """
+    n, dephased = h.n, dephase(h)
+    e, d = dephased.numerators, dephased.to_values()
+    if h.is_exact:
+        q, times, same = dephased.phase_order(), np.add, lambda a, b: (a - b) % q == 0
+    else:
+        e, times, same = d, np.multiply, lambda a, b: np.abs(a - b) <= VERIFY_TOL
+    # Row s has the key Re sum_c D_sc e^(ic): e^i is transcendental, so distinct rows of roots of unity never share one.
+    w = np.exp(1j * np.arange(n))
+    keys, images = (d @ w).real, ((d * w) @ d.T).real  # the key of row s, and of row s times row r at [s, r]
+    order, rows = np.argsort(keys), np.arange(n)
+    hi = np.clip(np.searchsorted(keys[order], images), 1, n - 1)  # the nearer of the sorted keys hi - 1 and hi
+    sigma = order[hi - (np.abs(keys[order][hi - 1] - images) < np.abs(keys[order][hi] - images))]
+    maps = lambda r, s: np.all(same(times(e[s], e[r]), e[sigma[s, r]]), axis=-1)  # row r maps rows s as proposed
+    pruned = np.flatnonzero(np.all(np.sort(sigma, axis=0) == rows[:, None], axis=0) & maps(rows, min(1, n - 1)))
+    perms = rows[None]  # each translation's row permutation, by its checked generators; row 0 goes to its own row
+    for r in pruned:
+        if r not in perms[:, 0] and maps(r, rows).all():  # T becomes T, T r, T r^2, ... until r^k is in T
+            cosets, coset = perms, sigma[perms, r]
+            while coset[0, 0] not in perms[:, 0]:
+                cosets, coset = np.concatenate([cosets, coset]), sigma[coset, r]
+            perms = cosets
+    t, reps = np.sort(perms[:, 0]), np.flatnonzero(perms.min(axis=0) == rows)  # T's rows; the least row of each orbit
+    first = np.argmax((np.conj(d[t]).T @ d[t]).real > len(t) / 2, axis=0)  # each column's first of its character
+    classes, counts = np.unique(first, return_counts=True)
+    if len(t) < 2 or len(reps) * len(t) != n or np.any(counts != len(reps)) or not same(e[t][:, first], e[t]).all():
+        return None
+    return d[reps][:, np.argsort(first, kind="stable")], d[t][:, classes]
 
 
-def check_block_size(n: int, group: FiniteAbelianGroup) -> None:
-    """Raise CapExceededError when the `character_blocks` of an order-n matrix over G need more than the cap."""
-    side = n * n // group.order
-    check_bytes(f"character blocks of {group.order} x {side} x {side} complex entries", group.order * side * side * 16)
+def check_block_size(n: int, order: int) -> None:
+    """Raise CapExceededError when the `character_blocks` of order n over a group of that order exceed the cap."""
+    side = n * n // order
+    check_bytes(f"character blocks of {order} x {side} x {side} complex entries", order * side * side * 16)
 
 
-def character_blocks(h: HadamardMatrix) -> np.ndarray:
-    """The pair system of a covariant H = F_G (x)_L K, with N = |G| and K of order M, split by the characters of G.
+def character_blocks(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The pair system of H with rows x V_a, x in a row translation group T and V_a the rows of V (M = N / |T|), split
+    by the characters of T: X[z, y] is character y at z, and V's columns (y, b) take character y.
 
-    H_{(x,a),(y,b)} = <x, y> V_a[y, b], V the rows with x = 0, so the coefficients of pair ((x, a), (x + z, a')) are
-    c_{z,a,a'} = conj<z, y> V_a conj V_a' for every x. Under the unitary A[(x, a)] = sum_k <k, x> Y_k[a] / sqrt(N), the
-    pair equations hold iff each block k does: row (z, a, a') has c / sqrt(2) on the unknowns Y_k[a] and
-    -<k, z> c / sqrt(2) on Y_k[a']; the rows (0, a, a) are zero, kept so that blocks are square. The rows of (i, j)
+    H_{(x,a),(y,b)} = X[x, y] V_a[y, b], so the coefficients of pair ((x, a), (xz, a')) are
+    c_{z,a,a'} = conj X[z, y] V_a conj V_a' for every x. Under the unitary A[(x, a)] = sum_k X[x, k] Y_k[a] / sqrt|T|,
+    the pair equations hold iff each block k does: row (z, a, a') has c / sqrt(2) on the unknowns Y_k[a] and
+    -X[z, k] c / sqrt(2) on Y_k[a']; the rows (1, a, a) are zero, kept so that blocks are square. The rows of (i, j)
     and (j, i) are conjugates up to sign, so the complex system's Gram matrix is twice the real one's: the merged block
-    spectra are the real system's nonzero spectrum, and zeros. Returns the (N, N M^2, N M^2) stack, held to
+    spectra are the real system's nonzero spectrum, and zeros. Returns the (|T|, N M, N M) stack, held to
     `check_block_size` before it is allocated.
     """
-    group = h.group
-    n, m = group.order, h.n // group.order
-    check_block_size(h.n, group)
-    chars = fourier_matrix(group).to_values()  # <k, z>
-    v = h.to_values()[:m].reshape(m, n, m)
-    coeffs = (np.conj(chars)[:, None, None, :, None] * (v[:, None] * np.conj(v)) / math.sqrt(2)).reshape(n, m, m, -1)
+    n, m = len(x), len(v)
+    check_block_size(n * m, n)
+    v = v.reshape(m, n, m)
+    coeffs = (np.conj(x)[:, None, None, :, None] * (v[:, None] * np.conj(v)) / math.sqrt(2)).reshape(n, m, m, -1)
     blocks = np.zeros((n, n, m, m, m, n * m), dtype=complex)  # k, row (z, a, a'), column (a'', (y, b))
     for a in range(m):
         blocks[:, :, a, :, a] = coeffs[:, a]
     diagonal = np.arange(m)
     for k, block in enumerate(blocks):  # one block's temporary at a time
-        block[:, :, diagonal, diagonal] -= chars[k, :, None, None, None] * coeffs
+        block[:, :, diagonal, diagonal] -= x[:, k, None, None, None] * coeffs
     return blocks.reshape(n, n * m * m, n * m * m)
 
 
@@ -272,30 +291,35 @@ def _defect_pass(
 ) -> tuple[DefectReport, list[np.ndarray] | None]:
     """Verify once, rank one assembly and certify it; optionally also check the dephased defect, and give a basis.
 
-    Without `basis`, a matrix of order at least BLOCK_MIN_ORDER whose recorded
-    row group has at least BLOCK_MIN_GROUP elements and passes `_covariant` is
-    ranked on its `character_blocks`, on the (N-1)^2 largest merged values, as
-    many as the Helmert-ranked system has. Any other is assembled over W =
-    `helmert_matrix(N)` and ranked on the columns that `_rank_in_place` keeps.
+    Without `basis`, a matrix of order at least BLOCK_MIN_ORDER whose row
+    translation group, by `_row_translations`, has BLOCK_MIN_GROUP elements or
+    more is ranked on its `character_blocks`, on the (N-1)^2 largest merged
+    values, as many as the Helmert-ranked system has. Any other is assembled
+    over W = `helmert_matrix(N)` and ranked on the columns `_rank_in_place` keeps.
     With `basis` the one SVD also gives the right singular vectors past the
     rank; these and the unit vectors of the 2N - 1 rephasings map to W X W^T,
     an orthonormal basis of the tangent space, each checked to solve the full
     system over the entries A_ab within 10 rel_tol sigma_max.
     The dephased check takes one more assembly and certified SVD, over the
     entries A_ab cut by `_rank_in_place`, checked against d' = d - (2N - 1).
-    The size of the stack or system that the record selects is checked from N
-    and |G| before the matrix is verified; a record that then fails its check
-    meets the full system's size check when that system is assembled.
+    Sizes are refused before verification: from N before T is looked for (the
+    full system, or the least stack of any T, |T| = N), then the one T selects.
     """
-    blocked = h.group is not None and h.group.order >= BLOCK_MIN_GROUP and h.n >= BLOCK_MIN_ORDER and not basis
-    if blocked and not dephased:
-        check_block_size(h.n, h.group)
+    n, maybe_blocked = h.n, h.n >= BLOCK_MIN_ORDER and not basis
+    if maybe_blocked and not dephased:
+        check_block_size(n, n)
     else:
-        check_system_size(h.n * (h.n - 1), h.n**2)
+        check_system_size(n * (n - 1), n * n)
+    found = _row_translations(h) if maybe_blocked else None
+    blocked = found is not None and len(found[1]) >= BLOCK_MIN_GROUP
+    if blocked and not dephased:
+        check_block_size(n, len(found[1]))
+    elif not dephased:
+        check_system_size(n * (n - 1), n * n)
     _require_hadamard(h)
     label = h.provenance or "matrix"
-    n, w = h.n, helmert_matrix(h.n)
-    matrix = character_blocks(h) if blocked and _covariant(h) else _rank_in_place(tangent_system(h, w).matrix)
+    w = helmert_matrix(n)
+    matrix = character_blocks(*found) if blocked else _rank_in_place(tangent_system(h, w).matrix)
     elements = None
     if basis:
         _, sigma, vh = np.linalg.svd(matrix)

@@ -46,7 +46,7 @@ def _f22(turn) -> object:
 
 
 def _moved(h):
-    """H with its rows turned by one place: equivalent, but with no row group, so ranked on the full system."""
+    """H with its rows turned by one place: equivalent, and ranked on the blocks of the row group found on it."""
     return apply_equivalence(h, [*range(1, h.n), 0], range(h.n), [0] * h.n, [0] * h.n)
 
 
@@ -72,7 +72,7 @@ def test_acceptance_1_cyclic_defect_concordance():
         assert report.undephased_defect == fourier_defect_cyclic(n)
         assert report.certified
         assert report.gap_ratio >= 1e6
-    # From order 12 the character blocks rank F_n; a moved copy has no row group, so the full system ranks it.
+    # From order 12 the character blocks rank F_n, and a moved copy by the same row group, found on its entries.
     assert undephased_defect(_moved(fourier_matrix(make_group([20])))).undephased_defect == fourier_defect_cyclic(20)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

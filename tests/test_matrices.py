@@ -301,27 +301,3 @@ def test_as_exact_recovers_rational_phases():
     generic = haagerup_matrix(np.exp(2j * np.pi * 0.123))
     with pytest.raises(NonExactError):
         as_exact(generic)
-
-
-def test_row_group_is_recorded_by_the_constructors_that_know_it(tmp_path):
-    group = make_group([2, 3])
-    f, f2, tao = fourier_matrix(group), fourier_matrix(make_group([2])), tao_matrix()
-    assert f.group is group and f2.group == make_group([2])
-    floating = HadamardMatrix.from_values(tao.to_values())
-    params = DeformationParameters.from_turns([[F(a * j, 12) for j in range(6)] for a in range(6)])
-    # Rows (x, a) with x outermost stay covariant, so products keep the left factor's group, exact or floating.
-    for kept in (tensor_product(f, tao), tensor_product(f, floating), deformed_tensor(f, params, tao)):
-        assert kept.group is group
-    assert deformed_tensor(f, DeformationParameters.from_values(params.to_values()), floating).group is group
-    path = tmp_path / "f.json"
-    save_matrix(f, str(path))
-    dropped = [
-        tensor_product(tao, f),
-        tensor_product(tao, f2),
-        dephase(f),
-        apply_equivalence(f, range(6), range(6), [0] * 6, [0] * 6),
-        as_exact(HadamardMatrix.from_values(f.to_values(), group=group)),
-        HadamardMatrix.from_values(f.to_values()),
-        load_matrix(str(path)),
-    ]
-    assert all(h.group is None for h in dropped)

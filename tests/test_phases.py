@@ -33,7 +33,14 @@ from hdefect.matrices import (
     turn_to_complex,
     verify_hadamard,
 )
-from hdefect.tangent import ScanGrid, deformation_scan, tangent_system, undephased_defect
+from hdefect.tangent import (
+    ScanGrid,
+    deformation_scan,
+    dephased_defect,
+    tangent_basis,
+    tangent_system,
+    undephased_defect,
+)
 
 from conftest import traced_peak
 
@@ -241,14 +248,18 @@ def test_exact_verify_memory_is_per_row():
 
 def test_float_tangent_system_refused_before_products():
     h = build_matrix(parse_matrix_spec("fourier:128"))
-    moved = apply_equivalence(h, [*range(1, 128), 0], range(128), [0] * 128, [0] * 128)  # no row group: full system
+    moved = apply_equivalence(h, [*range(1, 128), 0], range(128), [0] * 128, [0] * 128)
     h.to_values(), moved.to_values()
 
     def refused():
         with pytest.raises(CapExceededError):
             tangent_system(h)
-        with pytest.raises(CapExceededError):  # also before the rank path's Helmert matrix
-            undephased_defect(moved)
+        # The dephased check and a basis rank the full system, whatever row group the matrix has: refused before the
+        # rank path's Helmert matrix and before the group is looked for.
+        with pytest.raises(CapExceededError, match="^pair system of 16256 x 16384"):
+            dephased_defect(moved)
+        with pytest.raises(CapExceededError, match="^pair system of 16256 x 16384"):
+            tangent_basis(moved)
 
     power_reduction_table(128)
     # The products H_ik conj(H_jk) alone would take 16256 x 128 x 16 bytes, about 33 MB.
@@ -362,13 +373,27 @@ def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):
 
 
 def test_defect_refuses_its_character_blocks_before_verifying(monkeypatch, capsys):
-    # F12's 12 blocks of 12 x 12 complex entries take 27648 bytes, less than its 132 x 144 system; from N and M alone.
+    # F12's 12 blocks of 12 x 12 complex entries take 27648 bytes, less than its 132 x 144 system. No row group gives
+    # fewer bytes than |T| = N, so that stack is refused from N alone, before the group is looked for.
     monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 12 * 12 * 12 * 16 - 1)
     monkeypatch.setattr(tangent, "verify_hadamard", lambda *args, **kwargs: pytest.fail("verified before the check"))
+    monkeypatch.setattr(tangent, "_row_translations", lambda h: pytest.fail("group looked for before the check"))
     with pytest.raises(CapExceededError, match="^character blocks of 12 x 12 x 12 complex entries needs 27648 bytes"):
         undephased_defect(fourier_matrix(make_group([12])))
     assert run(["defect", "fourier:12"]) == 1
     assert "character blocks of 12 x 12 x 12 complex entries" in capsys.readouterr().err
+
+
+def test_defect_refuses_the_stack_its_row_group_selects_before_verifying(monkeypatch):
+    monkeypatch.setattr(tangent, "verify_hadamard", lambda *args, **kwargs: pytest.fail("verified before the check"))
+    # tensor:(tao,fourier:3) has |T| = 3: its 3 blocks of 108 x 108 take 559872 bytes, its |T| = N bound 93312.
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 2**19)
+    with pytest.raises(CapExceededError, match="^character blocks of 3 x 108 x 108 complex entries needs 559872 bytes"):
+        undephased_defect(build_matrix(parse_matrix_spec("tensor:(tao,fourier:3)")))
+    # tensor:(tao,tao) has no row group, so its 1260 x 1296 system is held to the cap, not its |T| = N bound 746496.
+    monkeypatch.setattr(errors, "MAX_SYSTEM_BYTES", 2**20)
+    with pytest.raises(CapExceededError, match="^pair system of 1260 x 1296 entries needs 13063680 bytes"):
+        undephased_defect(build_matrix(parse_matrix_spec("tensor:(tao,tao)")))
 
 
 def test_scan_refuses_one_cells_pair_system_before_any_cell(monkeypatch, capsys):

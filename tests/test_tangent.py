@@ -30,11 +30,14 @@ from hdefect.matrices import (
     DeformationParameters,
     HadamardMatrix,
     apply_equivalence,
+    as_exact,
     circulant_from_eigenvalues,
     deformed_tensor,
+    dephase,
     failing_pairs,
     fourier_matrix,
     haagerup_matrix,
+    load_matrix,
     recombination_parameters,
     save_matrix,
     tao_matrix,
@@ -965,11 +968,15 @@ def test_defect_svds_run_on_the_ranked_columns(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _found_blocks(h):
+    """The character blocks of the row translation group found on H, or of the trivial group if none is."""
+    return character_blocks(*(tangent._row_translations(h) or (h.to_values(), np.ones((1, 1)))))
+
+
 def _assert_blocks_agree(h):
     """Character blocks and the full Helmert-ranked system: one rank, one certification, and one spectrum to
     1e-12 sigma_max, on the (N-1)^2 largest merged block values."""
-    assert tangent._covariant(h)
-    blocks = numeric_rank(character_blocks(h), count=(h.n - 1) ** 2)
+    blocks = numeric_rank(_found_blocks(h), count=(h.n - 1) ** 2)
     full = numeric_rank(tangent._rank_in_place(tangent_system(h, helmert_matrix(h.n)).matrix))
     assert blocks.rank == full.rank
     threshold = tangent.DEFAULT_GAP_THRESHOLD
@@ -981,16 +988,18 @@ def _assert_blocks_agree(h):
 
 
 def test_character_blocks_agree_with_the_full_system_on_every_fourier_matrix_to_order_32():
-    groups = [g for order in range(1, 33) for g in abelian_group_types(order)]
-    assert len(groups) == 55
+    groups = [g for order in range(2, 33) for g in abelian_group_types(order)]
+    assert len(groups) == 54
     for group in groups:
         h = fourier_matrix(group)
+        assert len(tangent._row_translations(h)[1]) == group.order
         assert h.n * h.n - _assert_blocks_agree(h).rank == fourier_defect(group)
 
 
 BLOCK_TENSORS = [
     # The bench defect corpus.
     "tensor:(fourier:2,tao)",
+    "tensor:(tao,fourier:3)",
     "tensor:(fourier:4,haagerup:1/12)",
     "deformed:(fourier:4,[[0,0,0,0],[0,1/8,0,3/16],[0,0,1/4,0],[0,1/16,0,0]],fourier:4)",
     "deformed:(fourier:4,[[0,0,0,0],[0,1/2,0,0],[0,0,0,0],[0,0,0,1/4]],fourier:4)",
@@ -1001,7 +1010,8 @@ BLOCK_TENSORS = [
     "deformed:(fourier:2,[[0,0],[0,1/4]],fourier:2)",
     "deformed:(fourier:2,[[0,0],[0,1/6],[0,1/3]],fourier:3)",
     "deformed:(fourier:3,[[0,0,0],[0,1/9,2/9],[0,2/9,4/9]],fourier:3)",
-    # |G| = 1 and N = 1.
+    # |T| = 1 and N = 1.
+    "tao",
     "tensor:(fourier:1,tao)",
     "fourier:1",
 ]
@@ -1034,39 +1044,118 @@ def test_character_blocks_agree_with_the_full_system_on_drawn_tensors(h):
     _assert_blocks_agree(h)
 
 
-def _without_group(h):
-    """The same entries with no recorded row group: a defect call assembles the full system."""
-    if h.is_exact:
-        return HadamardMatrix(phases=(h.numerators, h.phase_order()), provenance=h.provenance)
-    return HadamardMatrix.from_values(h.to_values(), provenance=h.provenance)
+@st.composite
+def fourier_equivalents(draw):
+    """(H, H'): H is F_G with |G| from 12 to 32, or a drawn F_G (x)_L K; H' is H with its rows and columns permuted and
+    rephased by q-th roots (q the phase order of H, or 16 for floating H), and half the time a floating copy."""
+    if draw(st.booleans()):
+        h = fourier_matrix(draw(st.sampled_from([g for order in range(12, 33) for g in abelian_group_types(order)])))
+    else:
+        h = draw(fourier_left_tensors())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = h.phase_order() if h.is_exact else 16
+    row_phases, col_phases = ([F(int(k), q) for k in rng.integers(0, q, h.n)] for _ in range(2))
+    moved = apply_equivalence(h, rng.permutation(h.n), rng.permutation(h.n), row_phases, col_phases)
+    return h, HadamardMatrix.from_values(moved.to_values()) if draw(st.booleans()) else moved
 
 
-def _forgeries():
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(fourier_equivalents())
+def test_character_blocks_of_equivalents_agree_with_the_full_system(pair):
+    h, moved = pair
+    found = tangent._row_translations(h)
+    assert found is None or len(tangent._row_translations(moved)[1]) == len(found[1])
+    if found is not None:
+        _assert_blocks_agree(moved)
+
+
+def test_row_translations_are_found_whatever_the_construction(tmp_path):
+    # Found on the entries: a product has either factor's group, and a copy, an equivalent or a file the original's.
+    group = make_group([2, 3])
+    f, tao = fourier_matrix(group), tao_matrix()
+    floating = HadamardMatrix.from_values(tao.to_values())
+    params = DeformationParameters.from_turns([[F(a * j, 12) for j in range(6)] for a in range(6)])
+    path = tmp_path / "f.json"
+    save_matrix(f, str(path))
+    found = [
+        f,
+        tensor_product(f, tao),
+        tensor_product(f, floating),
+        deformed_tensor(f, params, tao),
+        deformed_tensor(f, DeformationParameters.from_values(params.to_values()), floating),
+        tensor_product(tao, f),
+        dephase(f),
+        apply_equivalence(f, [1, 0, 2, 3, 4, 5], range(6), [F(1, 6)] * 6, [0] * 6),
+        as_exact(HadamardMatrix.from_values(f.to_values())),
+        HadamardMatrix.from_values(f.to_values()),
+        load_matrix(str(path)),
+    ]
+    assert [len(tangent._row_translations(h)[1]) for h in found] == [group.order] * len(found)
+    assert tangent._row_translations(tao) is None and tangent._row_translations(floating) is None
+
+
+def _former_forgeries():
+    """F16 with rows 0 and 1 swapped, and F16 with row 3 turned by 1e-6: both equivalent to F16."""
     f16 = fourier_matrix(make_group([16]))
-    swapped = HadamardMatrix(phases=(f16.numerators[[1, 0, *range(2, 16)]], 16), group=f16.group)
+    swapped = HadamardMatrix(phases=(f16.numerators[[1, 0, *range(2, 16)]], 16))
     turned = f16.to_values() * np.exp(1e-6j * (np.arange(16) == 3))[:, None]  # row 3 turned by 1e-6: still Hadamard
-    return [swapped, HadamardMatrix.from_values(turned, group=f16.group)]
+    return [swapped, HadamardMatrix.from_values(turned)]
 
 
-@pytest.mark.parametrize("forged", _forgeries())
-def test_a_forged_row_group_fails_its_check_and_takes_the_full_system(forged, monkeypatch):
-    assert verify_hadamard(forged).passed and not tangent._covariant(forged)
-    monkeypatch.setattr(tangent, "character_blocks", lambda h: pytest.fail("blocks built on a forged group"))
-    report = undephased_defect(forged)
-    assert report == undephased_defect(_without_group(forged))
-    assert report.undephased_defect == 48
+@pytest.mark.parametrize("moved", _former_forgeries())
+def test_swapped_or_rephased_rows_keep_the_row_group_and_take_the_blocks(moved, monkeypatch):
+    assert verify_hadamard(moved).passed and len(tangent._row_translations(moved)[1]) == 16
+    built = []
+    monkeypatch.setattr(tangent, "character_blocks", lambda *found: built.append(character_blocks(*found)) or built[-1])
+    report = undephased_defect(moved)
+    assert [b.shape for b in built] == [(16, 16, 16)] and report.undephased_defect == 48
+    assert report.rank == numeric_rank(tangent._rank_in_place(tangent_system(moved, helmert_matrix(16)).matrix)).rank
 
 
-def test_a_recorded_row_group_is_checked_exactly_or_within_the_verify_tolerance():
+def test_row_translations_are_checked_exactly_or_within_the_verify_tolerance():
     f12 = fourier_matrix(make_group([2, 6]))
-    assert tangent._covariant(f12) and tangent._covariant(HadamardMatrix.from_values(f12.to_values(), group=f12.group))
-    # A group that does not divide N, or is not the one the rows follow, fails.
-    for group in (make_group([5]), make_group([3, 4]), make_group([12])):
-        assert not tangent._covariant(HadamardMatrix(phases=(f12.numerators, 6), group=group))
-    off = f12.to_values() * np.exp(2e-9j * (np.arange(12) == 5))[:, None]
-    assert not tangent._covariant(HadamardMatrix.from_values(off, group=f12.group))
-    near = f12.to_values() * np.exp(5e-10j * (np.arange(12) == 5))[:, None]
-    assert tangent._covariant(HadamardMatrix.from_values(near, group=f12.group))
+    for h in (f12, HadamardMatrix.from_values(f12.to_values())):
+        assert len(tangent._row_translations(h)[1]) == 12
+    # One entry turned by 2e-9 breaks every translation but the identity; turned by 5e-10 it is within VERIFY_TOL.
+    for turn, found in ((2e-9, False), (5e-10, True)):
+        values = f12.to_values().copy()
+        values[5, 7] *= np.exp(1j * turn)
+        h = HadamardMatrix.from_values(values)
+        assert verify_hadamard(h).passed and (tangent._row_translations(h) is not None) == found
+
+
+def test_row_translations_of_non_hadamard_input_are_none():
+    f16 = fourier_matrix(make_group([16]))
+    nums, zeroed = f16.numerators.copy(), f16.to_values().copy()
+    nums[5, 7] += 1  # one entry a 16th of a turn off
+    zeroed[3] = 0
+    inputs = [
+        HadamardMatrix(phases=(nums, 16)),
+        HadamardMatrix.from_values(np.ones((16, 16))),
+        HadamardMatrix.from_values(zeroed),
+        HadamardMatrix.from_values(np.exp(2j * np.pi * np.random.default_rng(5).random((16, 16)))),
+        HadamardMatrix.from_values(np.full((16, 16), np.nan)),
+    ]
+    for h in inputs:
+        assert not verify_hadamard(h).passed and tangent._row_translations(h) is None
+        with pytest.raises(NonHadamardError):
+            undephased_defect(h)
+    # Infinite entries too, without a warning; the verification that would refuse them warns in its own Gram product.
+    assert tangent._row_translations(HadamardMatrix.from_values(np.where(np.eye(16), np.inf, f16.to_values()))) is None
+
+
+def test_group_less_matrices_take_the_full_system(monkeypatch):
+    monkeypatch.setattr(tangent, "character_blocks", lambda *found: pytest.fail("blocks built without a row group"))
+    for spec in ("tao", "haagerup:1/8", "tensor:(tao,tao)"):
+        h = _spec(spec)
+        assert tangent._row_translations(h) is None
+        report = undephased_defect(h)
+        assert report.undephased_defect == h.n * h.n - report.rank
+    # Order 216 has no translation: its 46440 x 46656 system is refused, where 216 x 216 x 216 blocks would fit.
+    big = _spec("tensor:(tao,tensor:(tao,tao))")
+    assert tangent._row_translations(big) is None
+    with pytest.raises(CapExceededError, match="^pair system of 46440 x 46656 entries"):
+        undephased_defect(big)
 
 
 def test_a_file_round_trip_gives_the_blocks_defect(tmp_path, capsys):
@@ -1079,7 +1168,7 @@ def test_a_file_round_trip_gives_the_blocks_defect(tmp_path, capsys):
     assert (loaded["defect"], loaded["rank"]) == (blocked["defect"], blocked["rank"]) == (48, 208)
 
 
-def test_defect_svds_run_on_the_character_blocks(monkeypatch, capsys):
+def _recording_svds(monkeypatch):
     systems, svd = [], np.linalg.svd
 
     def recording_svd(a, **kwargs):
@@ -1087,14 +1176,30 @@ def test_defect_svds_run_on_the_character_blocks(monkeypatch, capsys):
         return svd(a, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return systems
+
+
+def test_defect_svds_run_on_the_character_blocks(monkeypatch, capsys):
+    systems = _recording_svds(monkeypatch)
     assert run(["defect", "fourier:16"]) == 0
     assert [a.shape for a in systems] == [(16, 16, 16)]
-    assert np.array_equal(systems[0], character_blocks(fourier_matrix(make_group([16]))))
+    assert np.array_equal(systems[0], _found_blocks(fourier_matrix(make_group([16]))))
     systems.clear()
     # The dephased check still ranks the full system's columns A_ab with a, b >= 1.
     assert run(["defect", "fourier:16", "--dephased"]) == 0
     assert [a.shape for a in systems] == [(16, 16, 16), (240, 225)]
     capsys.readouterr()
+
+
+def test_a_drawn_equivalent_of_f32_from_a_file_is_ranked_on_blocks(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(61)
+    f32 = fourier_matrix(make_group([32]))
+    phases = [[F(int(k), 32) for k in rng.integers(0, 32, 32)] for _ in range(2)]
+    save_matrix(apply_equivalence(f32, rng.permutation(32), rng.permutation(32), *phases), str(tmp_path / "h.json"))
+    systems = _recording_svds(monkeypatch)
+    assert run(["defect", f"file:{tmp_path / 'h.json'}"]) == 0
+    assert [(a.shape, a.dtype) for a in systems] == [((32, 32, 32), np.complex128)]
+    assert json.loads(capsys.readouterr().out)["defect"] == fourier_defect(make_group([32]))
 
 
 def _ranked_by_take(system: np.ndarray) -> np.ndarray:
