@@ -312,10 +312,8 @@ def _defect_pass(
         check_system_size(n * (n - 1), n * n)
     found = _row_translations(h) if maybe_blocked else None
     blocked = found is not None and len(found[1]) >= BLOCK_MIN_GROUP
-    if blocked and not dephased:
-        check_block_size(n, len(found[1]))
-    elif not dephased:
-        check_system_size(n * (n - 1), n * n)
+    if maybe_blocked and not dephased:  # the full system is checked above in every other case
+        check_block_size(n, len(found[1])) if blocked else check_system_size(n * (n - 1), n * n)
     _require_hadamard(h)
     label = h.provenance or "matrix"
     w = helmert_matrix(n)

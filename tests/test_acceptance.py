@@ -32,9 +32,13 @@ from hdefect.matrices import (
 )
 from hdefect.tangent import (
     ScanGrid,
+    _rank_in_place,
     deformation_scan,
     dephased_defect,
     fourier_P_check,
+    helmert_matrix,
+    numeric_rank,
+    tangent_system,
     undephased_defect,
 )
 
@@ -48,6 +52,13 @@ def _f22(turn) -> object:
 def _moved(h):
     """H with its rows turned by one place: equivalent, and ranked on the blocks of the row group found on it."""
     return apply_equivalence(h, [*range(1, h.n), 0], range(h.n), [0] * h.n, [0] * h.n)
+
+
+def _full_defect(h) -> int:
+    """d(H) from the full Helmert-ranked system, certified: the path a defect call takes only without a row group."""
+    result = numeric_rank(_rank_in_place(tangent_system(h, helmert_matrix(h.n)).matrix))
+    assert result.gap_ratio >= 1e6
+    return h.n * h.n - result.rank
 
 
 def _corpus():
@@ -72,8 +83,10 @@ def test_acceptance_1_cyclic_defect_concordance():
         assert report.undephased_defect == fourier_defect_cyclic(n)
         assert report.certified
         assert report.gap_ratio >= 1e6
-    # From order 12 the character blocks rank F_n, and a moved copy by the same row group, found on its entries.
-    assert undephased_defect(_moved(fourier_matrix(make_group([20])))).undephased_defect == fourier_defect_cyclic(20)
+    # From order 12 the character blocks rank F_n, and a moved copy by the same row group, found on its entries;
+    # the full system, which ranks matrices with no row group, gives the same defect.
+    moved = _moved(fourier_matrix(make_group([20])))
+    assert undephased_defect(moved).undephased_defect == _full_defect(moved) == fourier_defect_cyclic(20)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"ACCEPTANCE 1 (cyclic Fourier defects, {elapsed:.2f}s): PASS")
@@ -88,7 +101,8 @@ def test_acceptance_2_abelian_defect_concordance():
         brute = sum(group.order // element_order(group, g) for g in group.elements())
         assert numeric == closed == brute == p_space_dimension(group)
     z2z12 = make_group([2, 12])
-    assert undephased_defect(_moved(fourier_matrix(z2z12))).undephased_defect == fourier_defect(z2z12)
+    moved = _moved(fourier_matrix(z2z12))
+    assert undephased_defect(moved).undephased_defect == _full_defect(moved) == fourier_defect(z2z12)
     print("ACCEPTANCE 2 (abelian group defects): PASS")
 
 

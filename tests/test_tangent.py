@@ -973,9 +973,13 @@ def _found_blocks(h):
     return character_blocks(*(tangent._row_translations(h) or (h.to_values(), np.ones((1, 1)))))
 
 
-def _assert_blocks_agree(h):
+def _assert_blocks_agree(h, order):
     """Character blocks and the full Helmert-ranked system: one rank, one certification, and one spectrum to
-    1e-12 sigma_max, on the (N-1)^2 largest merged block values."""
+    1e-12 sigma_max, on the (N-1)^2 largest merged block values. H has a row group of the given order, so the group
+    found on it has a multiple of that order; only for order 1 may none be found, and the trivial group's blocks,
+    the full system as one complex block, are compared."""
+    found = tangent._row_translations(h)
+    assert (found is None and order == 1) or (found is not None and len(found[1]) % order == 0)
     blocks = numeric_rank(_found_blocks(h), count=(h.n - 1) ** 2)
     full = numeric_rank(tangent._rank_in_place(tangent_system(h, helmert_matrix(h.n)).matrix))
     assert blocks.rank == full.rank
@@ -993,39 +997,41 @@ def test_character_blocks_agree_with_the_full_system_on_every_fourier_matrix_to_
     for group in groups:
         h = fourier_matrix(group)
         assert len(tangent._row_translations(h)[1]) == group.order
-        assert h.n * h.n - _assert_blocks_agree(h).rank == fourier_defect(group)
+        assert h.n * h.n - _assert_blocks_agree(h, group.order).rank == fourier_defect(group)
 
 
 BLOCK_TENSORS = [
-    # The bench defect corpus.
-    "tensor:(fourier:2,tao)",
-    "tensor:(tao,fourier:3)",
-    "tensor:(fourier:4,haagerup:1/12)",
-    "deformed:(fourier:4,[[0,0,0,0],[0,1/8,0,3/16],[0,0,1/4,0],[0,1/16,0,0]],fourier:4)",
-    "deformed:(fourier:4,[[0,0,0,0],[0,1/2,0,0],[0,0,0,0],[0,0,0,1/4]],fourier:4)",
-    "deformed:(fourier:4,[[0,0,0,0],[0,1/3,1/6,0],[0,0,0,0],[0,0,1/12,0]],fourier:4)",
+    # Each with the order of its Fourier factor's group. The bench defect corpus:
+    ("tensor:(fourier:2,tao)", 2),
+    ("tensor:(tao,fourier:3)", 3),
+    ("tensor:(fourier:4,haagerup:1/12)", 4),
+    ("deformed:(fourier:4,[[0,0,0,0],[0,1/8,0,3/16],[0,0,1/4,0],[0,1/16,0,0]],fourier:4)", 4),
+    ("deformed:(fourier:4,[[0,0,0,0],[0,1/2,0,0],[0,0,0,0],[0,0,0,1/4]],fourier:4)", 4),
+    ("deformed:(fourier:4,[[0,0,0,0],[0,1/3,1/6,0],[0,0,0,0],[0,0,1/12,0]],fourier:4)", 4),
     # The acceptance corpus: the F2 (x) F2 family, the tensor square and the recombinations.
-    *(f"deformed:(fourier:2,[[0,0],[0,{k}/16]],fourier:2)" for k in range(16)),
-    "tensor:(fourier:2,fourier:2)",
-    "deformed:(fourier:2,[[0,0],[0,1/4]],fourier:2)",
-    "deformed:(fourier:2,[[0,0],[0,1/6],[0,1/3]],fourier:3)",
-    "deformed:(fourier:3,[[0,0,0],[0,1/9,2/9],[0,2/9,4/9]],fourier:3)",
-    # |T| = 1 and N = 1.
-    "tao",
-    "tensor:(fourier:1,tao)",
-    "fourier:1",
+    *((f"deformed:(fourier:2,[[0,0],[0,{k}/16]],fourier:2)", 2) for k in range(16)),
+    ("tensor:(fourier:2,fourier:2)", 4),
+    ("deformed:(fourier:2,[[0,0],[0,1/4]],fourier:2)", 2),
+    ("deformed:(fourier:2,[[0,0],[0,1/6],[0,1/3]],fourier:3)", 2),
+    ("deformed:(fourier:3,[[0,0,0],[0,1/9,2/9],[0,2/9,4/9]],fourier:3)", 3),
+    # |T| = 1 and N = 1: the only ones with no group to find.
+    ("tao", 1),
+    ("tensor:(fourier:1,tao)", 1),
+    ("fourier:1", 1),
 ]
 
 
-@pytest.mark.parametrize("spec", BLOCK_TENSORS)
-def test_character_blocks_agree_with_the_full_system_on_corpus_tensors(spec):
-    _assert_blocks_agree(_spec(spec))
+@pytest.mark.parametrize("spec, order", BLOCK_TENSORS, ids=[spec for spec, _ in BLOCK_TENSORS])
+def test_character_blocks_agree_with_the_full_system_on_corpus_tensors(spec, order):
+    _assert_blocks_agree(_spec(spec), order)
 
 
 @st.composite
 def fourier_left_tensors(draw):
-    """F_G (x)_L K with |G| <= 8 and K among F2, F3 and tao, at most order 24; L on a 1/16 grid or random unimodular."""
-    k = _spec(draw(st.sampled_from(["fourier:2", "fourier:3", "tao"])))
+    """(F_G (x)_L K, order) with |G| <= 8 and K among F2, F3 and tao, at most order 24; L on a 1/16 grid or random
+    unimodular. H has a row group of that order: G, or for trivial G, as H is then K with its rows rephased, K's."""
+    spec = draw(st.sampled_from(["fourier:2", "fourier:3", "tao"]))
+    k = _spec(spec)
     group = draw(st.sampled_from([g for order in range(1, 9) for g in abelian_group_types(order) if order * k.n <= 24]))
     shape = (k.n, group.order)
     if draw(st.booleans()):
@@ -1035,38 +1041,42 @@ def fourier_left_tensors(draw):
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         params = DeformationParameters.from_values(np.exp(2j * np.pi * rng.random(shape)))
-    return deformed_tensor(fourier_matrix(group), params, k)
+    order = group.order if group.order > 1 or spec == "tao" else k.n
+    return deformed_tensor(fourier_matrix(group), params, k), order
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(fourier_left_tensors())
-def test_character_blocks_agree_with_the_full_system_on_drawn_tensors(h):
-    _assert_blocks_agree(h)
+def test_character_blocks_agree_with_the_full_system_on_drawn_tensors(drawn):
+    _assert_blocks_agree(*drawn)
 
 
 @st.composite
 def fourier_equivalents(draw):
-    """(H, H'): H is F_G with |G| from 12 to 32, or a drawn F_G (x)_L K; H' is H with its rows and columns permuted and
-    rephased by q-th roots (q the phase order of H, or 16 for floating H), and half the time a floating copy."""
+    """(H, H', order): H is F_G with |G| from 12 to 32, or a drawn F_G (x)_L K, with a row group of that order; H' is H
+    with its rows and columns permuted and rephased by q-th roots (q the phase order of H, or 16 for floating H), and
+    half the time a floating copy."""
     if draw(st.booleans()):
-        h = fourier_matrix(draw(st.sampled_from([g for order in range(12, 33) for g in abelian_group_types(order)])))
+        group = draw(st.sampled_from([g for order in range(12, 33) for g in abelian_group_types(order)]))
+        h, order = fourier_matrix(group), group.order
     else:
-        h = draw(fourier_left_tensors())
+        h, order = draw(fourier_left_tensors())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = h.phase_order() if h.is_exact else 16
     row_phases, col_phases = ([F(int(k), q) for k in rng.integers(0, q, h.n)] for _ in range(2))
     moved = apply_equivalence(h, rng.permutation(h.n), rng.permutation(h.n), row_phases, col_phases)
-    return h, HadamardMatrix.from_values(moved.to_values()) if draw(st.booleans()) else moved
+    return h, HadamardMatrix.from_values(moved.to_values()) if draw(st.booleans()) else moved, order
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(fourier_equivalents())
-def test_character_blocks_of_equivalents_agree_with_the_full_system(pair):
-    h, moved = pair
-    found = tangent._row_translations(h)
-    assert found is None or len(tangent._row_translations(moved)[1]) == len(found[1])
-    if found is not None:
-        _assert_blocks_agree(moved)
+def test_character_blocks_of_equivalents_agree_with_the_full_system(drawn):
+    h, moved, order = drawn
+    # The equivalent has the same group as H; only an H with no group to find (tao, for trivial G) has none.
+    found, moved_found = tangent._row_translations(h), tangent._row_translations(moved)
+    assert (found is None) == (moved_found is None) == (order == 1)
+    assert found is None or len(moved_found[1]) == len(found[1])
+    _assert_blocks_agree(moved, order)
 
 
 def test_row_translations_are_found_whatever_the_construction(tmp_path):
