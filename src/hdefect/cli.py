@@ -270,16 +270,13 @@ def parse_parameter_turns(text: str) -> tuple:
     return _parse_whole(text, _SpecParser.parse_inline_turns)
 
 
-def _checked_order(spec: MatrixSpec, done: dict) -> int | None:
-    """Order of the matrix a spec builds, from its parse tree, or None once a file must be read to learn it. Walked in
-    build order, each Fourier or circulant factor and each product meets the library's N^2 byte cap in the library's
-    words, so an oversized product is refused before any factor is built. `done` maps checked specs' ids to orders."""
-    if id(spec) in done:
-        return done[id(spec)]
+def _checked_order(spec: MatrixSpec) -> int | None:
+    """Order of the matrix a spec builds, from its parse tree, or None where a file must be read to learn it. Walked in
+    build order, each Fourier or circulant factor and each product of known order meets the library's N^2 byte cap in
+    the library's words before any factor is built or file read; a product over a file is checked as it is built."""
     if isinstance(spec, (TensorSpec, DeformedSpec)):
-        left = _checked_order(spec.left, done)
-        right = None if left is None else _checked_order(spec.right, done)
-        if right is None:
+        left, right = _checked_order(spec.left), _checked_order(spec.right)
+        if left is None or right is None:
             return None
         what, order = ("tensor product" if isinstance(spec, TensorSpec) else "deformed tensor"), left * right
     elif isinstance(spec, FourierSpec):
@@ -289,21 +286,20 @@ def _checked_order(spec: MatrixSpec, done: dict) -> int | None:
     else:  # haagerup and tao have order 6
         return None if isinstance(spec, FileSpec) else 6
     check_bytes(f"{what} of order {order}", order**2 * 8)
-    done[id(spec)] = order
     return order
 
 
 def build_matrix(spec: MatrixSpec) -> HadamardMatrix:
-    return _build(spec, {})
+    _checked_order(spec)
+    return _build(spec)
 
 
-def _build(spec: MatrixSpec, done: dict) -> HadamardMatrix:
-    """`build_matrix`, walking each spec as it is reached: those after a `file:` leaf are checked as they are built."""
-    _checked_order(spec, done)
+def _build(spec: MatrixSpec) -> HadamardMatrix:
+    """The matrix of a spec whose tree `_checked_order` has passed."""
     if isinstance(spec, FourierSpec):
         return fourier_matrix(make_group(list(spec.orders)))
     if isinstance(spec, (TensorSpec, DeformedSpec)):
-        left, right = (_build(side, done) for side in (spec.left, spec.right))
+        left, right = _build(spec.left), _build(spec.right)
     if isinstance(spec, TensorSpec):
         return tensor_product(left, right)
     if isinstance(spec, DeformedSpec):
@@ -399,9 +395,11 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    h = build_matrix(parse_matrix_spec(args.h_spec))
-    k = build_matrix(parse_matrix_spec(args.k_spec))
-    cells = _scan_cells(h, k, _parse_grid(args.grid), args.tol, args.gap)  # refuses before the CSV is opened
+    specs, grid = [parse_matrix_spec(args.h_spec), parse_matrix_spec(args.k_spec)], _parse_grid(args.grid)
+    for spec in specs:  # both trees are checked before either matrix is built
+        _checked_order(spec)
+    h, k = map(_build, specs)
+    cells = _scan_cells(h, k, grid, args.tol, args.gap)  # refuses before the CSV is opened
     count, defects, error_types, worst = 0, set(), Counter(), None
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -387,7 +388,15 @@ def failing_pairs(nums: np.ndarray, q: int) -> np.ndarray:
 def _verify_exact(h: HadamardMatrix) -> ValidationReport:
     q, nums = h.phase_order(), h.numerators
     pairs = failing_pairs(nums, q)
-    worst = max((abs(np.sum(np.exp(2j * np.pi * ((nums[i] - nums[j]) % q) / q))) / h.n for i, j in pairs), default=0.0)
+    # The largest |sum_k e^(2 pi i (m_ik - m_jk) / q)| / N of a failing pair, by blocks of pairs in CHECK_BLOCK_BYTES at
+    # about 64 bytes an entry. A table of the q roots, where it fits, gives np.exp's values without an exp per entry.
+    roots = np.exp(2j * np.pi * np.arange(q) / q) if len(pairs) and 16 * q <= CHECK_BLOCK_BYTES else None
+    span, worst = max(1, CHECK_BLOCK_BYTES // (64 * max(h.n, 1))), 0.0
+    for s in range(0, len(pairs), span):
+        i, j = pairs[s : s + span].T
+        diff = (nums[i] - nums[j]) % q
+        sums = (np.exp(2j * np.pi * diff / q) if roots is None else roots[diff]).sum(axis=1)
+        worst = max(worst, np.hypot(sums.real, sums.imag).max() / h.n)  # np.abs of a complex array rounds otherwise
     return ValidationReport(
         passed=len(pairs) == 0, max_modulus_error=0.0, max_orthogonality_error=worst, tolerance=0.0, exact=True
     )
@@ -443,10 +452,11 @@ def matrix_from_dict(obj: dict) -> HadamardMatrix:
         count = len(entries) if isinstance(entries, list) else type(entries).__name__
         raise ValueError(f"expected a list of {n * n} entries, got {count}")
     phase = repr_tag == "phase"
-    types, form = ((int,), "[numerator, denominator >= 1] ints") if phase else ((int, float), "[re, im] numbers")
+    types, form = ((int,), "[numerator, denominator >= 1] ints") if phase else ((int, float), "[re, im] finite numbers")
     for pair in entries:
         shaped = isinstance(pair, list) and len(pair) == 2 and all(type(x) in types for x in pair)
-        if not shaped or phase and pair[1] < 1:
+        # Refuses Infinity, NaN (no comparison holds) and ints beyond any float, all of which Python's json reads.
+        if not shaped or (pair[1] < 1 if phase else not all(abs(x) <= sys.float_info.max for x in pair)):
             raise ValueError(f"{repr_tag} entries are {form}, got {pair!r}")
     if phase:
         turns = [Fraction(num, den) for num, den in entries]

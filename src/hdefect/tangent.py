@@ -502,7 +502,10 @@ def deformation_scan(
     A scan of more cells than `errors.MAX_ELEMENTS`, or whose cells' pair
     systems are above the `check_bytes` cap, is refused before any cell is
     built; a cell whose root order reaches MAX_PHASE_ORDER raises the
-    CapExceededError of a single defect call.
+    CapExceededError of a single defect call. Each cell ranks its full pair
+    system, so its gap ratio is a single call's bit for bit only where that
+    call ranks the full system too; from BLOCK_MIN_ORDER with BLOCK_MIN_GROUP
+    row translations or more it ranks `character_blocks`, whose gap differs.
     """
     return list(_scan_cells(h, k, grid, rel_tol, gap_threshold))
 

@@ -490,13 +490,19 @@ def test_one_parser_per_process(monkeypatch, capsys):
     {"n": True, "repr": "phase", "entries": [[True, True]]},
     {"n": 1, "repr": "phase", "entries": [[True, True]]},
     {"n": 1, "repr": "phase", "entries": [[0, 0]]},
-], ids=["not-a-list", "bare-number", "strings", "null", "short", "boolean-order", "boolean-entry", "zero-denominator"])
+    # Python's json writes and reads these, and numpy would warn on the first two in a Gram product.
+    {"n": 2, "repr": "complex", "entries": [[1, 0], [1, 0], [1, 0], [math.inf, 0]]},
+    {"n": 2, "repr": "complex", "entries": [[1, 0], [1, 0], [1, 0], [math.nan, 0]]},
+    {"n": 1, "repr": "complex", "entries": [[10**400, 0]]},
+], ids=["not-a-list", "bare-number", "strings", "null", "short", "boolean-order", "boolean-entry", "zero-denominator",
+        "Infinity", "NaN", "int-beyond-float"])
 def test_malformed_matrix_file_is_an_error_line(tmp_path, capsys, matrix):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(matrix))
-    assert run(["verify", f"file:{path}"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    for command in ("verify", "defect"):
+        assert run([command, f"file:{path}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_exit_codes(tmp_path, capsys):

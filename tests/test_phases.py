@@ -239,6 +239,17 @@ def test_exact_verify_matches_pairwise_check(drawn):
     assert report.passed == (report.max_orthogonality_error == 0.0)
 
 
+def test_exact_verify_by_blocks_of_pairs_matches_the_per_pair_formula(monkeypatch):
+    # The failing pairs' sums are taken by blocks of pairs, from a table of the q roots where it fits in a block and
+    # from np.exp above that: either gives the per-pair float bit for bit.
+    monkeypatch.setattr(matrices, "CHECK_BLOCK_BYTES", 2**14)  # a table of up to 1024 roots, 6 to 10 pairs a block
+    rng = np.random.default_rng(30)
+    for n, q in [(40, 7), (33, 24), (24, 1024), (24, 1031)]:
+        h = HadamardMatrix(phases=(rng.integers(0, q, (n, n)), q))
+        assert verify_hadamard(h).max_orthogonality_error == _pairwise_orthogonality_error(h) > 0
+    assert verify_hadamard(fourier_matrix(make_group([4, 6]))).max_orthogonality_error == 0.0
+
+
 def test_exact_verify_memory_is_per_row():
     h = build_matrix(parse_matrix_spec("fourier:128"))
     power_reduction_table(128)
@@ -335,12 +346,16 @@ def test_product_spec_refused_before_its_factors_are_built(monkeypatch, capsys, 
         # In build order, an oversized factor is named before the product that holds it, as when it was built.
         ("tensor:(tensor:(tao,tao),fourier:10000)", "Fourier matrix of order 10000 needs 800000000 bytes"),
         ("tensor:(fourier:10000,fourier:2)", "Fourier matrix of order 10000 needs 800000000 bytes"),
+        (f"tensor:(file:{absent},fourier:10000)", "Fourier matrix of order 10000 needs 800000000 bytes"),
     ]
-    for spec, subject in refusals:
-        assert run(["defect", spec]) == 1
-        assert capsys.readouterr() == ("", f"error: {subject}, above the cap 536870912\n"), spec
-    # A file is read to learn its order, so its own error comes first, and nothing after it is checked early.
-    assert run(["defect", f"tensor:(file:{absent},fourier:10000)"]) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_matrix", lambda path: pytest.fail("a file was read before the check"))
+        for spec, subject in refusals:
+            assert run(["defect", spec]) == 1
+            assert capsys.readouterr() == ("", f"error: {subject}, above the cap 536870912\n"), spec
+    # The whole tree is checked before any file is read, so a node after a file: leaf is refused first; the file's own
+    # error comes only when no size is at fault.
+    assert run(["defect", f"tensor:(file:{absent},fourier:100)"]) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{absent}'\n")
 
 
@@ -358,6 +373,17 @@ def test_build_matrix_walks_a_spec_once(monkeypatch, tmp_path):
     checks.clear()
     assert build_matrix(parse_matrix_spec(f"tensor:(tensor:(fourier:2,file:{tmp_path / 'f2.json'}),fourier:3)")).n == 12
     assert checks == ["Fourier matrix of order 2", "Fourier matrix of order 3"]
+
+
+def test_scan_parses_and_checks_both_specs_before_building_either(monkeypatch, capsys):
+    # F2 comes first, yet the k-spec's F100000 is refused before F2 is built; a bad grid before either tree is walked.
+    monkeypatch.setattr(cli, "fourier_matrix", lambda group: pytest.fail("a factor was built before the check"))
+    assert run(["scan", "fourier:2", "fourier:100000", "--grid", "2"]) == 1
+    refusal = "error: Fourier matrix of order 100000 needs 80000000000 bytes, above the cap 536870912\n"
+    assert capsys.readouterr() == ("", refusal)
+    monkeypatch.setattr(cli, "_checked_order", lambda spec: pytest.fail("a tree was walked before the grid was parsed"))
+    assert run(["scan", "fourier:2", "fourier:100000", "--grid", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad grid")
 
 
 def test_defect_refuses_its_pair_system_before_verifying(monkeypatch, capsys):

@@ -506,6 +506,23 @@ def test_batched_scan_equals_per_cell_oracle(h_spec, k_spec, grid):
     assert all(cell.certified for cell in cells)
 
 
+@pytest.mark.parametrize("h_spec, k_spec, blocked", [
+    ("fourier:3", "fourier:4", True),  # |T| = 3, 6 or 12 by cell
+    ("fourier:2", "fourier:6", True),  # |T| = 12
+    ("fourier:2", "tao", False),  # |T| = 2
+])
+def test_scan_cells_of_order_12_differ_from_single_calls_in_gap_only_on_character_blocks(h_spec, k_spec, blocked):
+    # The scan ranks each cell's full pair system. A single call of order >= BLOCK_MIN_ORDER with BLOCK_MIN_GROUP row
+    # translations or more ranks its character blocks: same defect and certification, another gap ratio.
+    h, k = _spec(h_spec), _spec(k_spec)
+    cells, singles = deformation_scan(h, k, ScanGrid(2)), per_cell_scan(h, k, ScanGrid(2))
+    assert [(c.cell_id, c.defect, c.certified) for c in cells] == [(s.cell_id, s.defect, s.certified) for s in singles]
+    for cell in cells:
+        found = tangent._row_translations(deformed_tensor(h, DeformationParameters.from_turns(cell.parameter_turns), k))
+        assert (found is not None and len(found[1]) >= tangent.BLOCK_MIN_GROUP) == blocked
+    assert [c.gap_ratio == s.gap_ratio for c, s in zip(cells, singles)] == [not blocked] * len(cells)
+
+
 def test_batched_scan_ambiguous_cells_carry_the_single_call_text():
     f2 = fourier_matrix(make_group([2]))
     cells = deformation_scan(f2, f2, ScanGrid(4), gap_threshold=1e300)
