@@ -289,9 +289,12 @@ def _checked_order(spec: MatrixSpec) -> int | None:
     return order
 
 
-def build_matrix(spec: MatrixSpec) -> HadamardMatrix:
-    _checked_order(spec)
-    return _build(spec)
+def build_matrix(*specs: MatrixSpec) -> HadamardMatrix | tuple[HadamardMatrix, ...]:
+    """The matrix of one spec, or a tuple of the matrices of several; every tree is checked before any is built."""
+    for spec in specs:
+        _checked_order(spec)
+    built = tuple(map(_build, specs))
+    return built[0] if len(built) == 1 else built
 
 
 def _build(spec: MatrixSpec) -> HadamardMatrix:
@@ -396,9 +399,7 @@ def _cmd_formula(args) -> int:
 
 def _cmd_scan(args) -> int:
     specs, grid = [parse_matrix_spec(args.h_spec), parse_matrix_spec(args.k_spec)], _parse_grid(args.grid)
-    for spec in specs:  # both trees are checked before either matrix is built
-        _checked_order(spec)
-    h, k = map(_build, specs)
+    h, k = build_matrix(*specs)  # both trees are checked before either matrix is built
     cells = _scan_cells(h, k, grid, args.tol, args.gap)  # refuses before the CSV is opened
     count, defects, error_types, worst = 0, set(), Counter(), None
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as handle:

@@ -389,13 +389,11 @@ def _verify_exact(h: HadamardMatrix) -> ValidationReport:
     q, nums = h.phase_order(), h.numerators
     pairs = failing_pairs(nums, q)
     # The largest |sum_k e^(2 pi i (m_ik - m_jk) / q)| / N of a failing pair, by blocks of pairs in CHECK_BLOCK_BYTES at
-    # about 64 bytes an entry. A table of the q roots, where it fits, gives np.exp's values without an exp per entry.
-    roots = np.exp(2j * np.pi * np.arange(q) / q) if len(pairs) and 16 * q <= CHECK_BLOCK_BYTES else None
+    # about 64 bytes an entry.
     span, worst = max(1, CHECK_BLOCK_BYTES // (64 * max(h.n, 1))), 0.0
     for s in range(0, len(pairs), span):
         i, j = pairs[s : s + span].T
-        diff = (nums[i] - nums[j]) % q
-        sums = (np.exp(2j * np.pi * diff / q) if roots is None else roots[diff]).sum(axis=1)
+        sums = np.exp(2j * np.pi * ((nums[i] - nums[j]) % q) / q).sum(axis=1)
         worst = max(worst, np.hypot(sums.real, sums.imag).max() / h.n)  # np.abs of a complex array rounds otherwise
     return ValidationReport(
         passed=len(pairs) == 0, max_modulus_error=0.0, max_orthogonality_error=worst, tolerance=0.0, exact=True

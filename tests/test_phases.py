@@ -240,9 +240,8 @@ def test_exact_verify_matches_pairwise_check(drawn):
 
 
 def test_exact_verify_by_blocks_of_pairs_matches_the_per_pair_formula(monkeypatch):
-    # The failing pairs' sums are taken by blocks of pairs, from a table of the q roots where it fits in a block and
-    # from np.exp above that: either gives the per-pair float bit for bit.
-    monkeypatch.setattr(matrices, "CHECK_BLOCK_BYTES", 2**14)  # a table of up to 1024 roots, 6 to 10 pairs a block
+    # The failing pairs' sums are taken by blocks of pairs, and give the per-pair float bit for bit.
+    monkeypatch.setattr(matrices, "CHECK_BLOCK_BYTES", 2**14)  # 6 to 10 pairs a block
     rng = np.random.default_rng(30)
     for n, q in [(40, 7), (33, 24), (24, 1024), (24, 1031)]:
         h = HadamardMatrix(phases=(rng.integers(0, q, (n, n)), q))
@@ -360,7 +359,8 @@ def test_product_spec_refused_before_its_factors_are_built(monkeypatch, capsys, 
 
 
 def test_build_matrix_walks_a_spec_once(monkeypatch, tmp_path):
-    # Each Fourier factor and each product meets the byte cap once; below a file: leaf, each node once as it is built.
+    # Each Fourier factor and each product meets the byte cap once; the walk goes on past a file: leaf, and only a
+    # product over the file is checked as it is built.
     checks = []
     monkeypatch.setattr(cli, "check_bytes", lambda what, nbytes: checks.append(what))
     assert build_matrix(parse_matrix_spec("tensor:(tensor:(tensor:(fourier:2,fourier:2),fourier:2),fourier:2)")).n == 16
@@ -369,7 +369,7 @@ def test_build_matrix_walks_a_spec_once(monkeypatch, tmp_path):
     checks.clear()
     assert build_matrix(parse_matrix_spec(f"tensor:(file:{tmp_path / 'f2.json'},tensor:(fourier:2,fourier:2))")).n == 8
     assert checks == ["Fourier matrix of order 2", "Fourier matrix of order 2", "tensor product of order 4"]
-    # A file: leaf that is not leftmost cuts the first walk; the factor checked before it is not checked again.
+    # A file: leaf that is not leftmost: F2 and F3 are checked before the file is read, and neither again after it.
     checks.clear()
     assert build_matrix(parse_matrix_spec(f"tensor:(tensor:(fourier:2,file:{tmp_path / 'f2.json'}),fourier:3)")).n == 12
     assert checks == ["Fourier matrix of order 2", "Fourier matrix of order 3"]
