@@ -400,6 +400,7 @@ def _verify_exact(h: HadamardMatrix) -> ValidationReport:
     )
 
 
+@np.errstate(all="ignore")  # an infinite or huge entry makes an error inf or nan, and the check fails
 def gram_errors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Modulus and row-orthogonality errors of each matrix in a (C, N, N) stack of complex values."""
     n = values.shape[-1]

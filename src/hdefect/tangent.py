@@ -156,24 +156,20 @@ def _row_translations(h: HadamardMatrix) -> tuple[np.ndarray, np.ndarray] | None
     """The row translation group T of H, found on its entries, as (V, X) for `character_blocks`; None if T is trivial.
 
     H is `dephase`d to D, 1 on row and column 0, which moves no singular value of its pair system. A translation is a row
-    t of D that maps each row of D, times t entry by entry, onto a row of D: exactly on numerators for exact phases,
-    within VERIFY_TOL for floating ones. T must act freely, the rows of D being x V_a for x in T and one V_a per orbit,
+    t of D that maps each row of D, times t entry by entry, onto a row of D within VERIFY_TOL, exactly so on exact
+    phases: distinct q-th roots, q < MAX_PHASE_ORDER, lie over 2.9e-9 apart, and equal ones, as a product of two
+    rounded roots or as one, about 1e-15. T must act freely, the rows of D being x V_a for x in T and one V_a per orbit,
     and its characters y must each take N / |T| columns c, x_c = X[x, y]; V's columns go in that order. Row keys
     propose every candidate's image of every row by one matrix product, row 1 prunes, and the entries decide.
     """
-    n, dephased = h.n, dephase(h)
-    e, d = dephased.numerators, dephased.to_values()
-    if h.is_exact:
-        q, times, same = dephased.phase_order(), np.add, lambda a, b: (a - b) % q == 0
-    else:
-        e, times, same = d, np.multiply, lambda a, b: np.abs(a - b) <= VERIFY_TOL
+    n, d, same = h.n, dephase(h).to_values(), lambda a, b: np.abs(a - b) <= VERIFY_TOL
     # Row s has the key Re sum_c D_sc e^(ic): e^i is transcendental, so distinct rows of roots of unity never share one.
     w = np.exp(1j * np.arange(n))
     keys, images = (d @ w).real, ((d * w) @ d.T).real  # the key of row s, and of row s times row r at [s, r]
     order, rows = np.argsort(keys), np.arange(n)
     hi = np.clip(np.searchsorted(keys[order], images), 1, n - 1)  # the nearer of the sorted keys hi - 1 and hi
     sigma = order[hi - (np.abs(keys[order][hi - 1] - images) < np.abs(keys[order][hi] - images))]
-    maps = lambda r, s: np.all(same(times(e[s], e[r]), e[sigma[s, r]]), axis=-1)  # row r maps rows s as proposed
+    maps = lambda r, s: np.all(same(d[s] * d[r], d[sigma[s, r]]), axis=-1)  # row r maps rows s as proposed
     pruned = np.flatnonzero(np.all(np.sort(sigma, axis=0) == rows[:, None], axis=0) & maps(rows, min(1, n - 1)))
     perms = rows[None]  # each translation's row permutation, by its checked generators; row 0 goes to its own row
     for r in pruned:
@@ -185,7 +181,7 @@ def _row_translations(h: HadamardMatrix) -> tuple[np.ndarray, np.ndarray] | None
     t, reps = np.sort(perms[:, 0]), np.flatnonzero(perms.min(axis=0) == rows)  # T's rows; the least row of each orbit
     first = np.argmax((np.conj(d[t]).T @ d[t]).real > len(t) / 2, axis=0)  # each column's first of its character
     classes, counts = np.unique(first, return_counts=True)
-    if len(t) < 2 or len(reps) * len(t) != n or np.any(counts != len(reps)) or not same(e[t][:, first], e[t]).all():
+    if len(t) < 2 or len(reps) * len(t) != n or np.any(counts != len(reps)) or not same(d[t][:, first], d[t]).all():
         return None
     return d[reps][:, np.argsort(first, kind="stable")], d[t][:, classes]
 
@@ -303,17 +299,15 @@ def _defect_pass(
     The dephased check takes one more assembly and certified SVD, over the
     entries A_ab cut by `_rank_in_place`, checked against d' = d - (2N - 1).
     Sizes are refused before verification: from N before T is looked for (the
-    full system, or the least stack of any T, |T| = N), then the one T selects.
+    least stack of any T, |T| = N, if blocks may be taken, else the full
+    system), then the one T selects; under `dephased` that passes, as its
+    16 N^4 / |T| bytes are below the full 8 N^3 (N - 1) for |T| >= 3, N >= 12.
     """
     n, maybe_blocked = h.n, h.n >= BLOCK_MIN_ORDER and not basis
-    if maybe_blocked and not dephased:
-        check_block_size(n, n)
-    else:
-        check_system_size(n * (n - 1), n * n)
+    check_block_size(n, n) if maybe_blocked and not dephased else check_system_size(n * (n - 1), n * n)
     found = _row_translations(h) if maybe_blocked else None
     blocked = found is not None and len(found[1]) >= BLOCK_MIN_GROUP
-    if maybe_blocked and not dephased:  # the full system is checked above in every other case
-        check_block_size(n, len(found[1])) if blocked else check_system_size(n * (n - 1), n * n)
+    check_block_size(n, len(found[1])) if blocked else check_system_size(n * (n - 1), n * n)
     _require_hadamard(h)
     label = h.provenance or "matrix"
     w = helmert_matrix(n)

@@ -505,6 +505,19 @@ def test_malformed_matrix_file_is_an_error_line(tmp_path, capsys, matrix):
         assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_a_file_with_a_huge_entry_fails_verification_without_a_warning(tmp_path, capsys):
+    # The reader admits any finite number; 1e300 overflows the Gram product, where numpy would warn.
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"n": 2, "repr": "complex", "entries": [[1e300, 0], [1, 0], [1, 0], [-1, 0]]}))
+    assert run(["verify", f"file:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False and captured.err == ""
+    assert run(["defect", f"file:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: matrix is not Hadamard")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run(["defect", "bogus:1"]) == 2
     assert run(["defect", "circulant:0,1/4,0,1/4"]) == 1

@@ -95,6 +95,14 @@ def test_verify_rejects_non_hadamard():
     assert verify_hadamard(HadamardMatrix.from_values(almost), tol=1e-3).passed
 
 
+@pytest.mark.parametrize("entry", [math.inf, 1e300], ids=["inf", "huge"])
+def test_verify_fails_an_infinite_or_huge_entry_without_a_warning(entry):
+    # Its Gram product overflows or meets inf - inf: the errors are inf or nan, and every warning fails the suite.
+    values = fourier_matrix(make_group([4])).to_values().copy()
+    values[1, 2] = entry
+    assert not verify_hadamard(HadamardMatrix.from_values(values)).passed
+
+
 def test_deformed_tensor_display():
     f2 = fourier_matrix(make_group([2]))
     q = F(1, 8)

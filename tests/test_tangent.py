@@ -1151,6 +1151,59 @@ def test_row_translations_are_checked_exactly_or_within_the_verify_tolerance():
         assert verify_hadamard(h).passed and (tangent._row_translations(h) is not None) == found
 
 
+def test_the_verify_tolerance_separates_equal_and_distinct_roots_below_the_order_cap():
+    # Distinct q-th roots, q < MAX_PHASE_ORDER, lie 2 sin(pi / MAX_PHASE_ORDER) apart or more: the one value test
+    # that finds translations decides exact phases exactly.
+    assert matrices.VERIFY_TOL + 1e-12 < 2 * math.sin(math.pi / matrices.MAX_PHASE_ORDER)
+    q = 2_147_483_640  # 8 (2^28 - 1), a multiple of 12 just below the cap
+    turns = [[F(0)] * 12, [F(0)] * 5 + [F(1, q)] + [F(0)] * 6]
+    f12, f2 = fourier_matrix(make_group([12])), fourier_matrix(make_group([2]))
+    h = deformed_tensor(f12, DeformationParameters.from_turns(turns), f2)
+    assert dephase(h).phase_order() == q < matrices.MAX_PHASE_ORDER
+    # Exact verification at this order meets the Galois-conjugate cap, so the group is looked for directly.
+    assert len(tangent._row_translations(h)[1]) == 12
+    nums = h.numerators.copy()
+    nums[5, 7] += 1  # one entry a q-th of a turn off: 2.93e-9 away, beyond VERIFY_TOL
+    assert tangent._row_translations(HadamardMatrix(phases=(nums, q))) is None
+
+
+def _numerator_translations(h):
+    """Oracle: the rows t of the dephased numerators e over q such that, for every row s, e_s + e_t is a row mod q."""
+    dephased = dephase(h)
+    e, q = dephased.numerators, dephased.phase_order()
+    rows = {tuple(row) for row in e.tolist()}
+    return [t for t in range(h.n) if all(tuple(row) in rows for row in ((e + e[t]) % q).tolist())]
+
+
+@st.composite
+def exact_row_group_matrices(draw):
+    """F_G with |G| from 12 to 32 or F4 (x)_L F4 with L on a grid of 1/2, 1/3, 1/4 or 1/16 turns, half the time with
+    its rows and columns permuted and rephased by q-th roots, q its phase order; all exact."""
+    if draw(st.booleans()):
+        h = fourier_matrix(draw(st.sampled_from([g for order in range(12, 33) for g in abelian_group_types(order)])))
+    else:
+        den = draw(st.sampled_from([2, 3, 4, 16]))
+        turns, f4 = [[F(draw(st.integers(0, den - 1)), den) for _ in range(4)] for _ in range(4)], _spec("fourier:4")
+        h = deformed_tensor(f4, DeformationParameters.from_turns(turns), f4)
+    if draw(st.booleans()):
+        rng, q = np.random.default_rng(draw(st.integers(0, 2**32 - 1))), h.phase_order()
+        row_phases, col_phases = ([F(int(k), q) for k in rng.integers(0, q, h.n)] for _ in range(2))
+        h = apply_equivalence(h, rng.permutation(h.n), rng.permutation(h.n), row_phases, col_phases)
+    return h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exact_row_group_matrices())
+def test_row_translations_agree_with_the_numerator_rule_on_exact_matrices(h):
+    # X is the rows of T in D, sorted, on one column of each character: each of its columns is a column of the oracle's.
+    oracle, found = _numerator_translations(h), tangent._row_translations(h)
+    assert (found is None) == (len(oracle) < 2)
+    if found is not None:
+        rows = dephase(h).to_values()[oracle]
+        assert len(found[1]) == len(oracle)
+        assert all((rows == column[:, None]).all(axis=0).any() for column in found[1].T)
+
+
 def test_row_translations_of_non_hadamard_input_are_none():
     f16 = fourier_matrix(make_group([16]))
     nums, zeroed = f16.numerators.copy(), f16.to_values().copy()
@@ -1167,7 +1220,7 @@ def test_row_translations_of_non_hadamard_input_are_none():
         assert not verify_hadamard(h).passed and tangent._row_translations(h) is None
         with pytest.raises(NonHadamardError):
             undephased_defect(h)
-    # Infinite entries too, without a warning; the verification that would refuse them warns in its own Gram product.
+    # Infinite entries too, without a warning, as the verification that refuses them gives none either.
     assert tangent._row_translations(HadamardMatrix.from_values(np.where(np.eye(16), np.inf, f16.to_values()))) is None
 
 
