@@ -11,7 +11,8 @@ built by one assembly, `pair_rows`, from per-pair coefficient blocks over the
 unknowns X of A = B X B^T for a column basis B; B = I gives the entries A_ab.
 A defect call assembles each of its floating systems by `tangent_system`, but
 for one: a matrix with a row translation group T, found on its entries, has its
-defect ranked on `character_blocks`, the same system split by the characters of T.
+defect ranked on `character_blocks`, the same system split by the characters of T,
+and its dephased check on `gauge_cut_blocks`, those blocks cut by a gauge T keeps.
 Ranks are taken over the orthogonal `helmert_matrix` W: its unknowns X_0b and
 X_a0 span the 2N - 1 rephasings a 1^T + 1 b^T, which solve the system exactly
 for every Hadamard H, and are dropped. The SVD ranks the other (N-1)^2, which
@@ -217,6 +218,23 @@ def character_blocks(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return blocks.reshape(n, n * m * m, n * m * m)
 
 
+def gauge_cut_blocks(blocks: np.ndarray) -> np.ndarray:
+    """A stack of `character_blocks` cut by a gauge that T keeps to the (N - 1)^2 unknowns of the dephased defect: a
+    (|T|, N M, M (N - 1)) stack, a view of the blocks where M = 1 and a copy otherwise; the blocks are spent.
+
+    The gauge, A[i, c0] = 0 for every row i (c0 V's column 0) and sum_x A[(x, a0), c] = 0 for every column c (a0 orbit
+    0), meets the rephasings a 1^T + 1 b^T only at 0, so the nullity it leaves is d' = d - (2N - 1). In block
+    coordinates it cuts column (a, c0) of every block and zeroes column (a0, c) of block 0, the trivial character's:
+    those N - 1 zero values keep the stack one array, even where M = 1 and block 0 keeps no column.
+    """
+    order, side, _ = blocks.shape
+    n = math.isqrt(order * side)
+    m = side // n
+    restricted = blocks.reshape(order, side, m, n)[..., 1:]
+    restricted[0, :, 0] = 0
+    return restricted.reshape(order, side, m * (n - 1))
+
+
 class RankResult(NamedTuple):
     rank: int
     gap_ratio: float
@@ -296,15 +314,18 @@ def _defect_pass(
     rank; these and the unit vectors of the 2N - 1 rephasings map to W X W^T,
     an orthonormal basis of the tangent space, each checked to solve the full
     system over the entries A_ab within 10 rel_tol sigma_max.
-    The dephased check takes one more assembly and certified SVD, over the
-    entries A_ab cut by `_rank_in_place`, checked against d' = d - (2N - 1).
+    The dephased check takes one more certified SVD, checked against
+    d' = d - (2N - 1): on blocks, of `gauge_cut_blocks`; else of the system
+    over the entries A_ab, cut by `_rank_in_place`.
     Sizes are refused before verification: from N before T is looked for (the
     least stack of any T, |T| = N, if blocks may be taken, else the full
-    system), then the one T selects; under `dephased` that passes, as its
-    16 N^4 / |T| bytes are below the full 8 N^3 (N - 1) for |T| >= 3, N >= 12.
+    system), then the stack T selects, or the full system if it selects none.
+    The dephased check adds no size check: it cuts its restricted system in
+    place, and its blocks too when M = N / |T| is 1; for M > 1 the cut is a
+    copy of (N - 1) / N of the blocks, made next to them.
     """
     n, maybe_blocked = h.n, h.n >= BLOCK_MIN_ORDER and not basis
-    check_block_size(n, n) if maybe_blocked and not dephased else check_system_size(n * (n - 1), n * n)
+    check_block_size(n, n) if maybe_blocked else check_system_size(n * (n - 1), n * n)
     found = _row_translations(h) if maybe_blocked else None
     blocked = found is not None and len(found[1]) >= BLOCK_MIN_GROUP
     check_block_size(n, len(found[1])) if blocked else check_system_size(n * (n - 1), n * n)
@@ -326,6 +347,7 @@ def _defect_pass(
                 raise ResidualError(f"basis residual {residual:.3e} above bound {bound:.3e}")
     else:
         result = _certify(numeric_rank(matrix, rel_tol, (n - 1) ** 2), gap_threshold, f"defect of {label}")
+    cut = gauge_cut_blocks(matrix) if blocked and dephased else None  # a full system is freed before another is built
     del matrix
     d = n * n - result.rank
     report = DefectReport(
@@ -341,8 +363,8 @@ def _defect_pass(
         provenance=h.provenance,
     )
     if dephased:
-        restricted = _rank_in_place(tangent_system(h).matrix)
-        result = _certify(numeric_rank(restricted, rel_tol), gap_threshold, f"dephased defect of {label}")
+        restricted = _rank_in_place(tangent_system(h).matrix) if cut is None else cut
+        result = _certify(numeric_rank(restricted, rel_tol, (n - 1) ** 2), gap_threshold, f"dephased defect of {label}")
         direct = (n - 1) * (n - 1) - result.rank
         if direct != report.dephased_defect:
             raise DefectMismatchError(
@@ -366,10 +388,15 @@ def dephased_defect(
     rel_tol: float = DEFAULT_REL_TOL,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
 ) -> int:
-    """Defect with the first row and column pinned, from the certified rank of the restricted system.
+    """Defect with the rephasings pinned by a gauge, from the certified rank of the system the gauge leaves.
 
-    It is an independent check of the undephased defect d: the two SVDs
-    must give d - (2N - 1), else DefectMismatchError.
+    It checks the undephased defect d: the two SVDs must give d - (2N - 1),
+    else DefectMismatchError. Without character blocks, row and column 0 are
+    pinned, and the check is independent of d's. On blocks it ranks the
+    `gauge_cut_blocks` of the same `_row_translations` and `character_blocks`
+    as d, so it checks the rephasing count and the rank over a second set of
+    columns, not the block assembly; the tests that hold the blocks and their
+    cut to the full systems check that.
     """
     return _defect_pass(h, rel_tol, gap_threshold, dephased=True)[0].dephased_defect
 

@@ -596,11 +596,14 @@ def test_verify_tolerances_from_zero_to_inf_are_accepted(capsys):
 
 
 def test_float_tangent_system_size_guard(capsys):
-    # 128 * 127 ordered pairs by 128^2 columns of float64 would need about 2.1 GB: the dephased check ranks them.
+    # F128's dephased check is ranked on its gauge-cut character blocks, not on its 128 * 127 x 128^2 system (2.1 GB).
+    assert run(["defect", "fourier:128", "--dephased"]) == 0
+    assert json.loads(capsys.readouterr().out)["dephased_defect"] == 576 - 255
+    # A group-less input of order 216 has no blocks: its 46440 x 46656 system (17 GB) is refused, and fast.
     start = time.perf_counter()
-    assert run(["defect", "fourier:128", "--dephased"]) == 1
+    assert run(["defect", "tensor:(tao,tensor:(tao,tao))", "--dephased"]) == 1
     assert time.perf_counter() - start < 1.0
-    assert "pair system of 16256 x 16384 entries needs 2130706432 bytes, above the cap" in capsys.readouterr().err
+    assert "pair system of 46440 x 46656 entries needs 17333637120 bytes, above the cap" in capsys.readouterr().err
 
 
 def test_character_block_size_guard(capsys):

@@ -264,10 +264,8 @@ def test_float_tangent_system_refused_before_products():
     def refused():
         with pytest.raises(CapExceededError):
             tangent_system(h)
-        # The dephased check and a basis rank the full system, whatever row group the matrix has: refused before the
-        # rank path's Helmert matrix and before the group is looked for.
-        with pytest.raises(CapExceededError, match="^pair system of 16256 x 16384"):
-            dephased_defect(moved)
+        # A basis ranks the full system, whatever row group the matrix has: refused before the rank path's Helmert
+        # matrix and before the group is looked for.
         with pytest.raises(CapExceededError, match="^pair system of 16256 x 16384"):
             tangent_basis(moved)
 
@@ -275,6 +273,18 @@ def test_float_tangent_system_refused_before_products():
     # The products H_ik conj(H_jk) alone would take 16256 x 128 x 16 bytes, about 33 MB.
     assert 128 * 127 * 128**2 * 8 > MAX_SYSTEM_BYTES
     assert traced_peak(refused)[1] < 2**20
+    # The dephased check of a matrix with a row group is ranked on its blocks, so it runs.
+    assert dephased_defect(moved) == 576 - 255
+    # That of a group-less one ranks its full system, refused once no group is found: before the products
+    # (46440 x 216 x 16 bytes, about 160 MB), though after the 216 x 216 arrays that look for the group.
+    big = build_matrix(parse_matrix_spec("tensor:(tao,tensor:(tao,tao))"))
+    big.to_values()
+
+    def refused_without_a_group():
+        with pytest.raises(CapExceededError, match="^pair system of 46440 x 46656"):
+            dephased_defect(big)
+
+    assert traced_peak(refused_without_a_group)[1] < 2**23
 
 
 def test_character_blocks_refused_before_products():

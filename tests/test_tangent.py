@@ -52,6 +52,7 @@ from hdefect.tangent import (
     deformation_scan,
     dephased_defect,
     fourier_P_check,
+    gauge_cut_blocks,
     helmert_matrix,
     numeric_rank,
     ordered_pairs,
@@ -253,7 +254,7 @@ def test_dephased_defect_examples():
 
 
 def test_dephased_paths_agree_on_corpus():
-    corpus = [fourier_matrix(g) for n in range(1, 17) for g in abelian_group_types(n)]
+    corpus = [fourier_matrix(g) for n in range(1, 33) for g in abelian_group_types(n)]
     corpus += [f22(F(k, 16)) for k in range(16)]
     corpus += [haagerup_matrix(F(k, 8)) for k in range(8)]
     corpus += [tao_matrix()]
@@ -990,14 +991,23 @@ def _found_blocks(h):
     return character_blocks(*(tangent._row_translations(h) or (h.to_values(), np.ones((1, 1)))))
 
 
+def _restricted_system(h):
+    """Oracle: the full pair system over the entries A_ab, sliced to a, b >= 1, the unknowns left by pinning row 0
+    and column 0."""
+    n = h.n
+    return tangent_system(h).matrix.reshape(-1, n, n)[:, 1:, 1:].reshape(n * (n - 1), (n - 1) ** 2)
+
+
 def _assert_blocks_agree(h, order):
     """Character blocks and the full Helmert-ranked system: one rank, one certification, and one spectrum to
     1e-12 sigma_max, on the (N-1)^2 largest merged block values. H has a row group of the given order, so the group
     found on it has a multiple of that order; only for order 1 may none be found, and the trivial group's blocks,
-    the full system as one complex block, are compared."""
+    the full system as one complex block, are compared. The gauge-cut blocks and the full restricted system give
+    one dephased rank, that of d: d' = d - (2N - 1), certified on the blocks."""
     found = tangent._row_translations(h)
     assert (found is None and order == 1) or (found is not None and len(found[1]) % order == 0)
-    blocks = numeric_rank(_found_blocks(h), count=(h.n - 1) ** 2)
+    stack = _found_blocks(h)
+    blocks = numeric_rank(stack, count=(h.n - 1) ** 2)
     full = numeric_rank(tangent._rank_in_place(tangent_system(h, helmert_matrix(h.n)).matrix))
     assert blocks.rank == full.rank
     threshold = tangent.DEFAULT_GAP_THRESHOLD
@@ -1005,6 +1015,11 @@ def _assert_blocks_agree(h, order):
     assert len(blocks.singular_values) == len(full.singular_values) == (h.n - 1) ** 2
     top = max(full.singular_values, default=0.0)
     np.testing.assert_allclose(blocks.singular_values, full.singular_values, rtol=0, atol=1e-12 * top)
+    cut = numeric_rank(gauge_cut_blocks(stack), count=(h.n - 1) ** 2)
+    restricted = numeric_rank(_restricted_system(h))
+    assert cut.rank == restricted.rank == full.rank
+    assert len(cut.singular_values) == len(restricted.singular_values) == (h.n - 1) ** 2
+    assert cut.gap_ratio >= threshold
     return blocks
 
 
@@ -1094,6 +1109,45 @@ def test_character_blocks_of_equivalents_agree_with_the_full_system(drawn):
     assert (found is None) == (moved_found is None) == (order == 1)
     assert found is None or len(moved_found[1]) == len(found[1])
     _assert_blocks_agree(moved, order)
+
+
+def _rephasings_in_block_coordinates(v, x):
+    """The 2N - 1 rephasings e_i 1^T, for every row i, and 1 e_c^T, for columns c >= 1, in the coordinates of the
+    character blocks: Y_k[a, c] = sum_x conj X[x, k] A[(x, a), c] / sqrt|T|, as a (2N - 1, |T|, M, N) array."""
+    order, n = len(x), v.shape[1]
+    eye = np.eye(n)
+    rows = np.broadcast_to(eye[:, :, None], (n, n, n))  # A[i'] = 1 on row i' = i
+    cols = np.broadcast_to(eye[1:, None, :], (n - 1, n, n))  # A[:, c'] = 1 on column c' = c
+    a = np.concatenate([rows, cols]).reshape(2 * n - 1, order, n // order, n)
+    return np.einsum("xk,rxac->rkac", np.conj(x), a) / math.sqrt(order)
+
+
+@pytest.mark.parametrize(
+    "spec, order, m",
+    [
+        ("fourier:16", 16, 1),
+        ("tensor:(fourier:3,tao)", 3, 6),
+        ("deformed:(fourier:4,[[0,0,0,0],[0,1/8,0,3/16],[0,0,1/4,0],[0,1/16,0,0]],fourier:4)", 4, 4),
+    ],
+)
+def test_the_dephased_gauge_cuts_every_rephasing_and_keeps_the_dephased_unknowns(spec, order, m):
+    # The gauge pins A[i, c0] = 0 and sum_x A[(x, a0), c] = 0: column (a, c0) of every block, (a0, c) of block 0.
+    v, x = tangent._row_translations(_spec(spec))
+    n = v.shape[1]
+    assert (len(x), n // len(x)) == (order, m)
+    k, a, c = np.indices((order, m, n))
+    dropped = (c == 0) | ((k == 0) & (a == 0))
+    assert dropped.sum() == 2 * n - 1 and (~dropped).sum() == (n - 1) ** 2
+    # The rephasings are independent on the dropped columns: no rephasing but 0 lies in the gauge.
+    rephasings = _rephasings_in_block_coordinates(v, x)
+    assert np.linalg.matrix_rank(rephasings[:, dropped]) == 2 * n - 1
+    # The ranked stack keeps the other columns of each block, in order, and zeroes the rest of block 0.
+    blocks = character_blocks(v, x)
+    cut = gauge_cut_blocks(blocks.copy())
+    assert cut.shape == (order, n * m, m * (n - 1))
+    for block, full, kept in zip(cut, blocks, ~dropped):
+        assert np.array_equal(block[:, np.abs(block).max(axis=0) > 0], full[:, kept.ravel()])
+    assert not cut[0].reshape(n * m, m, n - 1)[:, 0].any()
 
 
 def test_row_translations_are_found_whatever_the_construction(tmp_path):
@@ -1231,6 +1285,10 @@ def test_group_less_matrices_take_the_full_system(monkeypatch):
         assert tangent._row_translations(h) is None
         report = undephased_defect(h)
         assert report.undephased_defect == h.n * h.n - report.rank
+    # With |T| = 2 < BLOCK_MIN_GROUP, the dephased check ranks the full restricted system too.
+    h = _spec("tensor:(fourier:2,tao)")
+    assert len(tangent._row_translations(h)[1]) == 2
+    assert dephased_defect(h) == undephased_defect(h).undephased_defect - 23
     # Order 216 has no translation: its 46440 x 46656 system is refused, where 216 x 216 x 216 blocks would fit.
     big = _spec("tensor:(tao,tensor:(tao,tao))")
     assert tangent._row_translations(big) is None
@@ -1265,9 +1323,11 @@ def test_defect_svds_run_on_the_character_blocks(monkeypatch, capsys):
     assert [a.shape for a in systems] == [(16, 16, 16)]
     assert np.array_equal(systems[0], _found_blocks(fourier_matrix(make_group([16]))))
     systems.clear()
-    # The dephased check still ranks the full system's columns A_ab with a, b >= 1.
+    # The dephased check ranks the same blocks, cut by its gauge: M = 1, so block 0 keeps no column and is zero.
     assert run(["defect", "fourier:16", "--dephased"]) == 0
-    assert [a.shape for a in systems] == [(16, 16, 16), (240, 225)]
+    assert [a.shape for a in systems] == [(16, 16, 16), (16, 16, 15)]
+    assert np.array_equal(systems[1], gauge_cut_blocks(systems[0]))
+    assert not systems[1][0].any()
     capsys.readouterr()
 
 
