@@ -457,9 +457,12 @@ def matrix_from_dict(obj: dict) -> HadamardMatrix:
         # Refuses Infinity, NaN (no comparison holds) and ints beyond any float, all of which Python's json reads.
         if not shaped or (pair[1] < 1 if phase else not all(abs(x) <= sys.float_info.max for x in pair)):
             raise ValueError(f"{repr_tag} entries are {form}, got {pair!r}")
-    if phase:
-        turns = [Fraction(num, den) for num, den in entries]
-        return HadamardMatrix.from_turns([turns[i * n : (i + 1) * n] for i in range(n)], provenance=provenance)
+    if phase:  # each entry in lowest terms by one gcd, as Fraction(num, den) would put it, then over their lcm q
+        reduced = [(num // (g := math.gcd(num, den)), den // g) for num, den in entries]
+        q = math.lcm(1, *(den for _, den in reduced))
+        _check_order(q)
+        nums = np.array([num * (q // den) % q for num, den in reduced], dtype=np.int64).reshape(n, n)
+        return HadamardMatrix(phases=(nums, q), provenance=provenance)
     arr = np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(n, n)
     return HadamardMatrix.from_values(arr, provenance=provenance)
 

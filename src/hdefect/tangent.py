@@ -13,6 +13,9 @@ A defect call assembles each of its floating systems by `tangent_system`, but
 for one: a matrix with a row translation group T, found on its entries, has its
 defect ranked on `character_blocks`, the same system split by the characters of T,
 and its dephased check on `gauge_cut_blocks`, those blocks cut by a gauge T keeps.
+Block -k is block k under complex conjugation, which the real system commutes
+with, so it has block k's spectrum: one block per class {k, -k} is built and
+ranked, a real character's once and a pair's values counted twice.
 Ranks are taken over the orthogonal `helmert_matrix` W: its unknowns X_0b and
 X_a0 span the 2N - 1 rephasings a 1^T + 1 b^T, which solve the system exactly
 for every Hadamard H, and are dropped. The SVD ranks the other (N-1)^2, which
@@ -60,8 +63,9 @@ P_CHECK_RESIDUAL_TOL = 1e-8  # largest residual that `fourier_P_check` allows on
 SCAN_CHUNK_BYTES = 2**19
 SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
 RANK_BLOCK_BYTES = 2**16  # source bytes that `_rank_in_place` moves at once, and the most it buffers
-# `character_blocks` take about 4 / |G|^2 of the full SVD's flops, a complex flop counted as four, so they save nothing
-# below |G| = 3; below order 12 their fixed cost outweighs the saving (F10 breaks even, 2 vCPUs, OpenBLAS at 1 thread).
+# All |G| `character_blocks` would take about 4 / |G|^2 of the full SVD's flops, a complex flop counted as four, and one
+# per pair {k, -k} (|G| + r) / 2|G| of that, r the real characters, so they save nothing below |G| = 3; below order 12
+# their fixed cost outweighs the saving (F10 breaks even with all |G| blocks, 2 vCPUs, OpenBLAS at 1 thread).
 BLOCK_MIN_GROUP, BLOCK_MIN_ORDER = 3, 12
 
 
@@ -193,46 +197,54 @@ def check_block_size(n: int, order: int) -> None:
     check_bytes(f"character blocks of {order} x {side} x {side} complex entries", order * side * side * 16)
 
 
-def character_blocks(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+def character_blocks(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair system of H with rows x V_a, x in a row translation group T and V_a the rows of V (M = N / |T|), split
-    by the characters of T: X[z, y] is character y at z, and V's columns (y, b) take character y.
+    by the characters of T, one block per class {k, -k}: X[z, y] is character y at z, and V's columns (y, b) take
+    character y.
 
     H_{(x,a),(y,b)} = X[x, y] V_a[y, b], so the coefficients of pair ((x, a), (xz, a')) are
     c_{z,a,a'} = conj X[z, y] V_a conj V_a' for every x. Under the unitary A[(x, a)] = sum_k X[x, k] Y_k[a] / sqrt|T|,
     the pair equations hold iff each block k does: row (z, a, a') has c / sqrt(2) on the unknowns Y_k[a] and
     -X[z, k] c / sqrt(2) on Y_k[a']; the rows (1, a, a) are zero, kept so that blocks are square. The rows of (i, j)
     and (j, i) are conjugates up to sign, so the complex system's Gram matrix is twice the real one's: the merged block
-    spectra are the real system's nonzero spectrum, and zeros. Returns the (|T|, N M, N M) stack, held to
-    `check_block_size` before it is allocated.
+    spectra are the real system's nonzero spectrum, and zeros. The real system commutes with complex conjugation,
+    which sends Y_k[a, c] to conj Y_{-k}[a, c], so B_{-k}^H B_{-k} = conj(B_k^H B_k) and block -k, the j with
+    sum_x X[x, k] X[x, j] = |T|, needs no SVD. Returns the (classes, N M, N M) stack of the least k of each class
+    {k, -k}, trivial first, and each block's multiplicity: 1 for a real character, 2 for a pair. The stack is held to
+    `check_block_size` of all |T| blocks before it is allocated.
     """
     n, m = len(x), len(v)
     check_block_size(n * m, n)
+    partner = np.argmax(np.abs(x.T @ x) > n / 2, axis=0)
+    keep = np.flatnonzero(np.arange(n) <= partner)
     v = v.reshape(m, n, m)
     coeffs = (np.conj(x)[:, None, None, :, None] * (v[:, None] * np.conj(v)) / math.sqrt(2)).reshape(n, m, m, -1)
-    blocks = np.zeros((n, n, m, m, m, n * m), dtype=complex)  # k, row (z, a, a'), column (a'', (y, b))
+    blocks = np.zeros((len(keep), n, m, m, m, n * m), dtype=complex)  # k, row (z, a, a'), column (a'', (y, b))
     for a in range(m):
         blocks[:, :, a, :, a] = coeffs[:, a]
     diagonal = np.arange(m)
-    for k, block in enumerate(blocks):  # one block's temporary at a time
+    for k, block in zip(keep, blocks):  # one block's temporary at a time
         block[:, :, diagonal, diagonal] -= x[:, k, None, None, None] * coeffs
-    return blocks.reshape(n, n * m * m, n * m * m)
+    return blocks.reshape(len(keep), n * m * m, n * m * m), np.where(partner[keep] == keep, 1, 2)
 
 
-def gauge_cut_blocks(blocks: np.ndarray) -> np.ndarray:
-    """A stack of `character_blocks` cut by a gauge that T keeps to the (N - 1)^2 unknowns of the dephased defect: a
-    (|T|, N M, M (N - 1)) stack, a view of the blocks where M = 1 and a copy otherwise; the blocks are spent.
+def gauge_cut_blocks(blocks: np.ndarray, order: int) -> np.ndarray:
+    """A stack of `character_blocks` of a group of that order, cut by a gauge that T keeps to the (N - 1)^2 unknowns of
+    the dephased defect: a (classes, N M, M (N - 1)) stack, a view of the blocks where M = 1 and a copy otherwise; the
+    blocks are spent.
 
     The gauge, A[i, c0] = 0 for every row i (c0 V's column 0) and sum_x A[(x, a0), c] = 0 for every column c (a0 orbit
     0), meets the rephasings a 1^T + 1 b^T only at 0, so the nullity it leaves is d' = d - (2N - 1). In block
     coordinates it cuts column (a, c0) of every block and zeroes column (a0, c) of block 0, the trivial character's:
-    those N - 1 zero values keep the stack one array, even where M = 1 and block 0 keeps no column.
+    those N - 1 zero values keep the stack one array, even where M = 1 and block 0 keeps no column. Blocks k and -k
+    are cut alike, and block 0 is its own partner, so each cut pair keeps one spectrum and the blocks' multiplicities.
     """
-    order, side, _ = blocks.shape
+    count, side, _ = blocks.shape
     n = math.isqrt(order * side)
     m = side // n
-    restricted = blocks.reshape(order, side, m, n)[..., 1:]
+    restricted = blocks.reshape(count, side, m, n)[..., 1:]
     restricted[0, :, 0] = 0
-    return restricted.reshape(order, side, m * (n - 1))
+    return restricted.reshape(count, side, m * (n - 1))
 
 
 class RankResult(NamedTuple):
@@ -241,16 +253,23 @@ class RankResult(NamedTuple):
     singular_values: tuple[float, ...]
 
 
-def numeric_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL, count: int | None = None) -> RankResult:
+def numeric_rank(
+    matrix: np.ndarray,
+    rel_tol: float = DEFAULT_REL_TOL,
+    count: int | None = None,
+    multiplicity: np.ndarray | int = 1,
+) -> RankResult:
     """Rank as the number of singular values above rel_tol times the largest; a stack of real or complex blocks is
-    ranked on its merged spectra, from one batched SVD, and with `count` on the count largest merged values only."""
+    ranked on its merged spectra, from one batched SVD, each block's values repeated by its `multiplicity`, and with
+    `count` on the count largest merged values only."""
     sigma = np.linalg.svd(np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float), compute_uv=False)
+    sigma = np.repeat(sigma, multiplicity, axis=0)
     return _rank_from_spectrum(np.sort(sigma, axis=None)[::-1][:count], rel_tol)
 
 
 def _rank_from_spectrum(sigma: np.ndarray, rel_tol: float) -> RankResult:
     ranks, gaps = _ranks_and_gaps(sigma[None], rel_tol)
-    return RankResult(int(ranks[0]), float(gaps[0]), tuple(float(s) for s in sigma))
+    return RankResult(int(ranks[0]), float(gaps[0]), tuple(sigma.tolist()))
 
 
 def _ranks_and_gaps(sigma: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +351,7 @@ def _defect_pass(
     _require_hadamard(h)
     label = h.provenance or "matrix"
     w = helmert_matrix(n)
-    matrix = character_blocks(*found) if blocked else _rank_in_place(tangent_system(h, w).matrix)
+    matrix, multiplicity = character_blocks(*found) if blocked else (_rank_in_place(tangent_system(h, w).matrix), 1)
     elements = None
     if basis:
         _, sigma, vh = np.linalg.svd(matrix)
@@ -346,8 +365,10 @@ def _defect_pass(
             if residual > bound:
                 raise ResidualError(f"basis residual {residual:.3e} above bound {bound:.3e}")
     else:
-        result = _certify(numeric_rank(matrix, rel_tol, (n - 1) ** 2), gap_threshold, f"defect of {label}")
-    cut = gauge_cut_blocks(matrix) if blocked and dephased else None  # a full system is freed before another is built
+        result = numeric_rank(matrix, rel_tol, (n - 1) ** 2, multiplicity)
+        result = _certify(result, gap_threshold, f"defect of {label}")
+    # A full system is freed before another is built.
+    cut = gauge_cut_blocks(matrix, len(found[1])) if blocked and dephased else None
     del matrix
     d = n * n - result.rank
     report = DefectReport(
@@ -364,7 +385,8 @@ def _defect_pass(
     )
     if dephased:
         restricted = _rank_in_place(tangent_system(h).matrix) if cut is None else cut
-        result = _certify(numeric_rank(restricted, rel_tol, (n - 1) ** 2), gap_threshold, f"dephased defect of {label}")
+        result = numeric_rank(restricted, rel_tol, (n - 1) ** 2, multiplicity)
+        result = _certify(result, gap_threshold, f"dephased defect of {label}")
         direct = (n - 1) * (n - 1) - result.rank
         if direct != report.dephased_defect:
             raise DefectMismatchError(
@@ -396,7 +418,8 @@ def dephased_defect(
     `gauge_cut_blocks` of the same `_row_translations` and `character_blocks`
     as d, so it checks the rephasing count and the rank over a second set of
     columns, not the block assembly; the tests that hold the blocks and their
-    cut to the full systems check that.
+    cut to the full systems check that. Blocks k and -k are cut alike, so
+    both SVDs rank one block per pair, and a real character's once.
     """
     return _defect_pass(h, rel_tol, gap_threshold, dephased=True)[0].dephased_defect
 

@@ -114,6 +114,43 @@ def test_json_round_trip(phases):
     assert matrix_to_dict(h)["entries"] == entries
 
 
+PHASE_ENTRIES = st.one_of(
+    st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 64)),
+    st.builds(lambda num, den, k: (num * k, den * k), st.integers(-64, 64), st.integers(1, 64), st.integers(1, 10**12)),
+    st.sampled_from([(2, 4), (-3, 6), (0, 7), (2**70, 2**71), (-(2**70) - 2**68, 2**71), (3, 2**31), (5, 2**31 - 1),
+                     (1, 65537), (1, 65539), (2**40, 2**40 * 12)]),
+).map(list)
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(PHASE_ENTRIES, min_size=n * n, max_size=n * n)))
+def test_phase_entries_read_as_their_fractions(entries):
+    # Oracle: each entry as a Fraction of a turn, put over the lcm of the denominators; the same refusal at the cap.
+    n = math.isqrt(len(entries))
+    turns = [Fraction(num, den) for num, den in entries]
+    try:
+        expected = HadamardMatrix.from_turns([turns[i * n : (i + 1) * n] for i in range(n)])
+    except CapExceededError as exc:
+        with pytest.raises(CapExceededError) as refused:
+            matrix_from_dict({"n": n, "repr": "phase", "entries": entries})
+        assert str(refused.value) == str(exc)
+        return
+    assert _same_phases(matrix_from_dict({"n": n, "repr": "phase", "entries": entries}), expected)
+
+
+def test_phase_entries_at_the_order_cap_are_refused():
+    # 2^31 is the cap itself; 65537 * 65539 = 4,295,229,443 is an lcm beyond it; 2^31 - 1 is admitted.
+    for den in (2**31, 2**71):
+        with pytest.raises(CapExceededError, match=f"^phase order {den} is not below the cap"):
+            matrix_from_dict({"n": 1, "repr": "phase", "entries": [[1, den]]})
+    with pytest.raises(CapExceededError, match="^phase order 4295229443 is not below the cap"):
+        matrix_from_dict({"n": 2, "repr": "phase", "entries": [[1, 65537], [1, 65539], [0, 1], [0, 1]]})
+    h = matrix_from_dict({"n": 1, "repr": "phase", "entries": [[-5, 2**31 - 1]]})
+    assert (h.phase_order(), h.numerators.tolist()) == (2**31 - 1, [[2**31 - 6]])
+    h = matrix_from_dict({"n": 2, "repr": "phase", "entries": [[2**70, 2**71], [-3, 6], [2, 4], [0, 5]]})
+    assert (h.phase_order(), h.numerators.tolist()) == (2, [[1, 1], [1, 0]])
+
+
 @PROPERTY
 @given(phase_arrays(square=True))
 def test_dephase_is_idempotent(phases):

@@ -986,9 +986,30 @@ def test_defect_svds_run_on_the_ranked_columns(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _found_group(h):
+    """(V, X) of the row translation group found on H, or of the trivial group if none is."""
+    return tangent._row_translations(h) or (h.to_values(), np.ones((1, 1)))
+
+
 def _found_blocks(h):
-    """The character blocks of the row translation group found on H, or of the trivial group if none is."""
-    return character_blocks(*(tangent._row_translations(h) or (h.to_values(), np.ones((1, 1)))))
+    """The character blocks, one per class {k, -k}, and their multiplicities, of the group `_found_group` gives."""
+    return character_blocks(*_found_group(h))
+
+
+def _all_character_blocks(v, x):
+    """Oracle: all |T| character blocks, block k for every character k, from their rows: row (z, a, a') has c / sqrt(2)
+    on Y_k[a] and -X[z, k] c / sqrt(2) on Y_k[a'], where c = conj X[z, y] V_a[y, b] conj V_a'[y, b] on column (y, b)."""
+    order, m = len(x), len(v)
+    v = v.reshape(m, order, m)
+    c = np.einsum("zy,ayb,cyb->zacyb", np.conj(x), v, np.conj(v)).reshape(order, m, m, order * m) / math.sqrt(2)
+    eye = np.eye(m)
+    blocks = np.einsum("zacj,ad->zacdj", c, eye)[None] - np.einsum("zk,zacj,cd->kzacdj", x, c, eye)
+    return blocks.reshape(order, order * m * m, order * m * m)
+
+
+def _conjugate_characters(x):
+    """Oracle: for each character k of X, the j whose column is conj X[:, k] entry by entry."""
+    return np.array([np.flatnonzero(np.abs(x - np.conj(column)[:, None]).max(axis=0) < 1e-9)[0] for column in x.T])
 
 
 def _restricted_system(h):
@@ -1003,11 +1024,12 @@ def _assert_blocks_agree(h, order):
     1e-12 sigma_max, on the (N-1)^2 largest merged block values. H has a row group of the given order, so the group
     found on it has a multiple of that order; only for order 1 may none be found, and the trivial group's blocks,
     the full system as one complex block, are compared. The gauge-cut blocks and the full restricted system give
-    one dephased rank, that of d: d' = d - (2N - 1), certified on the blocks."""
+    one dephased rank, that of d: d' = d - (2N - 1), certified on the blocks. Blocks k and -k share one spectrum."""
     found = tangent._row_translations(h)
     assert (found is None and order == 1) or (found is not None and len(found[1]) % order == 0)
-    stack = _found_blocks(h)
-    blocks = numeric_rank(stack, count=(h.n - 1) ** 2)
+    group = _found_group(h)
+    stack, multiplicity = character_blocks(*group)
+    blocks = numeric_rank(stack, count=(h.n - 1) ** 2, multiplicity=multiplicity)
     full = numeric_rank(tangent._rank_in_place(tangent_system(h, helmert_matrix(h.n)).matrix))
     assert blocks.rank == full.rank
     threshold = tangent.DEFAULT_GAP_THRESHOLD
@@ -1015,12 +1037,43 @@ def _assert_blocks_agree(h, order):
     assert len(blocks.singular_values) == len(full.singular_values) == (h.n - 1) ** 2
     top = max(full.singular_values, default=0.0)
     np.testing.assert_allclose(blocks.singular_values, full.singular_values, rtol=0, atol=1e-12 * top)
-    cut = numeric_rank(gauge_cut_blocks(stack), count=(h.n - 1) ** 2)
+    cut = numeric_rank(gauge_cut_blocks(stack, multiplicity.sum()), count=(h.n - 1) ** 2, multiplicity=multiplicity)
     restricted = numeric_rank(_restricted_system(h))
     assert cut.rank == restricted.rank == full.rank
     assert len(cut.singular_values) == len(restricted.singular_values) == (h.n - 1) ** 2
     assert cut.gap_ratio >= threshold
+    _assert_conjugate_blocks_share_spectra(*group)
     return blocks
+
+
+def _assert_conjugate_blocks_share_spectra(v, x):
+    """Blocks k and -k of the full stack, plain and gauge-cut, have one spectrum to 1e-12 sigma_max. `character_blocks`
+    holds the least k of each class {k, -k} of the full stack, in order, (|T| + r) / 2 blocks for r real characters,
+    with multiplicity 1 for a real character and 2 for a pair: the multiplicities sum to |T|."""
+    order, partner = len(x), _conjugate_characters(x)
+    assert np.array_equal(partner[partner], np.arange(order))
+    keep, real = np.flatnonzero(np.arange(order) <= partner), np.sum(partner == np.arange(order))
+    stack, multiplicity = character_blocks(v, x)
+    assert len(stack) == len(keep) == (order + real) // 2 and multiplicity.sum() == order
+    assert multiplicity.tolist() == [1 if partner[k] == k else 2 for k in keep]
+    full = _all_character_blocks(v, x)
+    np.testing.assert_allclose(stack, full[keep], rtol=0, atol=1e-14)
+    for blocks in (full, gauge_cut_blocks(full.copy(), order)):
+        sigma = np.linalg.svd(blocks, compute_uv=False)
+        np.testing.assert_allclose(sigma[partner], sigma, rtol=0, atol=1e-12 * sigma.max(initial=0.0))
+
+
+@pytest.mark.parametrize(
+    "spec, classes",
+    [("fourier:16", 9), ("fourier:32", 17), ("fourier:2x2x2x2x2", 32), ("fourier:4x8", 18),
+     ("tensor:(fourier:3,tao)", 2)],
+)
+def test_one_block_is_built_per_class_of_conjugate_characters(spec, classes, monkeypatch):
+    # Both SVDs of a blocked `--dephased` rank (|T| + r) / 2 blocks, r the number of real characters, counted to |T|.
+    h, ranked = _spec(spec), []
+    monkeypatch.setattr(tangent, "numeric_rank", lambda *args: ranked.append(args) or numeric_rank(*args))
+    dephased_defect(h)
+    assert [(len(args[0]), args[3].sum()) for args in ranked] == [(classes, len(tangent._row_translations(h)[1]))] * 2
 
 
 def test_character_blocks_agree_with_the_full_system_on_every_fourier_matrix_to_order_32():
@@ -1142,8 +1195,8 @@ def test_the_dephased_gauge_cuts_every_rephasing_and_keeps_the_dephased_unknowns
     rephasings = _rephasings_in_block_coordinates(v, x)
     assert np.linalg.matrix_rank(rephasings[:, dropped]) == 2 * n - 1
     # The ranked stack keeps the other columns of each block, in order, and zeroes the rest of block 0.
-    blocks = character_blocks(v, x)
-    cut = gauge_cut_blocks(blocks.copy())
+    blocks = _all_character_blocks(v, x)
+    cut = gauge_cut_blocks(blocks.copy(), order)
     assert cut.shape == (order, n * m, m * (n - 1))
     for block, full, kept in zip(cut, blocks, ~dropped):
         assert np.array_equal(block[:, np.abs(block).max(axis=0) > 0], full[:, kept.ravel()])
@@ -1189,7 +1242,7 @@ def test_swapped_or_rephased_rows_keep_the_row_group_and_take_the_blocks(moved, 
     built = []
     monkeypatch.setattr(tangent, "character_blocks", lambda *found: built.append(character_blocks(*found)) or built[-1])
     report = undephased_defect(moved)
-    assert [b.shape for b in built] == [(16, 16, 16)] and report.undephased_defect == 48
+    assert [b.shape for b, _ in built] == [(9, 16, 16)] and report.undephased_defect == 48
     assert report.rank == numeric_rank(tangent._rank_in_place(tangent_system(moved, helmert_matrix(16)).matrix)).rank
 
 
@@ -1320,13 +1373,13 @@ def _recording_svds(monkeypatch):
 def test_defect_svds_run_on_the_character_blocks(monkeypatch, capsys):
     systems = _recording_svds(monkeypatch)
     assert run(["defect", "fourier:16"]) == 0
-    assert [a.shape for a in systems] == [(16, 16, 16)]
-    assert np.array_equal(systems[0], _found_blocks(fourier_matrix(make_group([16]))))
+    assert [a.shape for a in systems] == [(9, 16, 16)]
+    assert np.array_equal(systems[0], _found_blocks(fourier_matrix(make_group([16])))[0])
     systems.clear()
     # The dephased check ranks the same blocks, cut by its gauge: M = 1, so block 0 keeps no column and is zero.
     assert run(["defect", "fourier:16", "--dephased"]) == 0
-    assert [a.shape for a in systems] == [(16, 16, 16), (16, 16, 15)]
-    assert np.array_equal(systems[1], gauge_cut_blocks(systems[0]))
+    assert [a.shape for a in systems] == [(9, 16, 16), (9, 16, 15)]
+    assert np.array_equal(systems[1], gauge_cut_blocks(systems[0], 16))
     assert not systems[1][0].any()
     capsys.readouterr()
 
@@ -1338,7 +1391,7 @@ def test_a_drawn_equivalent_of_f32_from_a_file_is_ranked_on_blocks(tmp_path, mon
     save_matrix(apply_equivalence(f32, rng.permutation(32), rng.permutation(32), *phases), str(tmp_path / "h.json"))
     systems = _recording_svds(monkeypatch)
     assert run(["defect", f"file:{tmp_path / 'h.json'}"]) == 0
-    assert [(a.shape, a.dtype) for a in systems] == [((32, 32, 32), np.complex128)]
+    assert [(a.shape, a.dtype) for a in systems] == [((17, 32, 32), np.complex128)]
     assert json.loads(capsys.readouterr().out)["defect"] == fourier_defect(make_group([32]))
 
 
