@@ -450,21 +450,28 @@ def matrix_from_dict(obj: dict) -> HadamardMatrix:
     if not isinstance(entries, list) or len(entries) != n * n:
         count = len(entries) if isinstance(entries, list) else type(entries).__name__
         raise ValueError(f"expected a list of {n * n} entries, got {count}")
-    phase = repr_tag == "phase"
-    types, form = ((int,), "[numerator, denominator >= 1] ints") if phase else ((int, float), "[re, im] finite numbers")
+    # One pass checks each entry and reads it: a phase in lowest terms by one gcd, as Fraction(num, den) would put it,
+    # a complex value refused if it is Infinity, NaN (no comparison holds) or an int beyond any float, all of which
+    # Python's json reads. Exact types: a JSON boolean is a bool, an int subclass.
+    phase, big, read = repr_tag == "phase", sys.float_info.max, []
     for pair in entries:
-        shaped = isinstance(pair, list) and len(pair) == 2 and all(type(x) in types for x in pair)
-        # Refuses Infinity, NaN (no comparison holds) and ints beyond any float, all of which Python's json reads.
-        if not shaped or (pair[1] < 1 if phase else not all(abs(x) <= sys.float_info.max for x in pair)):
-            raise ValueError(f"{repr_tag} entries are {form}, got {pair!r}")
-    if phase:  # each entry in lowest terms by one gcd, as Fraction(num, den) would put it, then over their lcm q
-        reduced = [(num // (g := math.gcd(num, den)), den // g) for num, den in entries]
-        q = math.lcm(1, *(den for _, den in reduced))
+        if isinstance(pair, list) and len(pair) == 2:
+            a, b = pair
+            if phase and type(a) is int and type(b) is int and b >= 1:
+                g = math.gcd(a, b)
+                read.append((a // g, b // g))
+                continue
+            if not phase and type(a) in (int, float) and type(b) in (int, float) and abs(a) <= big and abs(b) <= big:
+                read.append(complex(a, b))
+                continue
+        form = "[numerator, denominator >= 1] ints" if phase else "[re, im] finite numbers"
+        raise ValueError(f"{repr_tag} entries are {form}, got {pair!r}")
+    if phase:  # over the lcm q of the reduced denominators
+        q = math.lcm(1, *(den for _, den in read))
         _check_order(q)
-        nums = np.array([num * (q // den) % q for num, den in reduced], dtype=np.int64).reshape(n, n)
+        nums = np.array([num * (q // den) % q for num, den in read], dtype=np.int64).reshape(n, n)
         return HadamardMatrix(phases=(nums, q), provenance=provenance)
-    arr = np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(n, n)
-    return HadamardMatrix.from_values(arr, provenance=provenance)
+    return HadamardMatrix.from_values(np.array(read, dtype=complex).reshape(n, n), provenance=provenance)
 
 
 def save_matrix(h: HadamardMatrix, path) -> None:

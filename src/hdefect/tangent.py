@@ -27,11 +27,15 @@ assembled in, so no second system-sized array is made before the SVD.
 its blocks are allocated, and `check_block_size` any stack of character blocks;
 a defect call or a scan checks the one it will rank from N and |T| alone,
 before any verification. A deformation scan is streamed: it yields its cells
-chunk by chunk, with one stack of cells, one assembly and one stacked SVD per
+chunk by chunk, with one stack of cells, one assembly and one SVD task per
 chunk, so its memory does not grow with the number of cells. Floating cells are
-verified as a stack; exact cells by their two factors, once per scan. One
-background thread per scan runs each chunk's SVD, a LAPACK call that releases
-the GIL, while the next chunk is built; at most two chunks are held.
+verified as a stack; exact cells by their two factors, once per scan. Where the
+left factor H has a row translation t of order 2, the cells are built from the
+dephased H, and t splits each cell's real system exactly into a t-even and a
+t-odd half (`translation_split`): the task ranks them as two stacks, their
+spectra merged. One background thread per scan runs each chunk's task, LAPACK
+calls that release the GIL, while the next chunk is built; at most two chunks
+are held.
 """
 
 from __future__ import annotations
@@ -59,9 +63,11 @@ from .matrices import deformed_tensor, dephase, fourier_matrix, gram_errors, tur
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
 P_CHECK_RESIDUAL_TOL = 1e-8  # largest residual that `fourier_P_check` allows on either side
-# Bytes of the stacked ranked pair systems of one scan chunk: 23 cells of F2 (x) F4, 56 x 49 each.
+# Bytes of the pair systems one scan chunk assembles: 32 cells of F2 (x) F4, each 32 x 64, in halves of 28 x 21 and
+# 28 x 28 once ranked. Sized by the 28 x 49 ranked entries, 47 cells a chunk raised the bench scan's peak RSS by
+# 0.4-0.5 MB at the same rate (3 paired 8 s runs, 2 vCPUs, OpenBLAS at 1 thread).
 SCAN_CHUNK_BYTES = 2**19
-SCAN_CHUNK_VALUES = 501  # fewest singular values per chunk: a stacked SVD releases the GIL above 500 only
+SCAN_CHUNK_VALUES = 501  # fewest singular values in each stack of a chunk: numpy releases the GIL above 500 only
 RANK_BLOCK_BYTES = 2**16  # source bytes that `_rank_in_place` moves at once, and the most it buffers
 # All |G| `character_blocks` would take about 4 / |G|^2 of the full SVD's flops, a complex flop counted as four, and one
 # per pair {k, -k} (|G| + r) / 2|G| of that, r the real characters, so they save nothing below |G| = 3; below order 12
@@ -157,8 +163,9 @@ def tangent_system(h: HadamardMatrix, basis: np.ndarray | None = None) -> Tangen
 
 
 @np.errstate(all="ignore")  # non-finite entries find no group; verification reports them
-def _row_translations(h: HadamardMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """The row translation group T of H, found on its entries, as (V, X) for `character_blocks`; None if T is trivial.
+def _row_translations(h: HadamardMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The row translation group T of H, found on its entries, as (V, X, P); None if T is trivial. (V, X) are for
+    `character_blocks`, and P[x] is the row permutation of the translation whose values are X's row x.
 
     H is `dephase`d to D, 1 on row and column 0, which moves no singular value of its pair system. A translation is a row
     t of D that maps each row of D, times t entry by entry, onto a row of D within VERIFY_TOL, exactly so on exact
@@ -183,12 +190,13 @@ def _row_translations(h: HadamardMatrix) -> tuple[np.ndarray, np.ndarray] | None
             while coset[0, 0] not in perms[:, 0]:
                 cosets, coset = np.concatenate([cosets, coset]), sigma[coset, r]
             perms = cosets
-    t, reps = np.sort(perms[:, 0]), np.flatnonzero(perms.min(axis=0) == rows)  # T's rows; the least row of each orbit
+    perms = perms[np.argsort(perms[:, 0])]
+    t, reps = perms[:, 0], np.flatnonzero(perms.min(axis=0) == rows)  # T's rows, sorted; the least row of each orbit
     first = np.argmax((np.conj(d[t]).T @ d[t]).real > len(t) / 2, axis=0)  # each column's first of its character
     classes, counts = np.unique(first, return_counts=True)
     if len(t) < 2 or len(reps) * len(t) != n or np.any(counts != len(reps)) or not same(d[t][:, first], d[t]).all():
         return None
-    return d[reps][:, np.argsort(first, kind="stable")], d[t][:, classes]
+    return d[reps][:, np.argsort(first, kind="stable")], d[t][:, classes], perms
 
 
 def check_block_size(n: int, order: int) -> None:
@@ -245,6 +253,77 @@ def gauge_cut_blocks(blocks: np.ndarray, order: int) -> np.ndarray:
     restricted = blocks.reshape(count, side, m, n)[..., 1:]
     restricted[0, :, 0] = 0
     return restricted.reshape(count, side, m * (n - 1))
+
+
+class TranslationSplit(NamedTuple):
+    """The rows and unknowns that split the pair system of an N x N matrix C into a t-even and a t-odd half, for a
+    fixed-point-free row involution P with C[P I, B] = s_B C[I, B], s_B = +-1: see `translation_split`."""
+
+    pairs: np.ndarray  # the rows to assemble: N/2 fixed rows of the even half, one row of each 2-orbit, N/2 of the odd
+    weights: np.ndarray  # sqrt(2) on a 2-orbit's row, 1 on a fixed row
+    basis: np.ndarray  # R: 1 / sqrt(N), the other even vectors, the odd vectors
+
+
+def translation_split(perm: np.ndarray) -> TranslationSplit:
+    """The split of the pair systems of matrices whose rows the involution perm maps as `TranslationSplit` states.
+
+    The map A[I] -> A[P I] of the unknowns takes row (I, J) of the system to row (P I, P J), or, where that flips
+    their order, to row (P J, P I) with sign +1 for an Im row and -1 for a Re row. The real system therefore commutes
+    with a signed permutation of its rows, and over R (orthogonal: the even vectors (e_I + e_PI) / sqrt(2) combined
+    by `helmert_matrix(N / 2)`, then the odd ones (e_I - e_PI) / sqrt(2)) on both sides of A = R X R^T, it splits
+    exactly: the unknowns X_ab, a, b >= 1, with column a of R even, and those with it odd. A 2-orbit of rows gives
+    one row to each half, times sqrt(2); a fixed row goes, unscaled, to the even half for sign +1 and the odd for -1.
+    """
+    n = len(perm)
+    pairs = ordered_pairs(n)
+    image, upper = perm[pairs], pairs[:, 0] < pairs[:, 1]
+    flip = (image[:, 0] < image[:, 1]) != upper
+    image[flip] = image[flip, ::-1]
+    moved = image[:, 0] * (n - 1) + image[:, 1] - (image[:, 1] > image[:, 0])  # the index of each row's image
+    rows = np.arange(len(pairs))
+    fixed = moved == rows  # the rows (I, P I), all flipped: Im, sign +1, where I > P I; Re, sign -1, where I < P I
+    order = np.concatenate([rows[fixed & ~upper], rows[moved > rows], rows[fixed & upper]])
+    lead, half = np.flatnonzero(np.arange(n) < perm), np.arange(n // 2)  # the lesser row of each orbit {I, P I}
+    vectors = np.zeros((2, n, n // 2))
+    vectors[:, lead, half] = math.sqrt(0.5)
+    vectors[:, perm[lead], half] = [[math.sqrt(0.5)], [-math.sqrt(0.5)]]
+    basis = np.concatenate([vectors[0] @ helmert_matrix(n // 2), vectors[1]], axis=1)
+    return TranslationSplit(pairs[order], np.where(fixed[order], 1.0, math.sqrt(2)), basis)
+
+
+def translation_halves(values: np.ndarray, split: TranslationSplit) -> list[np.ndarray]:
+    """The even and odd halves of the pair systems of a (C, N, N) stack of matrices, by one `translation_split`.
+
+    Only the split's N^2 / 2 rows are assembled, over its R, and ranked by `_rank_in_place`: the even half is the
+    first N(N-1)/2 rows on the first (N/2 - 1)(N - 1) ranked columns, and the odd half the last N(N-1)/2 rows on the
+    last N/2 (N - 1), views of one buffer. Their merged nonzero spectra are those of the full system. A half with no
+    column (N = 2) is left out.
+    """
+    blocks = _pair_blocks(values, split.pairs)
+    blocks *= split.weights[:, None, None]
+    ranked = _rank_in_place(pair_rows(split.pairs, blocks, split.basis))
+    n = values.shape[-1]
+    cut = (n // 2 - 1) * (n - 1)
+    halves = ranked[..., : n * (n - 1) // 2, :cut], ranked[..., n // 2 :, cut:]
+    return [half for half in halves if half.shape[-1]]
+
+
+def _left_split(h: HadamardMatrix, m: int) -> tuple[HadamardMatrix, TranslationSplit] | None:
+    """The dephased H and the `translation_split` of the cells H (x)_L K, K of order m, by the order-2 row translation
+    of H of least row; None if H has none. Cell row (i, a) goes to (P i, a): with D = dephase(H), row P i of D is row
+    i times row t, t^2 = 1, so every cell of D maps its rows onto rows exactly, times D_tj = +-1 on each column (j, b).
+    """
+    found = _row_translations(h)
+    involution = next((p for p in found[2] if p[0] and p[p[0]] == 0), None) if found else None
+    if involution is None:
+        return None
+    return dephase(h), translation_split((involution[:, None] * m + np.arange(m)).ravel())
+
+
+def _merged_spectra(stacks: list[np.ndarray]) -> np.ndarray:
+    """The singular values of each cell of one or more stacks of its systems, merged in descending order."""
+    sigma = np.concatenate([np.linalg.svd(stack, compute_uv=False) for stack in stacks], axis=-1)
+    return np.sort(sigma, axis=-1)[:, ::-1]
 
 
 class RankResult(NamedTuple):
@@ -351,7 +430,7 @@ def _defect_pass(
     _require_hadamard(h)
     label = h.provenance or "matrix"
     w = helmert_matrix(n)
-    matrix, multiplicity = character_blocks(*found) if blocked else (_rank_in_place(tangent_system(h, w).matrix), 1)
+    matrix, multiplicity = character_blocks(*found[:2]) if blocked else (_rank_in_place(tangent_system(h, w).matrix), 1)
     elements = None
     if basis:
         _, sigma, vh = np.linalg.svd(matrix)
@@ -546,10 +625,16 @@ def deformation_scan(
     A scan of more cells than `errors.MAX_ELEMENTS`, or whose cells' pair
     systems are above the `check_bytes` cap, is refused before any cell is
     built; a cell whose root order reaches MAX_PHASE_ORDER raises the
-    CapExceededError of a single defect call. Each cell ranks its full pair
-    system, so its gap ratio is a single call's bit for bit only where that
-    call ranks the full system too; from BLOCK_MIN_ORDER with BLOCK_MIN_GROUP
-    row translations or more it ranks `character_blocks`, whose gap differs.
+    CapExceededError of a single defect call. Where H has a row translation of
+    order 2, each cell is built from the dephased H and ranked on the two halves
+    of its `translation_split`: its defect, certification and error are its
+    single defect call's, and its gap ratio is that of its halves ranked as one.
+    Any other cell ranks its full pair system, so its gap ratio is a single
+    call's bit for bit only where that call ranks the full system too; from
+    BLOCK_MIN_ORDER with BLOCK_MIN_GROUP row translations or more it ranks
+    `character_blocks`, whose gap differs. A cell that fails verification, is
+    below gap_threshold, or has an exact zero just below its rank takes the
+    report or the error of its single call.
     """
     return list(_scan_cells(h, k, grid, rel_tol, gap_threshold))
 
@@ -566,8 +651,6 @@ def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
     # H (x)_L K is Hadamard for every unimodular L iff H and K are, so exact cells are verified by their factors.
     # Dephased, each factor's order divides every cell's own order, so its check sweeps no more Galois conjugates.
     sound = exact and all(verify_hadamard(dephase(f)).passed for f in (h, k))
-    rows, cols = size * (size - 1), (size - 1) ** 2
-    per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, rows * cols * 8), -(-SCAN_CHUNK_VALUES // max(1, min(rows, cols))))
 
     def cells():
         turns = grid.turns() if nfree else []  # a scan with no free entry has only the flat cell
@@ -576,22 +659,28 @@ def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
         labels = [str(t) for t in turns]
         turn_objects = np.array(turns, dtype=object)
         assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
-        w = helmert_matrix(size)
-        if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
-            (hn, kn), hk = _common_order(h, k)
-            base = hn[:, None, :, None] + kn[:, None, :]
+        left, split = _left_split(h, m) or (h, None)  # the cells of a split are those of the dephased H
+        if split is None:
+            pairs, w = ordered_pairs(size), helmert_matrix(size)
+            height, fewest = size * (size - 1), max(1, min(size * (size - 1), (size - 1) ** 2))
         else:
-            hv, kv, tv, hk = h.to_values(), k.to_values(), np.array([turn_to_complex(t) for t in turns]), 1
+            height, fewest = len(split.pairs), (size // 2 - 1) * (size - 1) or size // 2 * (size - 1)
+        # Each stack of a chunk holds more than SCAN_CHUNK_VALUES singular values: `fewest` is the least per cell.
+        per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, height * size * size * 8), -(-SCAN_CHUNK_VALUES // fewest))
+        if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
+            (_, kn), hk = _common_order(h, k)  # H's own order, as a single call's cell has it
+            base = (left.numerators * (hk // left.phase_order()))[:, None, :, None] + kn[:, None, :]
+        else:
+            hv, kv = left.to_values(), k.to_values()
+            tv, hk = np.array([turn_to_complex(t) for t in turns]), 1
         # Clipped to the order cap, so the lcms stay in int64; a cell that reaches the cap is refused.
         tq, tn = np.array([(min(t.denominator, MAX_PHASE_ORDER), t.numerator % MAX_PHASE_ORDER) for t in turns]).T
-        pairs = ordered_pairs(size)
-        label = f"defect of deformed:({h.provenance},{k.provenance})"
 
-        def single(l_row):  # one cell rebuilt and put through a single defect call, for its errors
+        def single(l_row):  # one cell of H rebuilt and put through a single defect call, for its errors
             params = DeformationParameters.from_turns(turn_objects[l_row].tolist())
             return undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
 
-        def prepare(chunk):  # build and verify a chunk of cells, then submit its stacked SVD
+        def prepare(chunk):  # build and verify a chunk of cells, then submit its stacked SVDs
             l_index = np.full((len(chunk), m, n), zero)
             l_index[:, 1:, 1:] = np.reshape(chunk, l_index[:, 1:, 1:].shape)
             cell_q = np.full(len(chunk), hk)
@@ -599,7 +688,7 @@ def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
                 cell_q = np.minimum(np.lcm(cell_q, column), MAX_PHASE_ORDER)
             if cell_q.max() == MAX_PHASE_ORDER:
                 single(l_index[np.argmax(cell_q)])  # raises the CapExceededError of a single call
-            if exact:  # at the cell's unreduced order: `_root` depends on m / q alone, so values equal a single call's
+            if exact:  # at the cell's unreduced order: `_root` depends on m / q alone, as for the cell built alone
                 lq = cell_q[:, None, None]
                 nums = base * (lq // hk)[..., None, None] + (tn[l_index] * (lq // tq[l_index]))[:, None, :, :, None]
                 nums, values = nums.reshape(-1, size, size) % lq, np.empty((len(chunk), size, size), dtype=complex)
@@ -611,28 +700,28 @@ def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
                 values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
                 modulus, ortho = gram_errors(values)
                 failed = ~((modulus <= VERIFY_TOL) & (ortho <= VERIFY_TOL))
-            systems = _rank_in_place(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w))
-            return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
+            if split is None:
+                stacks = [_rank_in_place(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w))]
+            else:
+                stacks = translation_halves(values[~failed], split)
+            return chunk, l_index, failed, pool.submit(_merged_spectra, stacks)
 
-        def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVD and single calls
-            sigma = svd.result()
-            solved = zip(*_ranks_and_gaps(sigma, rel_tol), sigma)
+        def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVDs and single calls
+            solved = zip(*(result.tolist() for result in _ranks_and_gaps(svd.result(), rel_tol)))
             for c, (assignment, rows) in enumerate(zip(chunk, turn_objects[l_index].tolist())):
                 cell_id = ";".join(map(labels.__getitem__, assignment))
                 full = tuple(map(tuple, rows))
                 try:
-                    if failed[c]:
+                    rank, gap = (None, None) if failed[c] else next(solved)
+                    # A cell that failed, is ambiguous, or has an exact zero below its rank is certified alone.
+                    if failed[c] or not (gap_threshold <= gap < math.inf or rank == (size - 1) ** 2):
                         report = single(l_index[c])
                         rank, gap = report.rank, report.gap_ratio
-                    else:
-                        rank, gap, spectrum = next(solved)
-                        if gap < gap_threshold:
-                            _certify(_rank_from_spectrum(spectrum, rel_tol), gap_threshold, label)
                 except (AmbiguousRankError, NonHadamardError) as exc:
                     yield ScanCell(cell_id, full, None, None, None, False, str(exc), type(exc).__name__)
                     continue
-                d = size * size - int(rank)
-                yield ScanCell(cell_id, full, d, d - (2 * size - 1), float(gap), True, None)
+                d = size * size - rank
+                yield ScanCell(cell_id, full, d, d - (2 * size - 1), gap, True, None)
 
         from concurrent.futures import ThreadPoolExecutor  # only a scan needs it: its import takes 10 ms and 0.7 MB
         chunks = iter(lambda: list(islice(assignments, per_chunk)), [])

@@ -1,13 +1,16 @@
 """Test oracles for the full pair system: the scatter that assembled it before the basis-aware `pair_rows`, the
-N(N-1) ordered pairs of an exact matrix with their root powers, listed from the matrix alone, and the exact row
-orthogonality check by integer cyclotomic reduction that `failing_pairs` made before it tested Galois conjugates."""
+N(N-1) ordered pairs of an exact matrix with their root powers, listed from the matrix alone, the exact row
+orthogonality check by integer cyclotomic reduction that `failing_pairs` made before it tested Galois conjugates, the
+order-2 row translations of a matrix found entry by entry, and a scan cell's two halves ranked as one."""
 
 import math
 
 import numpy as np
 
+from hdefect import tangent
 from hdefect.cyclotomic import power_reduction_table
-from hdefect.tangent import ordered_pairs
+from hdefect.matrices import deformed_tensor, dephase
+from hdefect.tangent import ordered_pairs, translation_halves
 
 
 def scatter_pair_rows(pairs: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
@@ -43,3 +46,21 @@ def table_failing_pairs(nums: np.ndarray, q: int) -> np.ndarray:
     pairs = np.stack(np.triu_indices(len(nums), 1), axis=1)
     diff = (nums[pairs[:, 0]] - nums[pairs[:, 1]]) % q
     return pairs[table[diff].sum(axis=1).any(axis=1)]
+
+
+def involutions(h) -> list[np.ndarray]:
+    """The row permutations of the order-2 row translations of H, by row: each row t > 0 of D = dephase(H) with
+    D_t^2 = 1 such that every row of D times D_t is one row of D, within 1e-9, entry by entry."""
+    d, found = dephase(h).to_values(), []
+    for t in range(1, h.n):
+        images = [np.flatnonzero(np.abs(d - d[s] * d[t]).max(axis=1) <= 1e-9) for s in range(h.n)]
+        if np.abs(d[t] ** 2 - 1).max() <= 1e-9 and all(len(image) == 1 for image in images):
+            found.append(np.concatenate(images))
+    return found
+
+
+def split_spectrum(h, params, k) -> np.ndarray:
+    """The merged singular values, in descending order, of the two halves of one cell of a scan: H (x)_L K of the
+    dephased H, built as a single matrix and split by the scan's `_left_split`."""
+    left, split = tangent._left_split(h, k.n)
+    return tangent._merged_spectra(translation_halves(deformed_tensor(left, params, k).to_values()[None], split))[0]

@@ -37,6 +37,7 @@ from hdefect.matrices import (
     save_matrix,
 )
 from hdefect.matrices import HadamardMatrix
+from pair_oracles import split_spectrum
 
 
 def test_parse_basic_constructors():
@@ -289,16 +290,19 @@ def test_scan_cell_cap_before_enumeration(monkeypatch, capsys):
 
 def test_scan_computes_each_cell_at_its_own_order(tmp_path, capsys):
     # A cell of order 2000000014, whose own check would sweep 500000003 Galois conjugates: exact cells are verified
-    # by their factors, so the scan runs, and the cell's gap ratio is that of a single call on its floating copy.
+    # by their factors, so the scan runs. Its defect is that of a single call on its floating copy, and its gap ratio
+    # that of its two halves, split by F2's row involution.
     out = tmp_path / "scan.csv"
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "1000000007:1", "--out", str(out)]) == 0
     with open(out, newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [(row["cell_id"], row["defect"]) for row in rows] == [("0", "10"), ("1/1000000007", "8")]
     f2 = fourier_matrix(make_group([2]))
-    cell = deformed_tensor(f2, DeformationParameters.from_turns([[0, 0], [0, Fraction(1, 1000000007)]]), f2)
-    floating = HadamardMatrix.from_values(cell.to_values())
-    assert float(rows[1]["gap_ratio"]) == tangent.undephased_defect(floating).gap_ratio
+    params = DeformationParameters.from_turns([[0, 0], [0, Fraction(1, 1000000007)]])
+    floating = HadamardMatrix.from_values(deformed_tensor(f2, params, f2).to_values())
+    assert int(rows[1]["defect"]) == tangent.undephased_defect(floating).undephased_defect
+    sigma = split_spectrum(f2, params, f2)
+    assert float(rows[1]["gap_ratio"]) == tangent._ranks_and_gaps(sigma[None], tangent.DEFAULT_REL_TOL)[1][0]
     capsys.readouterr()
     # Cells of orders 178 and 194 are computed at their own orders, not over their common order 17266.
     assert run(["scan", "fourier:2", "fourier:2", "--grid", "8633:89,97", "--out", str(out)]) == 0

@@ -62,7 +62,7 @@ from hdefect.tangent import (
     undephased_defect,
 )
 from conftest import traced_peak
-from pair_oracles import scatter_pair_rows, table_failing_pairs
+from pair_oracles import involutions, scatter_pair_rows, split_spectrum, table_failing_pairs
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -480,6 +480,20 @@ def per_cell_scan(h, k, grid, rel_tol=tangent.DEFAULT_REL_TOL, gap_threshold=tan
     return [_scan_cell(h, k, a, free, rel_tol, gap_threshold) for a in assignments]
 
 
+def scan_oracle(h, k, grid, rel_tol=tangent.DEFAULT_REL_TOL, gap_threshold=tangent.DEFAULT_GAP_THRESHOLD):
+    """Oracle: `per_cell_scan`, but where H has an order-2 row translation, each cell that its single call certifies
+    takes the gap ratio of its two halves ranked as one (`split_spectrum`) when that ratio clears the threshold and
+    is finite or from a full rank; else the scan certifies the cell alone. So cells equal single calls but in gap."""
+    cells = per_cell_scan(h, k, grid, rel_tol, gap_threshold)
+    for c, cell in enumerate(cells if involutions(h) else []):
+        if cell.certified:
+            sigma = split_spectrum(h, DeformationParameters.from_turns(cell.parameter_turns), k)
+            rank, gap = (float(a[0]) for a in tangent._ranks_and_gaps(sigma[None], rel_tol))
+            if gap_threshold <= gap < math.inf or rank == len(sigma):
+                cells[c] = dataclasses.replace(cell, gap_ratio=gap)
+    return cells
+
+
 def _spec(text):
     return build_matrix(parse_matrix_spec(text))
 
@@ -502,26 +516,33 @@ SCAN_CASES = [
 def test_batched_scan_equals_per_cell_oracle(h_spec, k_spec, grid):
     h, k = _spec(h_spec), _spec(k_spec)
     cells = deformation_scan(h, k, grid)
-    # Ids, turns, defects, bit-identical gap ratios and error strings.
-    assert cells == per_cell_scan(h, k, grid)
+    # Ids, turns, defects, bit-identical gap ratios and error strings: F2 and circulant:0,1/4 have an order-2 row
+    # translation, so their cells take the gap ratios of their split halves, and F3's those of its single calls.
+    assert cells == scan_oracle(h, k, grid)
     assert all(cell.certified for cell in cells)
 
 
-@pytest.mark.parametrize("h_spec, k_spec, blocked", [
-    ("fourier:3", "fourier:4", True),  # |T| = 3, 6 or 12 by cell
-    ("fourier:2", "fourier:6", True),  # |T| = 12
-    ("fourier:2", "tao", False),  # |T| = 2
+@pytest.mark.parametrize("h_spec, k_spec, blocked, split", [
+    ("fourier:3", "fourier:4", True, False),  # |T| = 3, 6 or 12 by cell
+    ("fourier:2", "fourier:6", True, True),  # |T| = 12
+    ("fourier:2", "tao", False, True),  # |T| = 2
 ])
-def test_scan_cells_of_order_12_differ_from_single_calls_in_gap_only_on_character_blocks(h_spec, k_spec, blocked):
-    # The scan ranks each cell's full pair system. A single call of order >= BLOCK_MIN_ORDER with BLOCK_MIN_GROUP row
-    # translations or more ranks its character blocks: same defect and certification, another gap ratio.
+def test_scan_cells_of_order_12_differ_from_single_calls_in_gap_only_on_character_blocks(
+    h_spec, k_spec, blocked, split
+):
+    # The scan ranks each cell's full pair system, or its two halves where H has an order-2 row translation. A single
+    # call of order >= BLOCK_MIN_ORDER with BLOCK_MIN_GROUP row translations or more ranks its character blocks, and
+    # any other its full system: same defect and certification, and the same gap ratio only where both rank the full
+    # system. Split cells equal the scan oracle.
     h, k = _spec(h_spec), _spec(k_spec)
     cells, singles = deformation_scan(h, k, ScanGrid(2)), per_cell_scan(h, k, ScanGrid(2))
     assert [(c.cell_id, c.defect, c.certified) for c in cells] == [(s.cell_id, s.defect, s.certified) for s in singles]
     for cell in cells:
         found = tangent._row_translations(deformed_tensor(h, DeformationParameters.from_turns(cell.parameter_turns), k))
         assert (found is not None and len(found[1]) >= tangent.BLOCK_MIN_GROUP) == blocked
-    assert [c.gap_ratio == s.gap_ratio for c, s in zip(cells, singles)] == [not blocked] * len(cells)
+    assert bool(involutions(h)) == split
+    assert [c.gap_ratio == s.gap_ratio for c, s in zip(cells, singles)] == [not (blocked or split)] * len(cells)
+    assert not split or cells == scan_oracle(h, k, ScanGrid(2))
 
 
 def test_batched_scan_ambiguous_cells_carry_the_single_call_text():
@@ -551,9 +572,9 @@ def test_batched_scan_non_hadamard_factor_fails_every_cell(tmp_path, bad):
 
 def test_scan_cell_flagged_by_the_stacked_check_is_rescued_by_its_single_call(monkeypatch):
     # A floating cell that fails the stacked verify is rebuilt and put through a single call; when that passes, the
-    # cell takes the single call's rank and gap, so the scan still equals the per-cell oracle.
+    # cell takes the single call's rank and gap, and the other cells the scan oracle's split gaps.
     h, k, grid = _spec("circulant:0,1/4"), _spec("fourier:2"), ScanGrid(8)
-    gram_errors, undephased, flagged, singles = tangent.gram_errors, tangent.undephased_defect, [], []
+    gram_errors, undephased, flagged, rebuilt = tangent.gram_errors, tangent.undephased_defect, [], []
 
     def flag_one_cell(values):
         modulus, ortho = gram_errors(values)
@@ -563,15 +584,73 @@ def test_scan_cell_flagged_by_the_stacked_check_is_rescued_by_its_single_call(mo
         return modulus, ortho
 
     def counted_single(*args):
-        singles.append(args[0].provenance)
+        rebuilt.append(args[0].provenance)
         return undephased(*args)
 
     monkeypatch.setattr(tangent, "gram_errors", flag_one_cell)
     monkeypatch.setattr(tangent, "undephased_defect", counted_single)
     cells = deformation_scan(h, k, grid)
-    assert flagged == [8] and singles == ["deformed:(circulant:0,1/4,fourier:2)"]
-    assert cells == per_cell_scan(h, k, grid)
+    assert flagged == [8] and rebuilt == ["deformed:(circulant:0,1/4,fourier:2)"]
+    monkeypatch.undo()
+    expected, single = scan_oracle(h, k, grid), per_cell_scan(h, k, grid)[3]
+    assert cells[:3] + cells[4:] == expected[:3] + expected[4:] and cells[3] == single != expected[3]
     assert cells[3].cell_id == "3/8" and cells[3].certified
+
+
+SPLIT_LEFT = ["fourier:2", "fourier:4", "fourier:2x2", "fourier:6", "circulant:0,1/4", "tensor:(fourier:2,tao)"]
+
+
+@pytest.mark.parametrize("spec", SPLIT_LEFT + ["fourier:1", "fourier:3", "fourier:5", "tao", "haagerup:1/8"])
+def test_a_scan_splits_its_cells_exactly_when_its_left_factor_has_an_order_2_row_translation(spec):
+    # The involution is the order-2 translation of least row in the dephased H, as found entry by entry.
+    h = _spec(spec)
+    found, chosen = involutions(h), tangent._left_split(h, 3)
+    assert (chosen is None) == (not found) == (spec not in SPLIT_LEFT)
+    if found:  # cell row (i, a) goes to (P i, a)
+        expected = tangent.translation_split((found[0][:, None] * 3 + np.arange(3)).ravel())
+        assert np.array_equal(chosen[0].to_values(), dephase(h).to_values())
+        assert all(np.array_equal(a, b) for a, b in zip(chosen[1], expected))
+
+
+@st.composite
+def split_cells(draw):
+    """(H, L, K): H a left factor of a split, or a drawn equivalent of F4 (rows and columns permuted and rephased by
+    eighth roots, half the time a floating copy); K among F2, F3, F4 and tao with N = |H| |K| <= 24; L exact, over a
+    drawn denominator up to 8, and not dephased."""
+    spec = draw(st.sampled_from(SPLIT_LEFT + ["equivalent"]))
+    if spec == "equivalent":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        row_phases, col_phases = ([F(int(x), 8) for x in rng.integers(0, 8, 4)] for _ in range(2))
+        h = apply_equivalence(_spec("fourier:4"), rng.permutation(4), rng.permutation(4), row_phases, col_phases)
+        h = HadamardMatrix.from_values(h.to_values()) if draw(st.booleans()) else h
+    else:
+        h = _spec(spec)
+    right = [spec for spec in ("fourier:2", "fourier:3", "fourier:4", "tao") if h.n * _spec(spec).n <= 24]
+    k = _spec(draw(st.sampled_from(right)))
+    d = draw(st.integers(1, 8))
+    params = DeformationParameters.from_turns(
+        [[F(draw(st.integers(0, d - 1)), d) for _ in range(h.n)] for _ in range(k.n)]
+    )
+    return h, params, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(split_cells())
+def test_split_halves_keep_the_rank_and_the_spectrum_of_the_full_system(drawn):
+    # The merged halves of the cell of the dephased H against the Helmert-ranked full system of the cell of H: one
+    # rank, and one spectrum to 1e-12 sigma_max. The halves have N(N-1)/2 rows each, and the even half the first
+    # (N/2 - 1)(N - 1) of the (N - 1)^2 ranked columns.
+    h, params, k = drawn
+    n = h.n * k.n
+    full = numeric_rank(tangent._rank_in_place(tangent_system(deformed_tensor(h, params, k), helmert_matrix(n)).matrix))
+    left, split = tangent._left_split(h, k.n)
+    halves = tangent.translation_halves(deformed_tensor(left, params, k).to_values()[None], split)
+    assert [half.shape[2] for half in halves] == [(n // 2 - 1) * (n - 1), n // 2 * (n - 1)]
+    assert [half.shape[:2] for half in halves] == [(1, n * (n - 1) // 2)] * 2
+    sigma = tangent._merged_spectra(halves)[0]
+    ranks, _ = tangent._ranks_and_gaps(sigma[None], tangent.DEFAULT_REL_TOL)
+    assert len(sigma) == (n - 1) ** 2 and ranks[0] == full.rank
+    np.testing.assert_allclose(sigma, full.singular_values, rtol=0, atol=1e-12 * full.singular_values[0])
 
 
 LEMMA_FACTORS = ["fourier:2", "fourier:3", "fourier:4", "fourier:5", "fourier:6", "fourier:2x2", "tao"]
@@ -625,7 +704,7 @@ def test_exact_scan_verifies_its_factors_dephased(monkeypatch):
     assert sweeps == [("Galois conjugates of phase order 2", 1)] * 2
     assert verify_hadamard(h).passed
     assert sweeps[2:] == [("Galois conjugates of phase order 19946", 4986)]
-    assert cells == per_cell_scan(h, k, ScanGrid(4))
+    assert cells == scan_oracle(h, k, ScanGrid(4))
     assert [cell.defect for cell in cells] == [10, 8, 10, 8]
 
 
@@ -647,16 +726,24 @@ def test_batched_scan_chunk_boundaries(monkeypatch, per_chunk):
     cases = [(f2, f4, ScanGrid(4)), (f2, f2, ScanGrid(8, (1, 3, 5))), (f2, f2, ScanGrid(8, (0, 3)))]
     expected = [deformation_scan(h, k, grid) for h, k, grid in cases]
     for (h, k, grid), cells in zip(cases, expected):
-        size = h.n * k.n
-        monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", per_chunk * size * (size - 1) * (size - 1) ** 2 * 8)
+        size = h.n * k.n  # F2 splits each cell: N^2 / 2 rows of its system are assembled, over N^2 unknowns
+        monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", per_chunk * size**4 // 2 * 8)
         monkeypatch.setattr(tangent, "SCAN_CHUNK_VALUES", 1)
         assert deformation_scan(h, k, grid) == cells
 
 
-def test_scan_chunks_hold_enough_singular_values_to_release_the_gil(monkeypatch):
-    # numpy runs a stacked SVD without the GIL only above 500 singular values; 0.5 MiB holds 4 ranked cells of
-    # size 12, 132 x 121 each, and 121 singular values a cell take 5 cells past 500.
-    f2, f6 = fourier_matrix(make_group([2])), fourier_matrix(make_group([6]))
+@pytest.mark.parametrize("h_spec, k_spec, grid, shapes, chunks", [
+    ("fourier:2", "fourier:4", 4, [(28, 21), (28, 28)], [32, 32]),
+    ("fourier:2", "fourier:6", 2, [(66, 55), (66, 66)], [10, 10, 10, 2]),
+    ("fourier:3", "fourier:2", 16, [(30, 25)], [60, 60, 60, 60, 16]),
+])
+def test_scan_chunks_hold_enough_singular_values_to_release_the_gil(h_spec, k_spec, grid, shapes, chunks, monkeypatch):
+    # numpy runs a stacked SVD without the GIL only above 500 singular values. A cell whose left factor has an
+    # order-2 row translation is ranked as two halves of N(N-1)/2 rows, with (N/2 - 1)(N - 1) and N/2 (N - 1)
+    # columns, in one stack each, from N^2 / 2 assembled rows of N^2 entries: 0.5 MiB of those holds 32 cells of
+    # F2 (x) F4, whose 21 even values a cell take 24 cells past 500, and 6 of F2 (x) F6, whose 55 take 10. F3 has
+    # none, so F3 (x) F2 keeps one stack of full systems, N(N-1) x (N-1)^2, assembled N(N-1) x N^2: 0.5 MiB holds
+    # 60 of them. Only a scan's last chunk may hold fewer values.
     stacks, svd = [], np.linalg.svd
 
     def recording_svd(a, **kwargs):
@@ -664,8 +751,9 @@ def test_scan_chunks_hold_enough_singular_values_to_release_the_gil(monkeypatch)
         return svd(a, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    assert len(deformation_scan(f2, f6, ScanGrid(2))) == 32
-    assert stacks == [(5, 132, 121)] * 6 + [(2, 132, 121)]
+    deformation_scan(_spec(h_spec), _spec(k_spec), ScanGrid(grid))
+    assert stacks == [(count, *shape) for count in chunks for shape in shapes]
+    assert all(count * min(rows, cols) > 500 for count, rows, cols in stacks[: -len(shapes)])
 
 
 def test_scan_svd_error_propagates_unchanged_and_the_thread_is_joined(monkeypatch):
@@ -674,14 +762,14 @@ def test_scan_svd_error_propagates_unchanged_and_the_thread_is_joined(monkeypatc
 
     def failing_svd(*args, **kwargs):
         threads.append(threading.current_thread())
-        if len(threads) == 2:
+        if len(threads) == 3:  # the second chunk's even half
             raise injected
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError) as raised:
-        deformation_scan(f2, f4, ScanGrid(4))  # 64 cells in chunks of 23
+        deformation_scan(f2, f4, ScanGrid(4))  # 64 cells in chunks of 32, with one SVD per half
     assert raised.value is injected
     assert threading.main_thread() not in threads
     assert threading.active_count() == before
@@ -705,7 +793,7 @@ def test_scan_refuses_a_cell_above_the_order_cap_while_a_chunk_is_in_flight(monk
     with pytest.raises(CapExceededError) as batched:
         deformation_scan(f2, f2, grid)
     assert str(batched.value) == str(single.value)
-    assert finished == [True]
+    assert finished == [True, True]  # both halves of the cell in flight
     assert threading.active_count() == before
 
 
@@ -755,7 +843,8 @@ def test_scan_refused_in_a_later_chunk_leaves_the_rows_written_before_it(monkeyp
 def test_scan_memory_stays_flat_in_the_number_of_cells(monkeypatch, tmp_path, capsys):
     # 256 and 4,096 cells of F2 (x) F3: rows are written and the summary folded as the cells arrive. The peak
     # also holds a chunk's SVD on the other thread whenever it overlaps the next chunk's build, which varies
-    # by as much as the chunk: chunks of the fewest cells that release the GIL (21) keep that within 0.3 MB.
+    # by as much as the chunk: chunks of the fewest cells that release the GIL (51, for 10 values a cell in the
+    # even half) keep that within 0.3 MB.
     monkeypatch.setattr(tangent, "SCAN_CHUNK_BYTES", 1)
 
     def scan(grid):
@@ -777,7 +866,7 @@ def test_scan_csv_digest_with_gap_ratios(tmp_path):
     argv = ["scan", "fourier:2", "fourier:4", "--grid", "16", "--out", str(out)]
     subprocess.run([sys.executable, "-c", code, *argv], check=True, env=env, capture_output=True)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "8ad3243264eec5e9202300997b1e8a7febbd0e32c3bf98e7b0c243afc85b6b97"
+    assert digest == "295fbd779ae3f909ce45626e2e6d93323548921740bfc5e387acbe02818d82d3"
 
 
 def _scalar_rank_rule(sigma, rel_tol):
@@ -988,7 +1077,7 @@ def test_defect_svds_run_on_the_ranked_columns(monkeypatch, capsys):
 
 def _found_group(h):
     """(V, X) of the row translation group found on H, or of the trivial group if none is."""
-    return tangent._row_translations(h) or (h.to_values(), np.ones((1, 1)))
+    return (tangent._row_translations(h) or (h.to_values(), np.ones((1, 1))))[:2]
 
 
 def _found_blocks(h):
@@ -1185,7 +1274,7 @@ def _rephasings_in_block_coordinates(v, x):
 )
 def test_the_dephased_gauge_cuts_every_rephasing_and_keeps_the_dephased_unknowns(spec, order, m):
     # The gauge pins A[i, c0] = 0 and sum_x A[(x, a0), c] = 0: column (a, c0) of every block, (a0, c) of block 0.
-    v, x = tangent._row_translations(_spec(spec))
+    v, x, _ = tangent._row_translations(_spec(spec))
     n = v.shape[1]
     assert (len(x), n // len(x)) == (order, m)
     k, a, c = np.indices((order, m, n))
@@ -1309,6 +1398,17 @@ def test_row_translations_agree_with_the_numerator_rule_on_exact_matrices(h):
         rows = dephase(h).to_values()[oracle]
         assert len(found[1]) == len(oracle)
         assert all((rows == column[:, None]).all(axis=0).any() for column in found[1].T)
+
+
+@pytest.mark.parametrize("spec", ["fourier:12", "fourier:2x6", "tensor:(fourier:3,tao)", "circulant:0,1/4"])
+def test_row_translation_permutations_map_each_row_by_their_translation(spec):
+    # P[x] sends row s of D to row s times row t = P[x][0]; the t are T's rows, sorted, identity first.
+    h = _spec(spec)
+    d, (_, x, perms) = dephase(h).to_values(), tangent._row_translations(h)
+    assert len(perms) == len(x) and np.array_equal(perms[0], np.arange(h.n)) and np.all(np.diff(perms[:, 0]) > 0)
+    for perm in perms:
+        np.testing.assert_allclose(d[perm], d * d[perm[0]], rtol=0, atol=1e-12)
+    assert not h.is_exact or perms[:, 0].tolist() == _numerator_translations(h)
 
 
 def test_row_translations_of_non_hadamard_input_are_none():
