@@ -29,7 +29,8 @@ a defect call or a scan checks the one it will rank from N and |T| alone,
 before any verification. A deformation scan is streamed: it yields its cells
 chunk by chunk, with one stack of cells, one assembly and one SVD task per
 chunk, so its memory does not grow with the number of cells. Floating cells are
-verified as a stack; exact cells by their two factors, once per scan. Where the
+verified as a stack, built from the factors as given; exact cells by their two
+factors, once per scan, and not again where a cell is ranked alone. Where the
 left factor H has a row translation t of order 2, the cells are built from the
 dephased H, and t splits each cell's real system exactly into a t-even and a
 t-odd half (`translation_split`): the task ranks them as two stacks, their
@@ -63,9 +64,10 @@ from .matrices import deformed_tensor, dephase, fourier_matrix, gram_errors, tur
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e6
 P_CHECK_RESIDUAL_TOL = 1e-8  # largest residual that `fourier_P_check` allows on either side
-# Bytes of the pair systems one scan chunk assembles: 32 cells of F2 (x) F4, each 32 x 64, in halves of 28 x 21 and
-# 28 x 28 once ranked. Sized by the 28 x 49 ranked entries, 47 cells a chunk raised the bench scan's peak RSS by
-# 0.4-0.5 MB at the same rate (3 paired 8 s runs, 2 vCPUs, OpenBLAS at 1 thread).
+# Bytes of the pair systems in one scan chunk. Split cells count as assembled: 32 cells of F2 (x) F4, each 32 x 64, in
+# halves of 28 x 21 and 28 x 28 once ranked; sized by the 28 x 49 ranked entries, 47 cells a chunk raised the bench
+# scan's peak RSS by 0.4-0.5 MB at the same rate (3 paired 8 s runs, 2 vCPUs, OpenBLAS at 1 thread). Unsplit cells
+# count as ranked: 87 cells of F3 (x) F2, 30 x 25 each.
 SCAN_CHUNK_BYTES = 2**19
 SCAN_CHUNK_VALUES = 501  # fewest singular values in each stack of a chunk: numpy releases the GIL above 500 only
 RANK_BLOCK_BYTES = 2**16  # source bytes that `_rank_in_place` moves at once, and the most it buffers
@@ -399,9 +401,16 @@ def _require_hadamard(h: HadamardMatrix) -> None:
 
 
 def _defect_pass(
-    h: HadamardMatrix, rel_tol: float, gap_threshold: float, dephased: bool = False, basis: bool = False
+    h: HadamardMatrix,
+    rel_tol: float,
+    gap_threshold: float,
+    dephased: bool = False,
+    basis: bool = False,
+    verified: bool = False,
 ) -> tuple[DefectReport, list[np.ndarray] | None]:
     """Verify once, rank one assembly and certify it; optionally also check the dephased defect, and give a basis.
+    With `verified`, H is taken as checked already and only ranked: a scan cell verified by its factors is not
+    swept again over the Galois conjugates of its own order.
 
     Without `basis`, a matrix of order at least BLOCK_MIN_ORDER whose row
     translation group, by `_row_translations`, has BLOCK_MIN_GROUP elements or
@@ -427,7 +436,8 @@ def _defect_pass(
     found = _row_translations(h) if maybe_blocked else None
     blocked = found is not None and len(found[1]) >= BLOCK_MIN_GROUP
     check_block_size(n, len(found[1])) if blocked else check_system_size(n * (n - 1), n * n)
-    _require_hadamard(h)
+    if not verified:
+        _require_hadamard(h)
     label = h.provenance or "matrix"
     w = helmert_matrix(n)
     matrix, multiplicity = character_blocks(*found[:2]) if blocked else (_rank_in_place(tangent_system(h, w).matrix), 1)
@@ -632,9 +642,13 @@ def deformation_scan(
     Any other cell ranks its full pair system, so its gap ratio is a single
     call's bit for bit only where that call ranks the full system too; from
     BLOCK_MIN_ORDER with BLOCK_MIN_GROUP row translations or more it ranks
-    `character_blocks`, whose gap differs. A cell that fails verification, is
-    below gap_threshold, or has an exact zero just below its rank takes the
-    report or the error of its single call.
+    `character_blocks`, whose gap differs. Floating cells are verified as the
+    cells of H, split or not. A cell that fails verification takes the report
+    or the error of its single call. A split cell below gap_threshold, or with
+    an exact zero just below its rank, is ranked as its single call ranks it,
+    without the check the scan has made: its report or AmbiguousRankError is
+    that call's. Any other cell below gap_threshold raises AmbiguousRankError
+    from the scan's own spectrum.
     """
     return list(_scan_cells(h, k, grid, rel_tol, gap_threshold))
 
@@ -660,25 +674,29 @@ def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
         turn_objects = np.array(turns, dtype=object)
         assignments = chain([(zero,) * nfree] if add_flat else [], product(range(zero), repeat=nfree))
         left, split = _left_split(h, m) or (h, None)  # the cells of a split are those of the dephased H
-        if split is None:
+        if split is None:  # one stack of full systems, sized by what it ranks
             pairs, w = ordered_pairs(size), helmert_matrix(size)
-            height, fewest = size * (size - 1), max(1, min(size * (size - 1), (size - 1) ** 2))
-        else:
-            height, fewest = len(split.pairs), (size // 2 - 1) * (size - 1) or size // 2 * (size - 1)
+            height, width = size * (size - 1), (size - 1) ** 2
+            fewest, per_cell = max(1, min(height, width)), height * width
+        else:  # two stacks of halves, sized by what they are assembled from
+            fewest, per_cell = (size // 2 - 1) * (size - 1) or size // 2 * (size - 1), len(split.pairs) * size * size
         # Each stack of a chunk holds more than SCAN_CHUNK_VALUES singular values: `fewest` is the least per cell.
-        per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, height * size * size * 8), -(-SCAN_CHUNK_VALUES // fewest))
+        per_chunk = max(1, SCAN_CHUNK_BYTES // max(1, per_cell * 8), -(-SCAN_CHUNK_VALUES // fewest))
         if exact:  # a cell's root order is the lcm of the factor order hk and of its turns' denominators
             (_, kn), hk = _common_order(h, k)  # H's own order, as a single call's cell has it
             base = (left.numerators * (hk // left.phase_order()))[:, None, :, None] + kn[:, None, :]
         else:
-            hv, kv = left.to_values(), k.to_values()
+            hv, lv, kv = h.to_values(), left.to_values(), k.to_values()
             tv, hk = np.array([turn_to_complex(t) for t in turns]), 1
         # Clipped to the order cap, so the lcms stay in int64; a cell that reaches the cap is refused.
         tq, tn = np.array([(min(t.denominator, MAX_PHASE_ORDER), t.numerator % MAX_PHASE_ORDER) for t in turns]).T
+        label = f"defect of deformed:({h.provenance},{k.provenance})"
 
-        def single(l_row):  # one cell of H rebuilt and put through a single defect call, for its errors
-            params = DeformationParameters.from_turns(turn_objects[l_row].tolist())
-            return undephased_defect(deformed_tensor(h, params, k), rel_tol, gap_threshold)
+        def single(l_row, verified=False):  # one cell of H rebuilt and put through a single defect call, or ranked
+            cell = deformed_tensor(h, DeformationParameters.from_turns(turn_objects[l_row].tolist()), k)
+            if verified:
+                return _defect_pass(cell, rel_tol, gap_threshold, verified=True)[0]
+            return undephased_defect(cell, rel_tol, gap_threshold)
 
         def prepare(chunk):  # build and verify a chunk of cells, then submit its stacked SVDs
             l_index = np.full((len(chunk), m, n), zero)
@@ -696,27 +714,36 @@ def _scan_cells(h, k, grid, rel_tol, gap_threshold) -> Iterator[ScanCell]:
                     group = cell_q == order
                     values[group] = _roots(nums[group], order)
                 failed = np.full(len(chunk), not sound)
-            else:  # checked within the verify tolerance of a single defect call
+            else:  # the cells of H, checked within the verify tolerance of a single defect call
                 values = np.einsum("ij,caj,ab->ciajb", hv, tv[l_index], kv).reshape(-1, size, size)
                 modulus, ortho = gram_errors(values)
                 failed = ~((modulus <= VERIFY_TOL) & (ortho <= VERIFY_TOL))
+                if split is not None:  # then ranked as cells of the dephased H
+                    values = np.einsum("ij,caj,ab->ciajb", lv, tv[l_index], kv).reshape(-1, size, size)
             if split is None:
-                stacks = [_rank_in_place(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w))]
-            else:
-                stacks = translation_halves(values[~failed], split)
-            return chunk, l_index, failed, pool.submit(_merged_spectra, stacks)
+                systems = _rank_in_place(pair_rows(pairs, _pair_blocks(values[~failed], pairs), w))
+                return chunk, l_index, failed, pool.submit(np.linalg.svd, systems, compute_uv=False)
+            return chunk, l_index, failed, pool.submit(_merged_spectra, translation_halves(values[~failed], split))
 
         def emit(chunk, l_index, failed, svd):  # the chunk's cells, in order, from its SVDs and single calls
-            solved = zip(*(result.tolist() for result in _ranks_and_gaps(svd.result(), rel_tol)))
+            sigma = svd.result()
+            solved = zip(*(result.tolist() for result in _ranks_and_gaps(sigma, rel_tol)), sigma)
             for c, (assignment, rows) in enumerate(zip(chunk, turn_objects[l_index].tolist())):
                 cell_id = ";".join(map(labels.__getitem__, assignment))
                 full = tuple(map(tuple, rows))
                 try:
-                    rank, gap = (None, None) if failed[c] else next(solved)
-                    # A cell that failed, is ambiguous, or has an exact zero below its rank is certified alone.
-                    if failed[c] or not (gap_threshold <= gap < math.inf or rank == (size - 1) ** 2):
+                    if failed[c]:
                         report = single(l_index[c])
                         rank, gap = report.rank, report.gap_ratio
+                    else:
+                        rank, gap, spectrum = next(solved)
+                        if split is None and gap < gap_threshold:
+                            _certify(_rank_from_spectrum(spectrum, rel_tol), gap_threshold, label)
+                        # A split cell that is ambiguous, or has an exact zero below its rank, is ranked as its
+                        # single call ranks it, without that call's check: the scan has verified it already.
+                        elif split is not None and not (gap_threshold <= gap < math.inf or rank == (size - 1) ** 2):
+                            report = single(l_index[c], verified=True)
+                            rank, gap = report.rank, report.gap_ratio
                 except (AmbiguousRankError, NonHadamardError) as exc:
                     yield ScanCell(cell_id, full, None, None, None, False, str(exc), type(exc).__name__)
                     continue

@@ -312,6 +312,18 @@ def test_scan_computes_each_cell_at_its_own_order(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["errors"] == 0
 
 
+def test_scan_ranks_an_ambiguous_split_cell_without_checking_it_again(tmp_path, capsys):
+    # Below --gap, a split cell is ranked as its single call ranks it, but the check of a cell of order 2000000014
+    # would sweep 500000003 Galois conjugates, above the cap: the scan has verified it by its factors instead.
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "fourier:2", "fourier:2", "--grid", "1000000007:1", "--gap", "1e300", "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["cell_id"], row["certified"]) for row in rows] == [("0", "false"), ("1/1000000007", "false")]
+    assert all(row["error"].startswith("ambiguous rank for defect of deformed:(fourier:2,fourier:2)") for row in rows)
+    assert json.loads(capsys.readouterr().out)["errors_by_type"] == {"AmbiguousRankError": 2}
+
+
 @pytest.mark.parametrize("grid", ["4:0,4", "4:1,5", "8:2,1,-6"])
 def test_scan_refuses_grid_numerators_that_name_one_turn_twice(grid, capsys):
     # Each would make two cells with one cell_id.

@@ -570,6 +570,21 @@ def test_batched_scan_non_hadamard_factor_fails_every_cell(tmp_path, bad):
         assert cells[0].error.startswith("matrix is not Hadamard")
 
 
+def test_a_floating_split_scan_verifies_the_cells_of_its_left_factor_not_of_the_dephased_one():
+    # |H_11| = 1 + 1.2e-9 fails the verify tolerance 1e-9. Dephasing multiplies entry (1, 1) by |H_01| |H_10| |H_00|,
+    # so with |H_10| = 1 - 0.45e-9 the dephased F4 keeps its translation 2 and every cell of it would pass: the
+    # cells of H are checked.
+    v = fourier_matrix(make_group([4])).to_values()
+    v[1, 1] *= 1 + 1.2e-9
+    v[1, 0] *= 1 - 0.45e-9
+    h, k, grid = HadamardMatrix.from_values(v), _spec("fourier:2"), ScanGrid(4)
+    left, _ = tangent._left_split(h, k.n)
+    assert not verify_hadamard(h).passed and verify_hadamard(left).passed
+    cells = deformation_scan(h, k, grid)
+    assert cells == per_cell_scan(h, k, grid)
+    assert len(cells) == 64 and all(cell.error_type == "NonHadamardError" for cell in cells)
+
+
 def test_scan_cell_flagged_by_the_stacked_check_is_rescued_by_its_single_call(monkeypatch):
     # A floating cell that fails the stacked verify is rebuilt and put through a single call; when that passes, the
     # cell takes the single call's rank and gap, and the other cells the scan oracle's split gaps.
@@ -735,15 +750,15 @@ def test_batched_scan_chunk_boundaries(monkeypatch, per_chunk):
 @pytest.mark.parametrize("h_spec, k_spec, grid, shapes, chunks", [
     ("fourier:2", "fourier:4", 4, [(28, 21), (28, 28)], [32, 32]),
     ("fourier:2", "fourier:6", 2, [(66, 55), (66, 66)], [10, 10, 10, 2]),
-    ("fourier:3", "fourier:2", 16, [(30, 25)], [60, 60, 60, 60, 16]),
+    ("fourier:3", "fourier:2", 16, [(30, 25)], [87, 87, 82]),
 ])
 def test_scan_chunks_hold_enough_singular_values_to_release_the_gil(h_spec, k_spec, grid, shapes, chunks, monkeypatch):
     # numpy runs a stacked SVD without the GIL only above 500 singular values. A cell whose left factor has an
     # order-2 row translation is ranked as two halves of N(N-1)/2 rows, with (N/2 - 1)(N - 1) and N/2 (N - 1)
     # columns, in one stack each, from N^2 / 2 assembled rows of N^2 entries: 0.5 MiB of those holds 32 cells of
     # F2 (x) F4, whose 21 even values a cell take 24 cells past 500, and 6 of F2 (x) F6, whose 55 take 10. F3 has
-    # none, so F3 (x) F2 keeps one stack of full systems, N(N-1) x (N-1)^2, assembled N(N-1) x N^2: 0.5 MiB holds
-    # 60 of them. Only a scan's last chunk may hold fewer values.
+    # none, so F3 (x) F2 keeps one stack of full systems, sized by what it ranks: 0.5 MiB holds 87 of 30 x 25. Only a
+    # scan's last chunk may hold fewer values.
     stacks, svd = [], np.linalg.svd
 
     def recording_svd(a, **kwargs):
